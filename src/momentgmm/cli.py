@@ -32,11 +32,8 @@ def _fmt(x: float) -> str:
 
 
 def read_csv(path: str, header: bool = False) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        raise
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     if header:
         lines = lines[1:]
     rows = []
@@ -292,10 +289,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     data = read_csv(args.data, header=args.header)
-    if args.init == "moments" and args.r > data.shape[1]:
-        raise InputError(
-            f"moments initializer requires r <= m (got r={args.r}, m={data.shape[1]})"
-        )
     truth = read_labels(args.labels) if args.labels else None
     row = fit_once(
         data, args.r, args.init, args.seed, max_iter=args.max_iter, truth=truth

