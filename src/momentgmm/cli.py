@@ -1,9 +1,9 @@
 """Command-line interface: simulate, fit, decompose, moments, pca, benchmark.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 I/O error.
-The benchmark harness parallelism is capped by the MOMENTGMM_THREADS
-environment variable; results are identical regardless of thread count
-because every replicate consumes its own derived seed.
+The benchmark harness runs its replicates one after another; each replicate
+draws its data and initializer streams from its own derived seed, so
+`summary.json` is identical across reruns.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -147,13 +146,6 @@ def fit_once(
 # ---------------------------------------------------------------------------
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MOMENTGMM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
     """Run the simulate/fit/score loop; returns (summary, per-fit rows).
 
@@ -196,15 +188,12 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
             rows.append(row)
         return rows
 
-    jobs = [(rep, idx) for rep in range(repeats) for idx in range(replicates)]
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ji: one_replicate(*ji), jobs))
-    else:
-        results = [one_replicate(*ji) for ji in jobs]
-
-    all_rows = [row for rows in results for row in rows]
+    all_rows = [
+        row
+        for rep in range(repeats)
+        for idx in range(replicates)
+        for row in one_replicate(rep, idx)
+    ]
     per_repeat = [
         _summarize(
             [r_ for r_ in all_rows if r_["repeat"] == rep], initializers, replicates
@@ -234,7 +223,7 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
 def _summarize(rows: list[dict], initializers: list[str], replicates: int) -> dict:
     counts = {
         name: {"best_bic": 0, "best_ari": 0, "ari_ge_099": 0, "best_err": 0,
-               "time_sum": 0.0, "fits": 0}
+               "fits": 0}
         for name in initializers
     }
     for idx in range(replicates):
@@ -247,7 +236,6 @@ def _summarize(rows: list[dict], initializers: list[str], replicates: int) -> di
         for r_ in group:
             c = counts[r_["initializer"]]
             c["fits"] += 1
-            c["time_sum"] += r_["time_s"]
             if r_["bic"] >= best_bic - BIC_TIE_TOL:
                 c["best_bic"] += 1
             if r_.get("ari") == best_ari:
@@ -264,7 +252,6 @@ def _summarize(rows: list[dict], initializers: list[str], replicates: int) -> di
             "best_ari_pct": 100.0 * c["best_ari"] / replicates,
             "ari_ge_099_pct": 100.0 * c["ari_ge_099"] / replicates,
             "best_error_rate_pct": 100.0 * c["best_err"] / replicates,
-            "mean_time_s": c["time_sum"] / c["fits"] if c["fits"] else float("nan"),
             "fits": c["fits"],
         }
     return out
@@ -379,36 +366,35 @@ def cmd_benchmark(args) -> int:
                 f"{_fmt(r_['time_s'])},"
                 f"{int(r_['fallback'])},{int(r_['failure'])}\n"
             )
-    # summary.json must be byte-identical across reruns and thread counts,
-    # so wall times stay out of it; they live in replicates.csv
+    # summary.json must be byte-identical across reruns, so wall times stay
+    # out of it; they live in replicates.csv and the console table
     summary_path = os.path.join(out_dir, "summary.json")
-    text = json.dumps(_strip_timings(summary), sort_keys=True, indent=2)
+    text = json.dumps(summary, sort_keys=True, indent=2)
     with open(summary_path, "w") as fh:
         fh.write(text + "\n")
     if not args.quiet:
-        print(_summary_table(summary))
+        print(_summary_table(summary, rows))
     return 0
 
 
-def _strip_timings(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timings(v) for k, v in obj.items() if k != "mean_time_s"}
-    if isinstance(obj, list):
-        return [_strip_timings(v) for v in obj]
-    return obj
-
-
-def _summary_table(summary: dict) -> str:
+def _summary_table(summary: dict, rows: list[dict]) -> str:
+    """Shares of the first repeat, with each initializer's mean fit time
+    over that repeat's successful fits."""
     shares = summary.get("shares") or summary["per_repeat"][0]
     lines = [
         f"{'initializer':<12}{'bestBIC%':>10}{'bestARI%':>10}"
         f"{'ARI>=.99%':>11}{'bestErr%':>10}{'time(s)':>10}"
     ]
     for name, s in shares.items():
+        times = [
+            r_["time_s"] for r_ in rows
+            if r_["initializer"] == name and r_["repeat"] == 0 and not r_["failure"]
+        ]
+        mean_time = float(np.mean(times)) if times else float("nan")
         lines.append(
             f"{name:<12}{s['best_bic_pct']:>10.2f}{s['best_ari_pct']:>10.2f}"
             f"{s['ari_ge_099_pct']:>11.2f}{s['best_error_rate_pct']:>10.2f}"
-            f"{s['mean_time_s']:>10.4f}"
+            f"{mean_time:>10.4f}"
         )
     return "\n".join(lines)
 

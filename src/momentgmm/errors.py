@@ -11,7 +11,3 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed (rank deficiency, eigen-solver trouble, ...)."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -9,6 +9,7 @@ bursts, keep the best log-likelihood), and plain random seeding.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .moments import empirical_moments, recover_parameters
 LOG_2PI = float(np.log(2.0 * np.pi))
 DEFAULT_TOL = 1e-8
 VARIANCE_FLOOR_FRACTION = 1e-8
+WEIGHT_SUM_SLACK = 1e-3
 
 
 @dataclass
@@ -63,10 +65,18 @@ class GmmParams:
 
     @classmethod
     def from_json(cls, text: str) -> "GmmParams":
+        """Parse a mixture JSON object.  Weights that sum to within
+        WEIGHT_SUM_SLACK of 1, as published four-digit weights do, are
+        renormalized with a warning; larger deviations are rejected."""
         obj = json.loads(text)
         try:
+            weights = np.array(obj["weights"], dtype=float)
+            total = weights.sum()
+            if 1e-12 < abs(total - 1.0) <= WEIGHT_SUM_SLACK:
+                warnings.warn(f"mixture weights sum to {total:.17g}; renormalized")
+                weights = weights / total
             return cls(
-                np.array(obj["weights"], dtype=float),
+                weights,
                 np.array(obj["means"], dtype=float),
                 np.array(obj["variances"], dtype=float),
             )
@@ -354,10 +364,10 @@ def init_moments(
     except (NumericalError, np.linalg.LinAlgError):
         return init_random(data, r, rng_seed=rng_seed), True
     # near-zero starting variances freeze the E-step, so floor the initializer
-    # variances at a twentieth of the mixture-average variance
-    fallback_var = max(1e-6, moments.sigma_bar_sq)
-    variances = np.where(rec.variances <= 0, fallback_var, rec.variances)
-    variances = np.maximum(variances, 0.05 * fallback_var)
+    # variances at a twentieth of the mixture-average variance, which
+    # recover_parameters has already put in place of non-positive ones
+    floor = 0.05 * max(1e-6, moments.sigma_bar_sq)
+    variances = np.maximum(rec.variances, floor)
     params = GmmParams(
         weights=rec.weights / rec.weights.sum(),
         means=rec.means,

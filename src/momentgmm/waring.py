@@ -28,7 +28,10 @@ from .symtensor import (
     sum_index,
 )
 
+# best of MAX_PENCIL_RETRIES successful pencil draws, out of at most
+# MAX_PENCIL_DRAWS attempts
 MAX_PENCIL_RETRIES = 5
+MAX_PENCIL_DRAWS = 25
 EIGENVALUE_GAP_TOL = 1e-10
 IMAG_LEAK_TOL = 1e-6
 
@@ -58,7 +61,6 @@ class PencilSlices:
 
     u: np.ndarray
     slices: list[np.ndarray]
-    k: int
     dim: int
 
 
@@ -85,7 +87,7 @@ def truncated_svd_basis(
 
     shift = sum_index(h.dim, h.k - 1, 1)
     slices = [u[shift[:, i]] for i in range(h.dim)]
-    return PencilSlices(u=u, slices=slices, k=h.k, dim=h.dim), r
+    return PencilSlices(u=u, slices=slices, dim=h.dim), r
 
 
 def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +105,13 @@ def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def simultaneous_diagonalize(
     pencil: PencilSlices, rng_seed: int = 0, on_complex: str = "error"
 ) -> tuple[np.ndarray, bool]:
-    """Recover the decomposition points (one per pencil eigenvector) from a
-    random two-vector combination of the slices.
+    """Recover the decomposition points (one per pencil eigenvector) from one
+    random two-vector combination of the slices, drawn from `rng_seed`.
 
     Returns (points, complex_leak_flag); points are normalized to unit norm
-    with a fixed sign convention.
+    with a fixed sign convention.  Raises NumericalError when the draw is
+    unlucky (eigen-solver failure, clustered eigenvalues, or complex points in
+    "error" mode); `decompose` retries with fresh seeds.
     """
     r = pencil.u.shape[1]
     m = pencil.dim
@@ -116,43 +120,35 @@ def simultaneous_diagonalize(
             f"rank {r} exceeds the slice row count {pencil.slices[0].shape[0]}"
         )
     rng = np.random.default_rng(rng_seed)
-    last_error = None
-    for _ in range(MAX_PENCIL_RETRIES):
-        a = rng.standard_normal(m)
-        a /= np.linalg.norm(a)
-        b = rng.standard_normal(m)
-        b /= np.linalg.norm(b)
-        m_a = sum(a[i] * pencil.slices[i] for i in range(m))
-        m_b = sum(b[i] * pencil.slices[i] for i in range(m))
-        ga = np.linalg.pinv(m_a)
-        try:
-            eigvals, f = np.linalg.eig(ga @ m_b)
-        except np.linalg.LinAlgError as exc:
-            last_error = str(exc)
-            continue
-        scale = max(np.max(np.abs(eigvals)), 1.0)
-        gaps = np.abs(eigvals[:, None] - eigvals[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if np.min(gaps) < EIGENVALUE_GAP_TOL * scale:
-            last_error = "eigenvalue clustering in the random pencil"
-            continue
+    a = rng.standard_normal(m)
+    a /= np.linalg.norm(a)
+    b = rng.standard_normal(m)
+    b /= np.linalg.norm(b)
+    m_a = sum(a[i] * pencil.slices[i] for i in range(m))
+    m_b = sum(b[i] * pencil.slices[i] for i in range(m))
+    ga = np.linalg.pinv(m_a)
+    try:
+        eigvals, f = np.linalg.eig(ga @ m_b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pencil eigen-solver failed: {exc}") from exc
+    scale = max(np.max(np.abs(eigvals)), 1.0)
+    gaps = np.abs(eigvals[:, None] - eigvals[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if np.min(gaps) < EIGENVALUE_GAP_TOL * scale:
+        raise NumericalError("eigenvalue clustering in the random pencil")
 
-        coords = np.empty((r, m), dtype=complex)
-        for i in range(m):
-            coords[:, i] = np.diag(ga @ pencil.slices[i] @ f)
-        points = np.conj(coords)
+    coords = np.empty((r, m), dtype=complex)
+    for i in range(m):
+        coords[:, i] = np.diag(ga @ pencil.slices[i] @ f)
+    points = np.conj(coords)
 
-        re_scale = np.max(np.abs(points.real))
-        im_scale = np.max(np.abs(points.imag))
-        leak = False
-        if re_scale == 0.0 or im_scale > IMAG_LEAK_TOL * re_scale:
-            if on_complex == "error":
-                last_error = "points carry non-negligible imaginary parts"
-                continue
-            leak = True
-        unit, _ = _normalize_points(points.real)
-        return unit, leak
-    raise NumericalError(f"simultaneous diagonalization failed: {last_error}")
+    re_scale = np.max(np.abs(points.real))
+    im_scale = np.max(np.abs(points.imag))
+    leak = bool(re_scale == 0.0 or im_scale > IMAG_LEAK_TOL * re_scale)
+    if leak and on_complex == "error":
+        raise NumericalError("points carry non-negligible imaginary parts")
+    unit, _ = _normalize_points(points.real)
+    return unit, leak
 
 
 def solve_weights(
@@ -205,27 +201,30 @@ def decompose(
             f"detected rank {r} exceeds s_(d-k); choose a smaller k"
         )
 
-    # the random combination quality varies on noisy tensors, so draw a
-    # few pencils and keep the candidate with the smallest residual
+    # the random combination quality varies on noisy tensors, so draw a few
+    # pencils and keep the candidate with the smallest residual; unlucky
+    # draws are skipped, within a budget of MAX_PENCIL_DRAWS
     best = None
-    for attempt in range(MAX_PENCIL_RETRIES):
+    successes = 0
+    last_error = None
+    for draw in range(MAX_PENCIL_DRAWS):
         try:
             points, leak = simultaneous_diagonalize(
-                pencil,
-                rng_seed=opts.rng_seed + 7919 * attempt,
-                on_complex=opts.on_complex,
+                pencil, opts.rng_seed + 7919 * draw, opts.on_complex
             )
             weights, rel = solve_weights(t, points)
         except NumericalError as exc:
-            if best is None and attempt == MAX_PENCIL_RETRIES - 1:
-                raise exc
+            last_error = exc
             continue
         if best is None or rel < best[0]:
             best = (rel, weights, points, leak)
-        if rel < 1e-10:
+        successes += 1
+        if rel < 1e-10 or successes == MAX_PENCIL_RETRIES:
             break
     if best is None:
-        raise NumericalError("all pencil draws failed")
+        raise NumericalError(
+            f"all {MAX_PENCIL_DRAWS} pencil draws failed: {last_error}"
+        )
     _, weights, points, leak = best
 
     result = WaringDecomposition(

@@ -82,6 +82,29 @@ class TestSimulate:
         # 10 points per unordered feature pair, C(5,2)=10 pairs
         assert len(lines) == 1 + 10 * 10
 
+    @pytest.mark.parametrize(
+        "weights, code",
+        [
+            # Example 1 as published: sums to 1.0001, renormalized
+            ([0.2782, 0.0139, 0.3324, 0.3756], 0),
+            # sums to 0.99, beyond the renormalization slack
+            ([0.2782, 0.0139, 0.3324, 0.3655], 1),
+        ],
+    )
+    def test_published_weight_slack(self, tmp_path, example1_params, weights, code):
+        model = json.loads(example1_params.to_json())
+        model["weights"] = weights
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        argv = ["simulate", "--model", str(path), "--n", "10",
+                "--out-data", str(tmp_path / "d.csv"),
+                "--out-labels", str(tmp_path / "l.txt")]
+        if code == 0:
+            with pytest.warns(UserWarning, match="renormalized"):
+                assert main(argv) == 0
+        else:
+            assert main(argv) == 1
+
 
 class TestFit:
     @pytest.mark.parametrize("init", ["kmeans", "moments", "emem", "random"])

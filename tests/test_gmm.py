@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -51,6 +52,17 @@ class TestGmmParams:
         assert np.array_equal(back.weights, example1_params.weights)
         assert np.array_equal(back.means, example1_params.means)
         assert np.array_equal(back.variances, example1_params.variances)
+
+    def test_published_weights_renormalized(self, example2_params):
+        # the paper prints Example 2's weights to four digits; they sum to 0.9999
+        obj = json.loads(example2_params.to_json())
+        obj["weights"] = [0.0930, 0.2151, 0.6918]
+        with pytest.warns(UserWarning, match="renormalized"):
+            back = GmmParams.from_json(json.dumps(obj))
+        assert np.array_equal(back.weights, example2_params.weights)
+        obj["weights"] = [0.0930, 0.2151, 0.6908]
+        with pytest.raises(InputError):
+            GmmParams.from_json(json.dumps(obj))
 
     def test_malformed_json(self):
         with pytest.raises(InputError):

@@ -13,6 +13,7 @@ from momentgmm import (
     reconstruct,
     refine,
 )
+from momentgmm import waring
 from momentgmm.waring import (
     default_row_degree,
     relative_residual,
@@ -253,3 +254,120 @@ class TestRefine:
         start = WaringDecomposition(weights=tw, points=tp, order=3)
         out = refine(t, start, 0)
         assert out is start
+
+
+# ---------------------------------------------------------------------------
+# The pencil-draw loop against the earlier nested schedule
+# ---------------------------------------------------------------------------
+
+
+def nested_diagonalize(pencil, rng_seed, on_complex):
+    """Reference: the earlier simultaneous_diagonalize, which drew up to
+    MAX_PENCIL_RETRIES (a, b) pairs from one stream and returned the first
+    that diagonalized."""
+    r = pencil.u.shape[1]
+    m = pencil.dim
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(waring.MAX_PENCIL_RETRIES):
+        a = rng.standard_normal(m)
+        a /= np.linalg.norm(a)
+        b = rng.standard_normal(m)
+        b /= np.linalg.norm(b)
+        m_a = sum(a[i] * pencil.slices[i] for i in range(m))
+        m_b = sum(b[i] * pencil.slices[i] for i in range(m))
+        ga = np.linalg.pinv(m_a)
+        try:
+            eigvals, f = np.linalg.eig(ga @ m_b)
+        except np.linalg.LinAlgError:
+            continue
+        scale = max(np.max(np.abs(eigvals)), 1.0)
+        gaps = np.abs(eigvals[:, None] - eigvals[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if np.min(gaps) < waring.EIGENVALUE_GAP_TOL * scale:
+            continue
+        coords = np.empty((r, m), dtype=complex)
+        for i in range(m):
+            coords[:, i] = np.diag(ga @ pencil.slices[i] @ f)
+        points = np.conj(coords)
+        re_scale = np.max(np.abs(points.real))
+        im_scale = np.max(np.abs(points.imag))
+        leak = False
+        if re_scale == 0.0 or im_scale > waring.IMAG_LEAK_TOL * re_scale:
+            if on_complex == "error":
+                continue
+            leak = True
+        unit, _ = waring._normalize_points(points.real)
+        return unit, leak
+    raise NumericalError("simultaneous diagonalization failed")
+
+
+def nested_decompose(t, opts):
+    """Reference: the earlier decompose, MAX_PENCIL_RETRIES outer draws each
+    running nested_diagonalize on its own seed, best residual kept."""
+    pencil, _ = truncated_svd_basis(hankel(t, opts.k), opts)
+    best = None
+    for attempt in range(waring.MAX_PENCIL_RETRIES):
+        try:
+            points, leak = nested_diagonalize(
+                pencil, opts.rng_seed + 7919 * attempt, opts.on_complex
+            )
+            weights, rel = solve_weights(t, points)
+        except NumericalError:
+            continue
+        if best is None or rel < best[0]:
+            best = (rel, weights, points, leak)
+        if rel < 1e-10:
+            break
+    _, weights, points, leak = best
+    result = WaringDecomposition(weights, points, t.order, complex_leak=leak)
+    if relative_residual(t, result) > 1e-14:
+        result = refine(t, result, opts.refine_iterations)
+    return result
+
+
+def record_draw_seeds(monkeypatch):
+    """Make decompose log the seed of every simultaneous_diagonalize call."""
+    seeds = []
+    inner = waring.simultaneous_diagonalize
+
+    def recording(pencil, rng_seed=0, on_complex="error"):
+        seeds.append(rng_seed)
+        return inner(pencil, rng_seed, on_complex)
+
+    monkeypatch.setattr(waring, "simultaneous_diagonalize", recording)
+    return seeds
+
+
+class TestPencilDrawLoop:
+    @pytest.mark.parametrize("m, r", [(3, 2), (5, 3), (6, 6), (10, 5), (20, 10)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noisy_warn_mode_matches_nested_schedule(self, m, r, seed):
+        rng = np.random.default_rng(1000 * m + seed)
+        t, _, _ = random_decomposable(rng, m, r, 3)
+        noisy = SymmetricTensor(
+            m, 3, t.coeffs + 1e-3 * rng.standard_normal(len(t.coeffs))
+        )
+        opts = DecompositionOptions(rank=r, k=2, rng_seed=seed, on_complex="warn")
+        got = decompose(noisy, opts)
+        want = nested_decompose(noisy, opts)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.points, want.points)
+        assert got.complex_leak is want.complex_leak
+
+    def test_noisy_tensor_runs_every_draw(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        t, _, _ = random_decomposable(rng, 5, 3, 3)
+        noisy = SymmetricTensor(
+            5, 3, t.coeffs + 1e-3 * rng.standard_normal(len(t.coeffs))
+        )
+        seeds = record_draw_seeds(monkeypatch)
+        decompose(noisy, DecompositionOptions(rank=3, k=2, rng_seed=4, on_complex="warn"))
+        assert seeds == [4 + 7919 * j for j in range(waring.MAX_PENCIL_RETRIES)]
+
+    def test_complex_points_exhaust_draw_budget(self, monkeypatch):
+        # X1^3 - 3 X1 X2^2 has only complex rank-2 points, so every draw fails
+        t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
+        seeds = record_draw_seeds(monkeypatch)
+        with pytest.raises(NumericalError, match="pencil draws failed"):
+            decompose(t, DecompositionOptions(rank=2, k=2, on_complex="error"))
+        assert seeds == [7919 * j for j in range(waring.MAX_PENCIL_DRAWS)]
