@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InputError, NumericalError
 from .moments import empirical_moments, recover_parameters
@@ -65,21 +64,25 @@ class GmmParams:
 
     @classmethod
     def from_json(cls, text: str) -> "GmmParams":
-        """Parse a mixture JSON object.  Weights that sum to within
-        WEIGHT_SUM_SLACK of 1, as published four-digit weights do, are
-        renormalized with a warning; larger deviations are rejected."""
+        """Parse a mixture JSON object.  Non-finite entries and negative
+        weights are rejected.  Weights that sum to within WEIGHT_SUM_SLACK of
+        1, as published four-digit weights do, are renormalized with a
+        warning; larger deviations are rejected."""
         obj = json.loads(text)
         try:
-            weights = np.array(obj["weights"], dtype=float)
+            weights, means, variances = (
+                np.array(obj[key], dtype=float)
+                for key in ("weights", "means", "variances")
+            )
+            if not all(np.isfinite(v).all() for v in (weights, means, variances)):
+                raise InputError("mixture weights, means and variances must be finite")
+            if np.any(weights < 0):
+                raise InputError("mixture weights must be nonnegative")
             total = weights.sum()
             if 1e-12 < abs(total - 1.0) <= WEIGHT_SUM_SLACK:
                 warnings.warn(f"mixture weights sum to {total:.17g}; renormalized")
                 weights = weights / total
-            return cls(
-                weights,
-                np.array(obj["means"], dtype=float),
-                np.array(obj["variances"], dtype=float),
-            )
+            return cls(weights, means, variances)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed mixture JSON: {exc}") from exc
 
@@ -93,20 +96,35 @@ class EmResult:
     hard_labels: np.ndarray
 
 
-def _sq_dist(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dist(data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """n x r matrix of ||x_i - c_j||^2 in the expanded form
-    ||x||^2 - 2 x.c + ||c||^2, which can dip below zero by rounding."""
+    ||x||^2 - 2 x.c + ||c||^2, which can dip below zero by rounding;
+    `data_sq` is np.sum(data**2, axis=1)."""
     return (
-        np.sum(data**2, axis=1)[:, None]
+        data_sq[:, None]
         - 2.0 * data @ centers.T
         + np.sum(centers**2, axis=1)[None, :]
     )
 
 
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a real 2-D array, bit for bit what
+    scipy's logsumexp(a, axis=1) returns: the row maximum is shifted out, its
+    ties are counted instead of exponentiated, and log1p takes the rest.
+    Rows holding -inf, +inf or NaN give scipy's results too, without a
+    RuntimeWarning."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        top = a.max(axis=1, keepdims=True)
+        is_top = a == top
+        count = is_top.sum(axis=1, keepdims=True)
+        s = np.exp(np.where(is_top, -np.inf, a - top)).sum(axis=1, keepdims=True) / count
+        return (np.log1p(s) + np.log(count) + top)[:, 0]
+
+
 def _log_component_matrix(params: GmmParams, data: np.ndarray) -> np.ndarray:
     """n x r matrix of log(w_j) + log N(x_i | mu_j, s_j^2 I)."""
     m = params.dim
-    sq_dist = np.maximum(_sq_dist(data, params.means), 0.0)
+    sq_dist = np.maximum(_sq_dist(data, np.sum(data**2, axis=1), params.means), 0.0)
     return (
         np.log(params.weights)[None, :]
         - 0.5 * m * (LOG_2PI + np.log(params.variances))[None, :]
@@ -115,11 +133,13 @@ def _log_component_matrix(params: GmmParams, data: np.ndarray) -> np.ndarray:
 
 
 def log_density(params: GmmParams, x) -> float:
-    """log p(x) under the mixture, stabilized with log-sum-exp."""
+    """log p(x) of one point x under the mixture, stabilized with log-sum-exp."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[0] != 1 or x.ndim != 2:
+        raise InputError("log_density takes a single point")
     if x.shape[1] != params.dim:
         raise InputError("point dimension does not match the mixture")
-    return float(logsumexp(_log_component_matrix(params, x), axis=1)[0])
+    return float(_row_logsumexp(_log_component_matrix(params, x))[0])
 
 
 def sample(
@@ -139,7 +159,7 @@ def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
     """Responsibilities (row-stochastic) and total log-likelihood."""
     data = np.asarray(data, dtype=float)
     log_comp = _log_component_matrix(params, data)
-    log_norm = logsumexp(log_comp, axis=1)
+    log_norm = _row_logsumexp(log_comp)
     resp = np.exp(log_comp - log_norm[:, None])
     return resp, float(np.sum(log_norm))
 
@@ -251,30 +271,40 @@ def _kmeans_pp_seeds(data: np.ndarray, r: int, rng: np.random.Generator) -> np.n
 
 
 def _lloyd(
-    data: np.ndarray, centers: np.ndarray, rng: np.random.Generator, max_iter: int = 100
+    data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray, max_iter: int = 100
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd iterations; empty clusters are reseeded at the farthest point.
+    """Lloyd iterations from `centers`; `data_sq` is np.sum(data**2, axis=1).
+    Empty clusters are reseeded at the farthest point.
     Returns (labels, centers, within-cluster sum of squares)."""
-    r = len(centers)
-    labels = np.full(len(data), -1)
+    (n, m), r = data.shape, len(centers)
+    rows = np.arange(n)
+    labels = np.full(n, -1)
     for _ in range(max_iter):
-        dists = _sq_dist(data, centers)
+        dists = _sq_dist(data, data_sq, centers)
         new_labels = np.argmin(dists, axis=1)
-        closest = dists[np.arange(len(data)), new_labels]
-        for j in range(r):
-            mask = new_labels == j
-            if not np.any(mask):
-                far = int(np.argmax(closest))
-                centers[j] = data[far]
-                new_labels[far] = j
+        counts = np.bincount(new_labels, minlength=r)
+        if counts.all() and m > 1:
+            # bincount adds each (cluster, column) bin in row order from 0.0,
+            # as data[new_labels == j].mean(axis=0) does when m > 1
+            bins = (new_labels * m)[:, None] + np.arange(m)
+            sums = np.bincount(bins.ravel(), weights=data.ravel(), minlength=r * m)
+            centers = sums.reshape(r, m) / counts[:, None]
+        else:
+            closest = dists[rows, new_labels]
+            for j in range(r):
                 mask = new_labels == j
-            centers[j] = data[mask].mean(axis=0)
+                if not np.any(mask):
+                    far = int(np.argmax(closest))
+                    centers[j] = data[far]
+                    new_labels[far] = j
+                    mask = new_labels == j
+                centers[j] = data[mask].mean(axis=0)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    dists = _sq_dist(data, centers)
+    dists = _sq_dist(data, data_sq, centers)
     labels = np.argmin(dists, axis=1)
-    wcss = float(np.sum(dists[np.arange(len(data)), labels]))
+    wcss = float(np.sum(dists[rows, labels]))
     return labels, centers, wcss
 
 
@@ -286,11 +316,12 @@ def init_kmeans(
     data = np.asarray(data, dtype=float)
     if len(data) < r:
         raise InputError("need at least r data points")
+    data_sq = np.sum(data**2, axis=1)
     best = None
     for run in range(runs):
         rng = np.random.default_rng(rng_seed + run)
         centers = _kmeans_pp_seeds(data, r, rng)
-        labels, centers, wcss = _lloyd(data, centers, rng)
+        labels, centers, wcss = _lloyd(data, data_sq, centers)
         if best is None or wcss < best[0]:
             best = (wcss, labels)
     return _params_from_hard_labels(data, best[1], r)

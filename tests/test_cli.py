@@ -105,6 +105,28 @@ class TestSimulate:
         else:
             assert main(argv) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weights", [float("nan"), 0.5]),
+            ("weights", [1.5, -0.5]),
+            ("means", [[0.0, float("inf")], [1.0, 1.0]]),
+            ("variances", [float("nan"), 1.0]),
+        ],
+    )
+    def test_non_finite_or_negative_rejected(self, tmp_path, capsys, field, value):
+        model = {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [1.0, 1.0]],
+                 "variances": [1.0, 1.0]}
+        model[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        argv = ["simulate", "--model", str(path), "--n", "10",
+                "--out-data", str(tmp_path / "d.csv"),
+                "--out-labels", str(tmp_path / "l.txt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: mixture")
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestFit:
     @pytest.mark.parametrize("init", ["kmeans", "moments", "emem", "random"])

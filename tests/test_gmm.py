@@ -1,8 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from momentgmm import (
     EmResult,
@@ -19,7 +21,7 @@ from momentgmm import (
     m_step,
     sample,
 )
-from momentgmm.gmm import pooled_variance
+from momentgmm.gmm import _kmeans_pp_seeds, _lloyd, _row_logsumexp, pooled_variance
 
 
 def single_gaussian(mu, var):
@@ -93,6 +95,58 @@ class TestLogDensity:
     def test_dimension_check(self):
         with pytest.raises(InputError):
             log_density(two_blob_params(), [1.0, 2.0, 3.0])
+
+    def test_rejects_several_points(self):
+        p = two_blob_params()
+        with pytest.raises(InputError):
+            log_density(p, [[0.0, 0.0], [100.0, 100.0]])
+        assert log_density(p, [[0.0, 0.0]]) == log_density(p, [0.0, 0.0])
+
+
+def _same_bits(a, b):
+    """Bit-equal float arrays, any NaN matching any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.int64), b[~nan].view(np.int64)
+    )
+
+
+class TestRowLogsumexp:
+    """_row_logsumexp must return scipy's logsumexp(a, axis=1) bit for bit."""
+
+    @staticmethod
+    def scipy_rows(a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return logsumexp(a, axis=1)
+
+    def cases(self):
+        rng = np.random.default_rng(20)
+        for t in range(200):
+            n = int(rng.integers(1, 2001)) if t % 20 == 0 else int(rng.integers(1, 200))
+            r = int(rng.integers(1, 17))
+            a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(n, r))
+            if t % 2:
+                a = np.round(a)  # many exact ties
+            if t % 3 == 0 and r > 1:
+                a[:, 1] = a[:, 0]  # a tie at the row maximum in some rows
+            yield a
+        for values in ([-np.inf], [np.inf], [np.nan], [-np.inf, np.inf, np.nan], [-np.inf, np.inf]):
+            a = rng.normal(size=(60, 4))
+            idx = rng.integers(0, a.size, size=40)
+            a.flat[idx] = rng.choice(values, size=len(idx))
+            a[0] = -np.inf
+            yield a
+
+    def test_bit_equal_to_scipy(self):
+        for a in self.cases():
+            assert _same_bits(_row_logsumexp(a), self.scipy_rows(a))
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in self.cases():
+                _row_logsumexp(a)
 
 
 class TestSample:
@@ -189,6 +243,82 @@ class TestEmFit:
         data, _ = sample(example2_params, 100, rng_seed=9)
         with pytest.raises(InputError):
             em_fit(data, 4, init_random(data, 3, rng_seed=0))
+
+
+def loop_sq_dist(data, centers):
+    return (
+        np.sum(data**2, axis=1)[:, None]
+        - 2.0 * data @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+
+
+def loop_lloyd(data, centers, max_iter=100):
+    """The per-cluster Lloyd loop _lloyd must reproduce; also returns whether
+    an empty cluster was reseeded."""
+    r = len(centers)
+    labels = np.full(len(data), -1)
+    reseeded = False
+    for _ in range(max_iter):
+        dists = loop_sq_dist(data, centers)
+        new_labels = np.argmin(dists, axis=1)
+        closest = dists[np.arange(len(data)), new_labels]
+        for j in range(r):
+            mask = new_labels == j
+            if not np.any(mask):
+                reseeded = True
+                far = int(np.argmax(closest))
+                centers[j] = data[far]
+                new_labels[far] = j
+                mask = new_labels == j
+            centers[j] = data[mask].mean(axis=0)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    dists = loop_sq_dist(data, centers)
+    labels = np.argmin(dists, axis=1)
+    wcss = float(np.sum(dists[np.arange(len(data)), labels]))
+    return labels, centers, wcss, reseeded
+
+
+class TestLloyd:
+    @staticmethod
+    def assert_matches_loop(data, centers):
+        labels, got_centers, wcss = _lloyd(data, np.sum(data**2, axis=1), centers.copy())
+        ref_labels, ref_centers, ref_wcss, reseeded = loop_lloyd(data, centers.copy())
+        assert np.array_equal(labels, ref_labels)
+        assert _same_bits(got_centers, ref_centers)
+        assert _same_bits(np.array(wcss), np.array(ref_wcss))
+        return reseeded
+
+    @pytest.mark.parametrize("m, r", [(1, 3), (2, 2), (6, 4), (5, 3), (12, 6), (30, 15)])
+    def test_bit_equal_to_loop(self, m, r):
+        rng = np.random.default_rng(100 * m + r)
+        for t in range(6):
+            n = int(rng.integers(r, 600))
+            data = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-2, 2)
+            if t % 2:
+                data = np.round(data)  # duplicated rows and exact ties
+            if t % 3 == 2:
+                data = data[rng.integers(0, max(r, n // 10), size=n)]
+            centers = _kmeans_pp_seeds(data, r, np.random.default_rng(t))
+            self.assert_matches_loop(data, centers)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_empty_cluster_far_center(self, m):
+        rng = np.random.default_rng(21)
+        data = rng.normal(size=(300, m))
+        centers = _kmeans_pp_seeds(data, 4, rng)
+        centers[2] = 1e6
+        assert self.assert_matches_loop(data, centers)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_empty_cluster_coincident_centers(self, m):
+        rng = np.random.default_rng(22)
+        data = rng.normal(size=(300, m))
+        centers = _kmeans_pp_seeds(data, 4, rng)
+        centers[3] = centers[1]
+        assert self.assert_matches_loop(data, centers)
 
 
 class TestInitializers:
