@@ -16,10 +16,13 @@ from .gmm import (
     pooled_variance,
     sample,
 )
-from .hankel import HankelMatrix, evaluation_matrix, hankel, interpolation_degree
-from .metrics import MetricReport, ari, bic, error_rate, nu_spherical
+from .hankel import HankelMatrix, hankel
+from .metrics import ari, bic, error_rate, nu_spherical
 from .moments import MomentSet, RecoveredParams, empirical_moments, exact_moments, recover_parameters
-from .symtensor import SymmetricTensor, WaringDecomposition, apolar, apolar_norm, evaluate, pow_linear, reconstruct
+from .symtensor import (
+    SymmetricTensor, WaringDecomposition, apolar, apolar_norm, evaluate, evaluation_matrix,
+    pow_linear, reconstruct,
+)
 from .waring import DecompositionOptions, decompose, refine, relative_residual
 
 __all__ = [
@@ -28,7 +31,6 @@ __all__ = [
     "GmmParams",
     "HankelMatrix",
     "InputError",
-    "MetricReport",
     "MomentSet",
     "NumericalError",
     "RecoveredParams",
@@ -51,7 +53,6 @@ __all__ = [
     "init_kmeans",
     "init_moments",
     "init_random",
-    "interpolation_degree",
     "log_density",
     "m_step",
     "nu_spherical",

@@ -67,7 +67,11 @@ def write_csv(path: str, data: np.ndarray, header: list[str] | None = None) -> N
 
 def read_labels(path: str) -> np.ndarray:
     with open(path) as fh:
-        return np.array([int(line) for line in fh.read().split()], dtype=int)
+        tokens = fh.read().split()
+    try:
+        return np.array([int(t) for t in tokens], dtype=int)
+    except ValueError as exc:
+        raise InputError(f"{path}: labels must be integers: {exc}") from exc
 
 
 def write_labels(path: str, labels: np.ndarray) -> None:
@@ -330,8 +334,8 @@ def cmd_moments(args) -> int:
 
 def cmd_pca(args) -> int:
     data = read_csv(args.data, header=args.header)
-    if args.q > data.shape[1]:
-        raise InputError(f"q={args.q} exceeds the number of columns {data.shape[1]}")
+    if not 1 <= args.q <= data.shape[1]:
+        raise InputError(f"q={args.q} must lie in [1, {data.shape[1]}] (the column count)")
     centered = data - data.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     directions = vt[: args.q]

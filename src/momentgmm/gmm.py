@@ -177,7 +177,9 @@ def m_step(
     rng: np.random.Generator | None = None,
 ) -> GmmParams:
     """Weighted-statistics update; empty components are reseeded at a random
-    data point with the pooled variance."""
+    data point.  A drawn row whose move would empty another component (a row
+    reseeded just before included) is drawn again while any other row can
+    move."""
     data = np.asarray(data, dtype=float)
     n, m = data.shape
     r = resp.shape[1]
@@ -190,7 +192,13 @@ def m_step(
         rng = rng if rng is not None else np.random.default_rng(0)
         resp = resp.copy()
         for j in np.flatnonzero(empty):
+            movable = ~np.any((counts - resp < 1e-10 * n) & ~empty, axis=1)
             i = int(rng.integers(n))
+            while not movable[i] and movable.any():
+                i = int(rng.integers(n))
+            counts -= resp[i]
+            counts[j] += 1.0
+            empty[j] = False
             resp[i] = 0.0
             resp[i, j] = 1.0
         counts = resp.sum(axis=0)
@@ -314,8 +322,8 @@ def init_kmeans(
     """Best of `runs` k-means++ / Lloyd runs by WCSS, turned into mixture
     parameters through a hard-label M step."""
     data = np.asarray(data, dtype=float)
-    if len(data) < r:
-        raise InputError("need at least r data points")
+    if not 1 <= r <= len(data):
+        raise InputError(f"r={r} must lie in [1, n={len(data)}]")
     data_sq = np.sum(data**2, axis=1)
     best = None
     for run in range(runs):
@@ -330,8 +338,8 @@ def init_kmeans(
 def init_random(data: np.ndarray, r: int, rng_seed: int = 0) -> GmmParams:
     """Uniform weights, means at r distinct data rows, pooled variance."""
     data = np.asarray(data, dtype=float)
-    if len(data) < r:
-        raise InputError("need at least r data points")
+    if not 1 <= r <= len(data):
+        raise InputError(f"r={r} must lie in [1, n={len(data)}]")
     rng = np.random.default_rng(rng_seed)
     rows = rng.choice(len(data), size=r, replace=False)
     var = max(pooled_variance(data), 1e-12)
@@ -356,8 +364,8 @@ def init_emem(
     an M step and `short_iters` EM iterations.
     """
     data = np.asarray(data, dtype=float)
-    if len(data) < r:
-        raise InputError("need at least r data points")
+    if not 1 <= r <= len(data):
+        raise InputError(f"r={r} must lie in [1, n={len(data)}]")
     floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
     best_loglik = -np.inf
     best_params = None
@@ -385,9 +393,9 @@ def init_moments(
     and random seeding was substituted.
     """
     data = np.asarray(data, dtype=float)
-    if r > data.shape[1]:
+    if not 1 <= r <= data.shape[1]:
         raise InputError(
-            f"moments initializer needs r <= m, got r={r}, m={data.shape[1]}"
+            f"moments initializer needs 1 <= r <= m, got r={r}, m={data.shape[1]}"
         )
     try:
         moments = empirical_moments(data)

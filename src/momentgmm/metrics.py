@@ -3,21 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
-
-
-@dataclass
-class MetricReport:
-    bic: float
-    ari: float
-    error_rate: float
-    loglik: float
-    nu: int
 
 
 def nu_spherical(r: int, m: int) -> int:
@@ -26,13 +16,11 @@ def nu_spherical(r: int, m: int) -> int:
     return (r - 1) + r * m + r
 
 
-def bic(loglik: float, n: int, nu: int, larger_is_better: bool = True) -> float:
-    """2*loglik - nu*log(n) by default (larger = better fit); pass
-    larger_is_better=False for the flipped -2*loglik + nu*log(n) convention."""
+def bic(loglik: float, n: int, nu: int) -> float:
+    """2*loglik - nu*log(n); larger is a better fit."""
     if n < 1 or nu < 1:
         raise InputError("n and nu must be >= 1")
-    value = 2.0 * loglik - nu * math.log(n)
-    return value if larger_is_better else -value
+    return 2.0 * loglik - nu * math.log(n)
 
 
 def _contingency(labels_a, labels_b) -> np.ndarray:
@@ -82,17 +70,3 @@ def error_rate(pred, truth, r: int) -> float:
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     agree = int(confusion[rows, cols].sum())
     return float((len(pred) - agree) / len(pred))
-
-
-def report(
-    loglik: float, n: int, r: int, m: int, pred=None, truth=None
-) -> MetricReport:
-    nu = nu_spherical(r, m)
-    has_truth = pred is not None and truth is not None
-    return MetricReport(
-        bic=bic(loglik, n, nu),
-        ari=ari(pred, truth) if has_truth else float("nan"),
-        error_rate=error_rate(pred, truth, r) if has_truth else float("nan"),
-        loglik=loglik,
-        nu=nu,
-    )

@@ -138,20 +138,15 @@ def exact_moments(params) -> MomentSet:
     )
 
 
-def recover_parameters(
-    moments: MomentSet, r: int, opts: DecompositionOptions | None = None
-) -> RecoveredParams:
+def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
     """Waring-decompose M3, rescale against M2, then solve M1 for variances."""
     m = moments.dim
     if r > m:
         raise InputError(f"r={r} exceeds dimension m={m}; r <= m is required")
 
-    if opts is None:
-        opts = DecompositionOptions(
-            rank=r,
-            k=2,
-            on_complex="error" if moments.n_samples == "exact" else "warn",
-        )
+    opts = DecompositionOptions(
+        rank=r, k=2, on_complex="error" if moments.n_samples == "exact" else "warn"
+    )
     dec = decompose(moments.m3, opts)
     w_tilde, mu_tilde = dec.weights, dec.points
 

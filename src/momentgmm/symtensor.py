@@ -133,12 +133,6 @@ class SymmetricTensor:
                 f"expected ({expected},) for dim={self.dim}, order={self.order}"
             )
 
-    def __call__(self, x) -> float:
-        return evaluate(self, x)
-
-    def coefficient(self, alpha: tuple[int, ...]) -> float:
-        return self.coeffs[monomial_index(self.dim, self.order)[alpha]]
-
     def to_json(self) -> str:
         return json.dumps(
             {"dim": self.dim, "order": self.order, "coeffs": list(self.coeffs)}
@@ -238,17 +232,12 @@ class WaringDecomposition:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def reconstruct(self) -> SymmetricTensor:
-        return reconstruct(self)
-
-    def to_json(self, residual: float | None = None) -> str:
-        obj = {
+    def to_json(self, residual: float) -> str:
+        return json.dumps({
             "weights": list(self.weights),
             "points": [list(p) for p in self.points],
-        }
-        if residual is not None:
-            obj["residual"] = residual
-        return json.dumps(obj)
+            "residual": residual,
+        })
 
 
 def reconstruct(w: WaringDecomposition) -> SymmetricTensor:

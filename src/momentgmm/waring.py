@@ -196,10 +196,6 @@ def decompose(
         raise NumericalError(
             f"detected rank {r} exceeds s_(k-1); choose a larger k"
         )
-    if r > num_coeffs(t.dim, t.order - k):
-        raise NumericalError(
-            f"detected rank {r} exceeds s_(d-k); choose a smaller k"
-        )
 
     # the random combination quality varies on noisy tensors, so draw a few
     # pencils and keep the candidate with the smallest residual; unlucky

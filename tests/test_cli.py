@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momentgmm
 from momentgmm import SymmetricTensor, WaringDecomposition, reconstruct
 from momentgmm.cli import main, read_csv, run_benchmark, write_csv
 
@@ -159,6 +163,22 @@ class TestFit:
         rc = main(["fit", data_path, "--r", "6", "--init", "moments"])
         assert rc == 1
 
+    @pytest.mark.parametrize("init", ["kmeans", "moments", "emem", "random"])
+    @pytest.mark.parametrize("r", ["0", "-2"])
+    def test_non_positive_r_rejected(self, dataset, capsys, init, r):
+        data_path, _ = dataset
+        assert main(["fit", data_path, "--r", r, "--init", init]) == 1
+        assert f"r={r}" in capsys.readouterr().err
+
+    def test_non_integer_labels_rejected(self, dataset, tmp_path, capsys):
+        data_path, labels_path = dataset
+        bad = tmp_path / "bad_labels.txt"
+        bad.write_text(open(labels_path).read().replace("2", "2.5", 1))
+        rc = main(["fit", data_path, "--r", "3", "--init", "random",
+                   "--labels", str(bad)])
+        assert rc == 1
+        assert "labels must be integers" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_round_trip(self, tmp_path):
@@ -213,6 +233,13 @@ class TestPca:
         rc = main(["pca", data_path, "--q", "9", "--out", str(tmp_path / "o.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("q", ["0", "-1"])
+    def test_non_positive_q_rejected(self, dataset, tmp_path, q):
+        data_path, _ = dataset
+        out = tmp_path / "o.csv"
+        assert main(["pca", data_path, "--q", q, "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestBenchmark:
     def make_config(self, example2_params, n=200, replicates=3, seed=0):
@@ -258,6 +285,25 @@ class TestBenchmark:
                          "--quiet"]) == 0
             blobs.append(open(os.path.join(out_dir, "summary.json"), "rb").read())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_summary_identical_across_blas_thread_counts(self, tmp_path, example2_params):
+        # a fresh process per thread count, since OpenBLAS reads
+        # OPENBLAS_NUM_THREADS once, when numpy is first imported
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.make_config(example2_params, n=400)))
+        src = str(Path(momentgmm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        blobs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "momentgmm.cli", "benchmark",
+                 "--config", str(cfg), "--out-dir", str(out_dir), "--quiet"],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                check=True, timeout=300,
+            )
+            blobs.append((out_dir / "summary.json").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_repeats_aggregate(self, tmp_path, example2_params):
         cfg_dict = self.make_config(example2_params, n=150, replicates=2)

@@ -208,6 +208,41 @@ class TestEStepMStep:
         assert np.all(est.weights > 0)
         assert np.all(np.isfinite(est.means))
 
+    def test_reseed_without_redraw_takes_the_first_draw(self):
+        rng = np.random.default_rng(6)
+        data = rng.standard_normal((30, 2))
+        resp = np.zeros((30, 3))
+        resp[:, 0] = 1.0
+        resp[15:, 1] = 1.0
+        resp[15:, 0] = 0.0
+        row = int(np.random.default_rng(0).integers(30))
+        moved = resp.copy()
+        moved[row] = [0.0, 0.0, 1.0]
+        est = m_step(data, resp, rng=np.random.default_rng(0))
+        expected = m_step(data, moved)
+        assert np.array_equal(est.means, expected.means)
+        assert np.array_equal(est.variances, expected.variances)
+
+    def test_reseed_redraws_rows_that_would_empty_a_component(self):
+        # two distinct rows, five components: every reseed must take a row
+        # that neither a singleton component nor an earlier reseed holds
+        data = np.repeat([[0.0, 1.0], [2.0, -1.0]], [4, 3], axis=0)
+        resp = np.zeros((7, 5))
+        resp[:4, 0] = 1.0
+        resp[4:, 1] = 1.0
+        for seed in range(50):
+            est = m_step(data, resp, rng=np.random.default_rng(seed))
+            assert np.all(est.weights > 0)
+            assert np.all(np.isfinite(est.means))
+
+    def test_reseed_terminates_when_no_row_can_move(self):
+        data = np.array([[0.0, 1.0], [2.0, -1.0]])
+        resp = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            est = m_step(data, resp, rng=np.random.default_rng(0))
+        assert est.n_components == 4
+
     def test_variance_floor(self):
         data = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0]])
         resp = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -380,7 +415,7 @@ class TestInitializers:
         import momentgmm.gmm as gmm_mod
         from momentgmm import NumericalError
 
-        def boom(moments, r, opts=None):
+        def boom(moments, r):
             raise NumericalError("forced failure")
 
         monkeypatch.setattr(gmm_mod, "recover_parameters", boom)
@@ -398,6 +433,27 @@ class TestInitializers:
 
         with pytest.raises(NumericalError):
             decompose(SymmetricTensor.zero(3, 3))
+
+    def test_kmeans_few_distinct_rows_no_nan(self):
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((4, 3))[rng.integers(4, size=21)]
+        init = init_kmeans(data, 13, runs=2)
+        assert np.all(np.isfinite(init.means))
+        assert np.all(init.weights > 0)
+
+    def test_kmeans_duplicate_rows_sweep_no_nan(self):
+        bad = []
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(1, 4))
+            distinct = int(rng.integers(1, 5))
+            r = int(rng.integers(distinct + 1, 9))
+            n = int(rng.integers(r, 25))
+            data = rng.standard_normal((distinct, m))[rng.integers(distinct, size=n)]
+            init = init_kmeans(data, r, runs=2, rng_seed=seed)
+            if not (np.all(np.isfinite(init.means)) and np.all(init.weights > 0)):
+                bad.append(seed)
+        assert bad == []
 
     def test_too_few_points(self):
         data = np.zeros((2, 3))

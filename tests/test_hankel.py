@@ -7,7 +7,6 @@ from momentgmm import (
     WaringDecomposition,
     evaluation_matrix,
     hankel,
-    interpolation_degree,
     pow_linear,
     reconstruct,
 )
@@ -103,25 +102,3 @@ class TestEvaluationMatrix:
                 assert e[i, j] == pytest.approx(
                     np.prod(xi ** np.array(alpha)), rel=1e-12
                 )
-
-
-class TestInterpolationDegree:
-    def test_independent_points(self):
-        rng = np.random.default_rng(6)
-        pts = random_independent_points(rng, 3, 5)
-        assert interpolation_degree(pts) == 1
-
-    def test_three_points_in_plane(self):
-        pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        assert interpolation_degree(pts) == 2
-
-    def test_single_point(self):
-        pts = np.array([[2.0, -1.0, 0.5]])
-        assert interpolation_degree(pts) == 1
-        assert numerical_rank(evaluation_matrix(pts, 1)) == 1
-
-    def test_invariant_under_rescaling(self):
-        rng = np.random.default_rng(7)
-        pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-        scaled = pts * rng.uniform(0.1, 10, len(pts))[:, None]
-        assert interpolation_degree(scaled) == interpolation_degree(pts)

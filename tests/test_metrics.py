@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from momentgmm import InputError, ari, bic, error_rate, nu_spherical
-from momentgmm.metrics import report
 
 
 def brute_force_ari(a, b):
@@ -54,9 +53,6 @@ class TestNu:
 class TestBic:
     def test_hand_value(self):
         assert bic(-100.0, 100, 10) == pytest.approx(-200.0 - 10 * math.log(100))
-
-    def test_sign_flip(self):
-        assert bic(-50.0, 20, 5, larger_is_better=False) == -bic(-50.0, 20, 5)
 
     def test_larger_loglik_is_better(self):
         assert bic(-10.0, 50, 3) > bic(-20.0, 50, 3)
@@ -135,18 +131,3 @@ class TestErrorRate:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             error_rate([0], [0, 1], 2)
-
-
-class TestReport:
-    def test_with_labels(self):
-        rep = report(-123.0, n=100, r=2, m=3, pred=[0, 0, 1, 1], truth=[1, 1, 0, 0])
-        assert rep.nu == nu_spherical(2, 3)
-        assert rep.bic == pytest.approx(bic(-123.0, 100, rep.nu))
-        assert rep.ari == pytest.approx(1.0)
-        assert rep.error_rate == 0.0
-        assert rep.loglik == -123.0
-
-    def test_without_labels(self):
-        rep = report(-5.0, n=10, r=2, m=2)
-        assert math.isnan(rep.ari)
-        assert math.isnan(rep.error_rate)
