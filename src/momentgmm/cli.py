@@ -156,15 +156,23 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
     Config keys: model (mixture JSON object), n, replicates, initializers,
     master_seed, max_iter, repeats (optional outer repetitions).
     """
-    model = gmm.GmmParams.from_json(json.dumps(config["model"]))
-    n = int(config["n"])
-    replicates = int(config["replicates"])
+    try:
+        model_json = json.dumps(config["model"])
+        n = int(config["n"])
+        replicates = int(config["replicates"])
+        master_seed = int(config.get("master_seed", 0))
+        max_iter = int(config.get("max_iter", 100))
+        repeats = int(config.get("repeats", 1))
+    except KeyError as exc:
+        raise InputError(f"benchmark config lacks {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"benchmark config needs integer values: {exc}") from exc
+    model = gmm.GmmParams.from_json(model_json)
     initializers = list(config.get("initializers", INITIALIZERS))
-    master_seed = int(config.get("master_seed", 0))
-    max_iter = int(config.get("max_iter", 100))
-    repeats = int(config.get("repeats", 1))
-    if replicates < 1 or not initializers:
-        raise InputError("replicates must be >= 1 and initializers nonempty")
+    if replicates < 1 or repeats < 1 or not initializers:
+        raise InputError("replicates and repeats must be >= 1 and initializers nonempty")
+    if master_seed < 0 or max_iter < 0:
+        raise InputError("master_seed and max_iter must be >= 0")
     r = model.n_components
 
     def one_replicate(rep: int, idx: int) -> list[dict]:
@@ -349,7 +357,12 @@ def cmd_pca(args) -> int:
 
 def cmd_benchmark(args) -> int:
     with open(args.config) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{args.config}: malformed JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError(f"{args.config}: the config must be a JSON object")
     if args.repeats is not None:
         config["repeats"] = args.repeats
     out_dir = args.out_dir or config.get("outputs", ".")
@@ -476,8 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # numpy rejects a negative seed, and a negative --max-iter runs no EM
+        for key in ("seed", "max_iter"):
+            if getattr(args, key, 0) < 0:
+                raise InputError(f"--{key.replace('_', '-')} must be >= 0")
         return args.func(args)
-    except InputError as exc:
+    except (InputError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

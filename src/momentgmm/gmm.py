@@ -42,7 +42,7 @@ class GmmParams:
             raise InputError("variances must have length r")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise InputError("weights must sum to 1")
-        if np.any(self.variances <= 0):
+        if not np.all(self.variances > 0):
             raise InputError("variances must be positive")
 
     @property
@@ -68,8 +68,8 @@ class GmmParams:
         weights are rejected.  Weights that sum to within WEIGHT_SUM_SLACK of
         1, as published four-digit weights do, are renormalized with a
         warning; larger deviations are rejected."""
-        obj = json.loads(text)
         try:
+            obj = json.loads(text)
             weights, means, variances = (
                 np.array(obj[key], dtype=float)
                 for key in ("weights", "means", "variances")
@@ -83,7 +83,9 @@ class GmmParams:
                 warnings.warn(f"mixture weights sum to {total:.17g}; renormalized")
                 weights = weights / total
             return cls(weights, means, variances)
-        except (KeyError, TypeError) as exc:
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed mixture JSON: {exc}") from exc
 
 
@@ -179,10 +181,12 @@ def m_step(
     """Weighted-statistics update; empty components are reseeded at a random
     data point.  A drawn row whose move would empty another component (a row
     reseeded just before included) is drawn again while any other row can
-    move."""
+    move.  Needs at least as many rows as components."""
     data = np.asarray(data, dtype=float)
     n, m = data.shape
     r = resp.shape[1]
+    if n < r:
+        raise InputError(f"m_step needs n >= r rows, got n={n}, r={r}")
     if variance_floor is None:
         variance_floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
     counts = resp.sum(axis=0)
@@ -220,9 +224,10 @@ def em_fit(
     init: GmmParams,
     max_iter: int = 100,
     tol: float = DEFAULT_TOL,
-    rng_seed: int = 0,
+    rng_seed: int | np.random.Generator = 0,
 ) -> EmResult:
-    """Standard EM loop; stops on relative log-likelihood improvement < tol."""
+    """Standard EM loop; stops on relative log-likelihood improvement < tol.
+    `rng_seed`, a seed or a Generator, draws the empty-component reseeds."""
     data = np.asarray(data, dtype=float)
     if init.n_components != r or init.dim != data.shape[1]:
         raise InputError("initializer shape does not match (r, m)")
@@ -361,26 +366,22 @@ def init_emem(
 
     Each short run starts from a uniformly random row-stochastic
     responsibility matrix (the classical random soft partition), followed by
-    an M step and `short_iters` EM iterations.
+    an M step and `short_iters` `em_fit` iterations with tol=0, all on one rng.
     """
     data = np.asarray(data, dtype=float)
     if not 1 <= r <= len(data):
         raise InputError(f"r={r} must lie in [1, n={len(data)}]")
-    floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
     best_loglik = -np.inf
     best_params = None
     for run in range(short_runs):
         rng = np.random.default_rng(rng_seed + run)
         resp = rng.uniform(size=(len(data), r))
         resp /= resp.sum(axis=1, keepdims=True)
-        params = m_step(data, resp, variance_floor=floor, rng=rng)
-        for _ in range(short_iters):
-            resp, _ = e_step(params, data)
-            params = m_step(data, resp, variance_floor=floor, rng=rng)
-        _, loglik = e_step(params, data)
-        if loglik > best_loglik:
-            best_loglik = loglik
-            best_params = params
+        start = m_step(data, resp, rng=rng)
+        fit = em_fit(data, r, start, max_iter=short_iters, tol=0.0, rng_seed=rng)
+        if fit.loglik_trace[-1] > best_loglik:
+            best_loglik = fit.loglik_trace[-1]
+            best_params = fit.params
     return best_params
 
 

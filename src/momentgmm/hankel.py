@@ -15,7 +15,6 @@ class HankelMatrix:
     """s_k x s_{d-k} matrix with entry (alpha, beta) = T_{alpha+beta}."""
 
     k: int
-    order: int
     dim: int
     matrix: np.ndarray
 
@@ -25,7 +24,7 @@ def hankel(t: SymmetricTensor, k: int) -> HankelMatrix:
     if not 1 <= k <= t.order - 1:
         raise InputError(f"k={k} out of range [1, {t.order - 1}]")
     mat = t.coeffs[sum_index(t.dim, k, t.order - k)]
-    return HankelMatrix(k=k, order=t.order, dim=t.dim, matrix=mat)
+    return HankelMatrix(k=k, dim=t.dim, matrix=mat)
 
 
 def numerical_rank(mat: np.ndarray) -> int:

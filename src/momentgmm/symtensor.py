@@ -140,10 +140,10 @@ class SymmetricTensor:
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricTensor":
-        obj = json.loads(text)
         try:
+            obj = json.loads(text)
             return cls(int(obj["dim"]), int(obj["order"]), np.array(obj["coeffs"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed tensor JSON: {exc}") from exc
 
     @classmethod

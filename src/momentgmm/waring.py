@@ -54,26 +54,16 @@ class DecompositionOptions:
             raise InputError("on_complex must be 'error' or 'warn'")
 
 
-@dataclass
-class PencilSlices:
-    """U spans im(H_T^{k,d-k}); slices[i] holds the rows of U indexed by the
-    degree-k monomials divisible by X_i, re-indexed by degree k-1."""
-
-    u: np.ndarray
-    slices: list[np.ndarray]
-    dim: int
-
-
 def default_row_degree(order: int) -> int:
     """Row degree used when the caller gives none: (d+1)//2, so that for the
     GMM case d=3 it is 2, matching linearly independent points (iota=1)."""
     return min(order - 1, (order + 1) // 2)
 
 
-def truncated_svd_basis(
-    h: HankelMatrix, opts: DecompositionOptions
-) -> tuple[PencilSlices, int]:
-    """Orthonormal basis of the Hankel column space plus the detected rank."""
+def truncated_svd_basis(h: HankelMatrix, opts: DecompositionOptions) -> np.ndarray:
+    """Pencil slices of an orthonormal basis U of the Hankel column space: an
+    (m, s_(k-1), r) array whose slice i holds the rows of U at the degree-k
+    monomials divisible by X_i.  The detected or requested rank r is last."""
     u_full, s, _ = np.linalg.svd(h.matrix, full_matrices=False)
     if s.size == 0 or s[0] <= np.finfo(float).tiny:
         raise NumericalError("zero tensor: all singular values vanish")
@@ -83,11 +73,7 @@ def truncated_svd_basis(
             raise InputError(f"requested rank {r} out of range for Hankel shape")
     else:
         r = int(np.sum(s > opts.rank_tolerance * s[0]))
-    u = u_full[:, :r]
-
-    shift = sum_index(h.dim, h.k - 1, 1)
-    slices = [u[shift[:, i]] for i in range(h.dim)]
-    return PencilSlices(u=u, slices=slices, dim=h.dim), r
+    return u_full[:, :r][sum_index(h.dim, h.k - 1, 1).T]
 
 
 def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,29 +89,25 @@ def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simultaneous_diagonalize(
-    pencil: PencilSlices, rng_seed: int = 0, on_complex: str = "error"
+    slices: np.ndarray, rng_seed: int = 0, on_complex: str = "error"
 ) -> tuple[np.ndarray, bool]:
     """Recover the decomposition points (one per pencil eigenvector) from one
-    random two-vector combination of the slices, drawn from `rng_seed`.
+    random two-vector combination of `truncated_svd_basis`'s slices, drawn
+    from `rng_seed`.  Requires r <= s_(k-1), which `decompose` checks.
 
     Returns (points, complex_leak_flag); points are normalized to unit norm
     with a fixed sign convention.  Raises NumericalError when the draw is
     unlucky (eigen-solver failure, clustered eigenvalues, or complex points in
     "error" mode); `decompose` retries with fresh seeds.
     """
-    r = pencil.u.shape[1]
-    m = pencil.dim
-    if r > pencil.slices[0].shape[0]:
-        raise NumericalError(
-            f"rank {r} exceeds the slice row count {pencil.slices[0].shape[0]}"
-        )
+    m, _, r = slices.shape
     rng = np.random.default_rng(rng_seed)
     a = rng.standard_normal(m)
     a /= np.linalg.norm(a)
     b = rng.standard_normal(m)
     b /= np.linalg.norm(b)
-    m_a = sum(a[i] * pencil.slices[i] for i in range(m))
-    m_b = sum(b[i] * pencil.slices[i] for i in range(m))
+    m_a = sum(a[i] * slices[i] for i in range(m))
+    m_b = sum(b[i] * slices[i] for i in range(m))
     ga = np.linalg.pinv(m_a)
     try:
         eigvals, f = np.linalg.eig(ga @ m_b)
@@ -139,7 +121,7 @@ def simultaneous_diagonalize(
 
     coords = np.empty((r, m), dtype=complex)
     for i in range(m):
-        coords[:, i] = np.diag(ga @ pencil.slices[i] @ f)
+        coords[:, i] = np.diag(ga @ slices[i] @ f)
     points = np.conj(coords)
 
     re_scale = np.max(np.abs(points.real))
@@ -187,11 +169,8 @@ def decompose(
     """
     opts = opts if opts is not None else DecompositionOptions()
     k = opts.k if opts.k is not None else default_row_degree(t.order)
-    if not 1 <= k <= t.order - 1:
-        raise InputError(f"k={k} out of range [1, {t.order - 1}]")
-
-    h = hankel(t, k)
-    pencil, r = truncated_svd_basis(h, opts)
+    slices = truncated_svd_basis(hankel(t, k), opts)
+    r = slices.shape[-1]
     if r > num_coeffs(t.dim, k - 1):
         raise NumericalError(
             f"detected rank {r} exceeds s_(k-1); choose a larger k"
@@ -206,7 +185,7 @@ def decompose(
     for draw in range(MAX_PENCIL_DRAWS):
         try:
             points, leak = simultaneous_diagonalize(
-                pencil, opts.rng_seed + 7919 * draw, opts.on_complex
+                slices, opts.rng_seed + 7919 * draw, opts.on_complex
             )
             weights, rel = solve_weights(t, points)
         except NumericalError as exc:
@@ -221,12 +200,12 @@ def decompose(
         raise NumericalError(
             f"all {MAX_PENCIL_DRAWS} pencil draws failed: {last_error}"
         )
-    _, weights, points, leak = best
+    rel, weights, points, leak = best
 
     result = WaringDecomposition(
         weights=weights, points=points, order=t.order, complex_leak=leak
     )
-    if opts.refine_iterations > 0 and relative_residual(t, result) > 1e-14:
+    if rel > 1e-14:
         result = refine(t, result, opts.refine_iterations)
     return result
 

@@ -31,6 +31,22 @@ def dataset(tmp_path, model_file):
     return data_path, labels_path
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "{}", "--n", "3", "--out-data", "d", "--out-labels", "l"],
+        ["decompose", "{}"],
+        ["benchmark", "--config", "{}", "--quiet"],
+        ["fit", "{}", "--r", "1"],
+    ],
+    ids=["simulate", "decompose", "benchmark", "fit"],
+)
+def test_non_utf8_input_file_rejected(tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main([str(path) if a == "{}" else a for a in argv]) == 1
+
+
 class TestCsvIo:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "x.csv")
@@ -132,6 +148,23 @@ class TestSimulate:
         assert not (tmp_path / "d.csv").exists()
 
 
+    def test_malformed_json_rejected(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"weights": [1.0],')
+        argv = ["simulate", "--model", str(path), "--n", "10",
+                "--out-data", str(tmp_path / "d.csv"),
+                "--out-labels", str(tmp_path / "l.txt")]
+        assert main(argv) == 1
+        assert "malformed mixture JSON" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, model_file, capsys):
+        argv = ["simulate", "--model", model_file, "--n", "10", "--seed", "-1",
+                "--out-data", str(tmp_path / "d.csv"),
+                "--out-labels", str(tmp_path / "l.txt")]
+        assert main(argv) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+
 class TestFit:
     @pytest.mark.parametrize("init", ["kmeans", "moments", "emem", "random"])
     def test_all_initializers(self, dataset, tmp_path, init):
@@ -170,6 +203,12 @@ class TestFit:
         assert main(["fit", data_path, "--r", r, "--init", init]) == 1
         assert f"r={r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--max-iter"])
+    def test_negative_seed_or_max_iter_rejected(self, dataset, capsys, flag):
+        data_path, _ = dataset
+        assert main(["fit", data_path, "--r", "3", "--init", "moments", flag, "-1"]) == 1
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
+
     def test_non_integer_labels_rejected(self, dataset, tmp_path, capsys):
         data_path, labels_path = dataset
         bad = tmp_path / "bad_labels.txt"
@@ -205,6 +244,17 @@ class TestDecompose:
         tensor_path = tmp_path / "bad.json"
         tensor_path.write_text('{"dim": 2}')
         assert main(["decompose", str(tensor_path)]) == 1
+
+    def test_unparsable_tensor_input_error(self, tmp_path):
+        tensor_path = tmp_path / "bad.json"
+        tensor_path.write_text('{"dim": 2, "order": 3,')
+        assert main(["decompose", str(tensor_path)]) == 1
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        tensor_path = tmp_path / "t.json"
+        tensor_path.write_text(SymmetricTensor(2, 3, [1.0, 0.0, 0.0, 1.0]).to_json())
+        assert main(["decompose", str(tensor_path), "--seed", "-1"]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 class TestMoments:
@@ -322,3 +372,42 @@ class TestBenchmark:
         rc = main(["benchmark", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
+
+    @pytest.mark.parametrize("text", ['{"n": 50,', "[1, 2]"])
+    def test_malformed_config_file_rejected(self, tmp_path, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        rc = main(["benchmark", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model": None},
+            {"n": None},
+            {"replicates": None},
+            {"n": "abc"},
+            {"replicates": [3]},
+            {"max_iter": 1.5e400},
+            {"master_seed": -1},
+            {"max_iter": -1},
+            {"repeats": 0},
+        ],
+        ids=["no-model", "no-n", "no-replicates", "n-abc", "replicates-list",
+             "max-iter-inf", "negative-master-seed", "negative-max-iter",
+             "zero-repeats"],
+    )
+    def test_bad_config_value_rejected(self, tmp_path, capsys, example2_params, change):
+        cfg_dict = self.make_config(example2_params)
+        for key, value in change.items():
+            if value is None:
+                del cfg_dict[key]
+            else:
+                cfg_dict[key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(cfg_dict))
+        rc = main(["benchmark", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")

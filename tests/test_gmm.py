@@ -21,7 +21,14 @@ from momentgmm import (
     m_step,
     sample,
 )
-from momentgmm.gmm import _kmeans_pp_seeds, _lloyd, _row_logsumexp, pooled_variance
+from momentgmm import gmm
+from momentgmm.gmm import (
+    VARIANCE_FLOOR_FRACTION,
+    _kmeans_pp_seeds,
+    _lloyd,
+    _row_logsumexp,
+    pooled_variance,
+)
 
 
 def single_gaussian(mu, var):
@@ -69,6 +76,13 @@ class TestGmmParams:
     def test_malformed_json(self):
         with pytest.raises(InputError):
             GmmParams.from_json('{"weights": [1.0]}')
+        for text in (
+            '{"weights": [1.0],',
+            '{"weights": ["a"], "means": [[0.0]], "variances": [1.0]}',
+            '{"weights": [0.5, 0.5], "means": [[0.0], [1.0, 2.0]], "variances": [1, 1]}',
+        ):
+            with pytest.raises(InputError, match="malformed mixture JSON"):
+                GmmParams.from_json(text)
 
 
 class TestLogDensity:
@@ -236,12 +250,11 @@ class TestEStepMStep:
             assert np.all(np.isfinite(est.means))
 
     def test_reseed_terminates_when_no_row_can_move(self):
+        # with fewer rows than components no reseed can fill every component
         data = np.array([[0.0, 1.0], [2.0, -1.0]])
         resp = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            est = m_step(data, resp, rng=np.random.default_rng(0))
-        assert est.n_components == 4
+        with pytest.raises(InputError, match="n >= r"):
+            m_step(data, resp, rng=np.random.default_rng(0))
 
     def test_variance_floor(self):
         data = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0]])
@@ -354,6 +367,66 @@ class TestLloyd:
         centers = _kmeans_pp_seeds(data, 4, rng)
         centers[3] = centers[1]
         assert self.assert_matches_loop(data, centers)
+
+
+def loop_emem(data, r, short_runs=50, short_iters=5, rng_seed=0):
+    """The hand-written burst loop init_emem must reproduce: per run a random
+    soft partition, an M step and `short_iters` E/M steps on the run's rng."""
+    data = np.asarray(data, dtype=float)
+    floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
+    best_loglik = -np.inf
+    best_params = None
+    for run in range(short_runs):
+        rng = np.random.default_rng(rng_seed + run)
+        resp = rng.uniform(size=(len(data), r))
+        resp /= resp.sum(axis=1, keepdims=True)
+        params = m_step(data, resp, variance_floor=floor, rng=rng)
+        for _ in range(short_iters):
+            resp, _ = e_step(params, data)
+            params = m_step(data, resp, variance_floor=floor, rng=rng)
+        _, loglik = e_step(params, data)
+        if loglik > best_loglik:
+            best_loglik = loglik
+            best_params = params
+    return best_params
+
+
+def few_distinct_rows(seed):
+    """12 rows drawn from 1-3 distinct points in R^2."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((int(rng.integers(1, 4)), 2))
+    return points[rng.integers(len(points), size=12)]
+
+
+class TestEmem:
+    @staticmethod
+    def assert_same_params(got, want):
+        assert _same_bits(got.weights, want.weights)
+        assert _same_bits(got.means, want.means)
+        assert _same_bits(got.variances, want.variances)
+
+    @pytest.mark.parametrize("example, r", [("example1_params", 4), ("example2_params", 3)])
+    def test_bit_equal_to_loop_on_examples(self, request, example, r):
+        data, _ = sample(request.getfixturevalue(example), 1000, rng_seed=r)
+        self.assert_same_params(init_emem(data, r, rng_seed=7), loop_emem(data, r, rng_seed=7))
+
+    def test_bit_equal_to_loop_through_reseeds(self, monkeypatch):
+        reseeded = set()
+        inner = gmm.m_step
+
+        def spy(data, resp, variance_floor=None, rng=None):
+            if np.any(resp.sum(axis=0) < 1e-10 * len(data)):
+                reseeded.add(seed)
+            return inner(data, resp, variance_floor, rng)
+
+        for seed in range(8):
+            data = few_distinct_rows(seed)
+            want = loop_emem(data, 5, short_runs=5, rng_seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(gmm, "m_step", spy)
+                got = init_emem(data, 5, short_runs=5, rng_seed=seed)
+            self.assert_same_params(got, want)
+        assert reseeded
 
 
 class TestInitializers:

@@ -255,3 +255,10 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(InputError):
             SymmetricTensor.from_json('{"dim": 2}')
+        for text in (
+            '{"dim": 2, "order": 3,',
+            '{"dim": "x", "order": 3, "coeffs": [1.0]}',
+            '{"dim": 2, "order": 3, "coeffs": ["a", 1.0, 1.0, 1.0]}',
+        ):
+            with pytest.raises(InputError, match="malformed tensor JSON"):
+                SymmetricTensor.from_json(text)

@@ -77,16 +77,14 @@ class TestTruncatedSvdBasis:
     def test_detects_rank(self):
         rng = np.random.default_rng(0)
         t, _, _ = random_decomposable(rng, 5, 3, 3)
-        pencil, r = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
-        assert r == 3
-        assert pencil.u.shape == (num_coeffs(5, 2), 3)
-        assert np.allclose(pencil.u.T @ pencil.u, np.eye(3), atol=1e-12)
+        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
+        assert slices.shape == (5, num_coeffs(5, 1), 3)
 
     def test_explicit_rank_override(self):
         rng = np.random.default_rng(1)
         t, _, _ = random_decomposable(rng, 5, 3, 3)
-        _, r = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
-        assert r == 2
+        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
+        assert slices.shape[-1] == 2
 
     def test_zero_tensor_rejected(self):
         t = SymmetricTensor.zero(3, 3)
@@ -96,18 +94,16 @@ class TestTruncatedSvdBasis:
     def test_slice_row_counts(self):
         rng = np.random.default_rng(2)
         t, _, _ = random_decomposable(rng, 4, 2, 3)
-        pencil, _ = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
-        assert len(pencil.slices) == 4
-        for s in pencil.slices:
-            assert s.shape == (4, 2)  # s_1 = 4 rows, rank 2 columns
+        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
+        assert slices.shape == (4, 4, 2)  # 4 variables, s_1 = 4 rows, rank 2
 
 
 class TestSimultaneousDiagonalize:
     def test_recovers_point_directions(self):
         rng = np.random.default_rng(3)
         t, _, tp = random_decomposable(rng, 4, 3, 3)
-        pencil, _ = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
-        points, leak = simultaneous_diagonalize(pencil, rng_seed=0)
+        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
+        points, leak = simultaneous_diagonalize(slices, rng_seed=0)
         assert not leak
         worst, _ = match_error(
             WaringDecomposition(np.ones(3), points, 3), np.ones(3), tp
@@ -118,14 +114,14 @@ class TestSimultaneousDiagonalize:
         # X1^3 - 3 X1 X2^2 = Re((X1 + i X2)^3) decomposes over C with points
         # (1, +-i), so real extraction must either fail or flag the leak
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
-        pencil, _ = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
+        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
         with pytest.raises(NumericalError):
-            simultaneous_diagonalize(pencil, rng_seed=0, on_complex="error")
+            simultaneous_diagonalize(slices, rng_seed=0, on_complex="error")
 
     def test_complex_leak_warn_mode(self):
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
-        pencil, _ = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
-        points, leak = simultaneous_diagonalize(pencil, rng_seed=0, on_complex="warn")
+        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
+        points, leak = simultaneous_diagonalize(slices, rng_seed=0, on_complex="warn")
         assert leak
         assert points.shape == (2, 2)
         assert np.isrealobj(points)
@@ -261,20 +257,19 @@ class TestRefine:
 # ---------------------------------------------------------------------------
 
 
-def nested_diagonalize(pencil, rng_seed, on_complex):
+def nested_diagonalize(slices, rng_seed, on_complex):
     """Reference: the earlier simultaneous_diagonalize, which drew up to
     MAX_PENCIL_RETRIES (a, b) pairs from one stream and returned the first
     that diagonalized."""
-    r = pencil.u.shape[1]
-    m = pencil.dim
+    m, _, r = slices.shape
     rng = np.random.default_rng(rng_seed)
     for _ in range(waring.MAX_PENCIL_RETRIES):
         a = rng.standard_normal(m)
         a /= np.linalg.norm(a)
         b = rng.standard_normal(m)
         b /= np.linalg.norm(b)
-        m_a = sum(a[i] * pencil.slices[i] for i in range(m))
-        m_b = sum(b[i] * pencil.slices[i] for i in range(m))
+        m_a = sum(a[i] * slices[i] for i in range(m))
+        m_b = sum(b[i] * slices[i] for i in range(m))
         ga = np.linalg.pinv(m_a)
         try:
             eigvals, f = np.linalg.eig(ga @ m_b)
@@ -287,7 +282,7 @@ def nested_diagonalize(pencil, rng_seed, on_complex):
             continue
         coords = np.empty((r, m), dtype=complex)
         for i in range(m):
-            coords[:, i] = np.diag(ga @ pencil.slices[i] @ f)
+            coords[:, i] = np.diag(ga @ slices[i] @ f)
         points = np.conj(coords)
         re_scale = np.max(np.abs(points.real))
         im_scale = np.max(np.abs(points.imag))
@@ -304,12 +299,12 @@ def nested_diagonalize(pencil, rng_seed, on_complex):
 def nested_decompose(t, opts):
     """Reference: the earlier decompose, MAX_PENCIL_RETRIES outer draws each
     running nested_diagonalize on its own seed, best residual kept."""
-    pencil, _ = truncated_svd_basis(hankel(t, opts.k), opts)
+    slices = truncated_svd_basis(hankel(t, opts.k), opts)
     best = None
     for attempt in range(waring.MAX_PENCIL_RETRIES):
         try:
             points, leak = nested_diagonalize(
-                pencil, opts.rng_seed + 7919 * attempt, opts.on_complex
+                slices, opts.rng_seed + 7919 * attempt, opts.on_complex
             )
             weights, rel = solve_weights(t, points)
         except NumericalError:
@@ -330,9 +325,9 @@ def record_draw_seeds(monkeypatch):
     seeds = []
     inner = waring.simultaneous_diagonalize
 
-    def recording(pencil, rng_seed=0, on_complex="error"):
+    def recording(slices, rng_seed=0, on_complex="error"):
         seeds.append(rng_seed)
-        return inner(pencil, rng_seed, on_complex)
+        return inner(slices, rng_seed, on_complex)
 
     monkeypatch.setattr(waring, "simultaneous_diagonalize", recording)
     return seeds
