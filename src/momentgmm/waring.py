@@ -20,7 +20,6 @@ from .symtensor import (
     WaringDecomposition,
     apolar_norm,
     evaluation_matrix,
-    exponent_matrix,
     multinomial_weights,
     num_coeffs,
     pow_linear,  # noqa: F401  perfbench/smoke.py checks the tracer wraps it here
@@ -210,26 +209,58 @@ def decompose(
     return result
 
 
-def _jacobian(weights: np.ndarray, points: np.ndarray, d: int) -> np.ndarray:
-    """Jacobian of the coefficients of sum_i w_i (p_i . X)^d: column i is the
-    derivative in w_i, column r + i*m + j the one in p_ij, which at gamma =
-    beta + e_j is w_i * gamma_j * p_i^beta and zero where gamma_j = 0."""
+def _normal_equations(
+    weights: np.ndarray, points: np.ndarray, d: int, res: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton normal matrix J^T C J and gradient J^T C res for the
+    coefficients of sum_i w_i (p_i . X)^d in (w_1..w_r, p_11..p_rm), where C
+    holds the multinomial weights and `res` the coefficients of model - T.
+
+    Neither needs the s_d x r(1 + m) Jacobian J.  By the apolar identity
+    <(p . X)^d, (q . X)^d> = (p . q)^d, J^T C J follows from the Gram matrix
+    G = P P^T: the weight block is G^d, weight i with point (k, j) is
+    d w_k G_ik^(d-1) p_ij, and point (i, j) with point (k, l) is
+    d w_i w_k [G_ik^(d-1) delta_jl + (d-1) G_ik^(d-2) p_kj p_il].  By
+    <R, (p . X)^d> = R(p), the gradient is the residual polynomial R = model - T
+    at the points, R(p_i) = p_i . grad R(p_i) / d by Euler's identity, and
+    w_i grad R(p_i).  Evaluating R rather than T avoids cancelling the model
+    against T near a fit."""
     r, m = points.shape
-    shift = sum_index(m, d - 1, 1)
-    jac = np.zeros((num_coeffs(m, d), r * (1 + m)))
-    jac[:, :r] = evaluation_matrix(points, d).T
-    lower = weights[:, None] * (evaluation_matrix(points, d - 1) if d > 1 else 1.0)
-    gamma_j = exponent_matrix(m, d - 1) + 1
-    cols = r + m * np.arange(r)[:, None] + np.arange(m)
-    jac[shift[:, None, :], cols] = lower.T[:, :, None] * gamma_j[:, None, :]
-    return jac
+    gram = points @ points.T
+    lower_gram = gram ** (d - 1)
+    # (d-1) G^(d-2), written so that d = 1 gives zeros instead of 0 * inf
+    second = (d - 1) * gram ** max(d - 2, 0)
+    pair = d * weights[:, None] * weights
+    jtj = np.empty((r * (1 + m),) * 2)
+    jtj[:r, :r] = gram**d
+    jtj[:r, r:] = ((d * weights * lower_gram)[:, :, None] * points[:, None, :]).reshape(r, -1)
+    jtj[r:, :r] = jtj[:r, r:].T
+    block = jtj[r:, r:].reshape(r, m, r, m)  # a view: splitting axes copies nothing
+    np.multiply(
+        (pair * second)[:, None, :, None] * points.T[None, :, :, None],
+        points[:, None, None, :],
+        out=block,
+    )
+    diag = np.arange(m)
+    block[:, diag, :, diag] += pair * lower_gram
+
+    # dR/dX_j = d * sum_beta c^(d-1)_beta R_(beta+e_j) X^beta
+    lower = evaluation_matrix(points, d - 1) if d > 1 else np.ones((r, 1))
+    partials = d * lower @ (multinomial_weights(m, d - 1)[:, None] * res[sum_index(m, d - 1, 1)])
+    grad = np.concatenate([
+        np.einsum("ij,ij->i", points, partials) / d,
+        (weights[:, None] * partials).ravel(),
+    ])
+    return jtj, grad
 
 
 def refine(
     t: SymmetricTensor, w: WaringDecomposition, iters: int
 ) -> WaringDecomposition:
     """Damped Gauss-Newton descent on the squared apolar residual over all
-    weights and points.  Non-improving steps are rejected, so the residual
+    weights and points.  Each iteration forms the normal equations once, in
+    Gram form (`_normal_equations`), and each damping retry solves them with
+    the diagonal shifted.  Non-improving steps are rejected, so the residual
     never increases; returns the best decomposition found."""
     if iters <= 0:
         return w
@@ -238,29 +269,29 @@ def refine(
     r = w.rank
     sqrt_wts = np.sqrt(multinomial_weights(m, d))
 
-    def residual_vec(weights, points):
-        return sqrt_wts * (weights @ evaluation_matrix(points, d) - t.coeffs)
+    def residual(weights, points):
+        """Coefficients of model - T, and their squared apolar norm."""
+        res = weights @ evaluation_matrix(points, d) - t.coeffs
+        scaled = sqrt_wts * res
+        return res, float(scaled @ scaled)
 
     weights = w.weights.copy()
     points = w.points.copy()
-    res = residual_vec(weights, points)
-    cost = float(res @ res)
+    res, cost = residual(weights, points)
     lam = 1e-6
     for _ in range(iters):
         if cost == 0.0:
             break
-        # one Jacobian per iteration; damping retries reuse it
-        jac = _jacobian(weights, points, d)
-        jac *= sqrt_wts[:, None]
-        jtj = jac.T @ jac
-        grad = jac.T @ res
+        # one normal system per iteration; damping retries shift its diagonal
+        jtj, grad = _normal_equations(weights, points, d, res)
+        diag = jtj.diagonal().copy()
         for _ in range(20):
-            step = np.linalg.solve(jtj + lam * np.eye(jtj.shape[0]), -grad)
+            np.fill_diagonal(jtj, diag + lam)
+            step = np.linalg.solve(jtj, -grad)
             new_weights = weights + step[:r]
             new_points = points + step[r:].reshape(r, m)
             if np.all(np.linalg.norm(new_points, axis=1) > 0.0):
-                new_res = residual_vec(new_weights, new_points)
-                new_cost = float(new_res @ new_res)
+                new_res, new_cost = residual(new_weights, new_points)
                 if new_cost < cost:
                     weights, points = new_weights, new_points
                     res, cost = new_res, new_cost

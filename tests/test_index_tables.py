@@ -9,6 +9,9 @@ Gauss-Newton Jacobian) they must agree within RTOL, chosen as a few thousand
 float64 ulps; the third moment's entries are means that can cancel, so their
 tolerance is RTOL of the largest entry. The Jacobian is also checked against
 central finite differences.
+
+`scatter_jacobian`, the Jacobian filled through the shift table, is in turn
+the reference for `refine`'s Gram-form normal equations, which never build it.
 """
 
 import numpy as np
@@ -21,12 +24,13 @@ from momentgmm.symtensor import (
     exponent_matrix,
     monomial_index,
     monomials,
+    multinomial_weights,
     num_coeffs,
     partial_derivative,
     pow_linear,
     sum_index,
 )
-from momentgmm.waring import _jacobian, truncated_svd_basis
+from momentgmm.waring import _normal_equations, truncated_svd_basis
 
 RTOL = 1e-12
 DIMS = (1, 2, 3, 6, 30)
@@ -116,6 +120,21 @@ def loop_jacobian(weights, points, d):
             base = np.where(shifted[mask] < 0, 0, shifted[mask])
             dmono[mask] = expo[mask, j] * np.prod(p[None, :] ** base, axis=1)
             jac[:, r + i * m + j] = wi * dmono
+    return jac
+
+
+def scatter_jacobian(weights, points, d):
+    """Jacobian of the coefficients of sum_i w_i (p_i . X)^d: column i is the
+    derivative in w_i, column r + i*m + j the one in p_ij, which at gamma =
+    beta + e_j is w_i * gamma_j * p_i^beta and zero where gamma_j = 0."""
+    r, m = points.shape
+    shift = sum_index(m, d - 1, 1)
+    jac = np.zeros((num_coeffs(m, d), r * (1 + m)))
+    jac[:, :r] = evaluation_matrix(points, d).T
+    lower = weights[:, None] * (evaluation_matrix(points, d - 1) if d > 1 else 1.0)
+    gamma_j = exponent_matrix(m, d - 1) + 1
+    cols = r + m * np.arange(r)[:, None] + np.arange(m)
+    jac[shift[:, None, :], cols] = lower.T[:, :, None] * gamma_j[:, None, :]
     return jac
 
 
@@ -211,7 +230,7 @@ def test_jacobian_matches_loop_and_finite_differences(m, d):
     r = 2
     weights = rng.uniform(0.5, 2.0, r)
     points = rng.standard_normal((r, m))
-    jac = _jacobian(weights, points, d)
+    jac = scatter_jacobian(weights, points, d)
     np.testing.assert_allclose(jac, loop_jacobian(weights, points, d), rtol=RTOL, atol=0)
 
     def coeffs(theta):
@@ -226,3 +245,57 @@ def test_jacobian_matches_loop_and_finite_differences(m, d):
         fd[:, col] = (coeffs(theta + step) - coeffs(theta - step)) / (2 * h)
     np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
 
+
+def orthogonal_points(r, m):
+    """r <= m points on distinct coordinate axes, so every G_ik off the
+    diagonal is exactly 0, where a naive G**(d-2) would be 0**-1 at d = 1."""
+    points = np.zeros((r, m))
+    points[np.arange(r), np.arange(r)] = 1.0 + np.arange(r)
+    return points
+
+
+@pytest.mark.parametrize("layout", ("random", "orthogonal"))
+@pytest.mark.parametrize("m", DIMS)
+@pytest.mark.parametrize("d", DEGREES)
+def test_normal_equations_match_jacobian(m, d, layout):
+    rng = np.random.default_rng(90 * m + d)
+    r = min(3, m) if layout == "orthogonal" else 3
+    weights = rng.uniform(0.5, 2.0, r)
+    points = orthogonal_points(r, m) if layout == "orthogonal" else rng.standard_normal((r, m))
+    res = rng.standard_normal(num_coeffs(m, d))
+    c = multinomial_weights(m, d)
+    jac = scatter_jacobian(weights, points, d)
+    want_jtj = jac.T @ (c[:, None] * jac)
+    want_grad = jac.T @ (c * res)
+
+    jtj, grad = _normal_equations(weights, points, d, res)
+    assert np.all(np.isfinite(jtj)) and np.all(np.isfinite(grad))
+    np.testing.assert_allclose(jtj, want_jtj, rtol=RTOL, atol=RTOL * np.abs(want_jtj).max())
+    np.testing.assert_allclose(grad, want_grad, rtol=RTOL, atol=RTOL * np.abs(want_grad).max())
+
+
+@pytest.mark.parametrize("m", DIMS)
+@pytest.mark.parametrize("d", DEGREES)
+def test_normal_equations_gradient_matches_cost_finite_differences(m, d):
+    """The gradient is half the derivative of the squared apolar residual."""
+    rng = np.random.default_rng(100 * m + d)
+    r = 2
+    weights = rng.uniform(0.5, 2.0, r)
+    points = rng.standard_normal((r, m))
+    t = random_tensor(rng, m, d).coeffs
+    c = multinomial_weights(m, d)
+
+    def cost(theta):
+        res = theta[:r] @ evaluation_matrix(theta[r:].reshape(r, m), d) - t
+        return res @ (c * res)
+
+    theta = np.concatenate([weights, points.ravel()])
+    res = weights @ evaluation_matrix(points, d) - t
+    _, grad = _normal_equations(weights, points, d, res)
+    h = 1e-6
+    fd = np.empty_like(grad)
+    for col in range(len(theta)):
+        step = np.zeros_like(theta)
+        step[col] = h
+        fd[col] = (cost(theta + step) - cost(theta - step)) / (4 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
