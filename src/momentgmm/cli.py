@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import gmm, metrics
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, json_int
 from .moments import empirical_moments
 from .symtensor import SymmetricTensor
 from .waring import DecompositionOptions, decompose, relative_residual
@@ -158,15 +158,13 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
     """
     try:
         model_json = json.dumps(config["model"])
-        n = int(config["n"])
-        replicates = int(config["replicates"])
-        master_seed = int(config.get("master_seed", 0))
-        max_iter = int(config.get("max_iter", 100))
-        repeats = int(config.get("repeats", 1))
+        n = json_int(config["n"], "n")
+        replicates = json_int(config["replicates"], "replicates")
+        master_seed = json_int(config.get("master_seed", 0), "master_seed")
+        max_iter = json_int(config.get("max_iter", 100), "max_iter")
+        repeats = json_int(config.get("repeats", 1), "repeats")
     except KeyError as exc:
         raise InputError(f"benchmark config lacks {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"benchmark config needs integer values: {exc}") from exc
     model = gmm.GmmParams.from_json(model_json)
     initializers = list(config.get("initializers", INITIALIZERS))
     if replicates < 1 or repeats < 1 or not initializers:

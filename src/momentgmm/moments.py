@@ -22,10 +22,10 @@ from .errors import InputError, NumericalError
 from .symtensor import (
     SymmetricTensor,
     WaringDecomposition,
+    index_tuples,
     multinomial_weights,
     pow_linear,
     reconstruct,
-    sum_index,
 )
 from .waring import DecompositionOptions, decompose
 
@@ -195,9 +195,5 @@ def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
 def _symmetric_array_coeffs(arr: np.ndarray) -> np.ndarray:
     """Tensor-layout coefficients of an m x ... x m array symmetric up to
     rounding: T_alpha is the entry at alpha's sorted index tuple (a <= b <= ...),
-    its first in C order, so T_(e_j+e_k) = mat[j, k] for j <= k."""
-    pos = np.arange(arr.shape[0])
-    for degree in range(1, arr.ndim):
-        pos = sum_index(arr.shape[0], degree, 1)[pos]
-    _, first = np.unique(pos, return_index=True)
-    return arr.ravel()[first]
+    so T_(e_j+e_k) = mat[j, k] for j <= k."""
+    return arr[tuple(index_tuples(arr.shape[0], arr.ndim).T)]

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, json_int
 
 
 @lru_cache(maxsize=None)
@@ -64,11 +64,14 @@ def multinomial_weights(dim: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def exponent_matrix(dim: int, degree: int) -> np.ndarray:
-    """s x m integer matrix whose rows are the graded-lex exponent vectors."""
-    e = np.array(monomials(dim, degree), dtype=np.int64)
-    e.setflags(write=False)
-    return e
+def index_tuples(dim: int, degree: int) -> np.ndarray:
+    """s_d x d table; row a lists the variables i_1 <= ... <= i_d of the a-th
+    graded-lex monomial, so X1^2 X3 is (0, 0, 2)."""
+    expo = np.array(monomials(dim, degree), dtype=np.intp)
+    table = np.repeat(np.tile(np.arange(dim), len(expo)), expo.ravel())
+    table = table.reshape(len(expo), degree)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -87,28 +90,27 @@ def sum_index(dim: int, k: int, l: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _lift_index(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, i) with gamma = beta + e_i for each degree-`degree` monomial
-    gamma: its first entry in the shift table."""
-    _, first = np.unique(sum_index(dim, degree - 1, 1), return_index=True)
-    return np.divmod(first, dim)
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float array; complex input is rejected rather than cast."""
+    if np.iscomplexobj(x):
+        raise InputError(f"{what} must be real")
+    return np.asarray(x, dtype=float)
 
 
 def evaluation_matrix(points, k: int) -> np.ndarray:
     """r x s_k matrix; row i holds the degree-k monomials evaluated at point i,
-    in graded-lex order, each degree built from the one below it with one
-    multiply per monomial: x^(beta + e_i) = x^beta * x_i."""
-    points = np.asarray(points, dtype=complex if np.iscomplexobj(points) else float)
+    in graded-lex order: x^alpha = x_(i_1) * ... * x_(i_k), multiplied left to
+    right along alpha's row of `index_tuples`.  k = 0 gives a column of ones."""
+    points = _real_array(points, "points")
     if points.ndim != 2:
         raise InputError("points must be an r x m array")
-    if k < 1:
-        raise InputError("k must be >= 1")
-    out = np.ones((points.shape[0], 1), dtype=points.dtype)
-    for degree in range(1, k + 1):
-        beta, var = _lift_index(points.shape[1], degree)
-        out = out[:, beta] * points[:, var]
-    return out
+    if k < 0:
+        raise InputError("k must be >= 0")
+    table = index_tuples(points.shape[1], k)
+    out = np.ones((len(table), points.shape[0]))
+    for column in table.T:
+        out *= np.take(points.T, column, axis=0)
+    return out.T
 
 
 @dataclass
@@ -123,9 +125,7 @@ class SymmetricTensor:
     def __post_init__(self):
         if self.dim < 1 or self.order < 1:
             raise InputError("dim and order must be >= 1")
-        self.coeffs = np.asarray(self.coeffs)
-        if not np.iscomplexobj(self.coeffs):
-            self.coeffs = self.coeffs.astype(float)
+        self.coeffs = _real_array(self.coeffs, "coefficients").copy()
         expected = num_coeffs(self.dim, self.order)
         if self.coeffs.shape != (expected,):
             raise InputError(
@@ -142,7 +142,8 @@ class SymmetricTensor:
     def from_json(cls, text: str) -> "SymmetricTensor":
         try:
             obj = json.loads(text)
-            return cls(int(obj["dim"]), int(obj["order"]), np.array(obj["coeffs"]))
+            dim, order = (json_int(obj[key], key) for key in ("dim", "order"))
+            return cls(dim, order, np.array(obj["coeffs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed tensor JSON: {exc}") from exc
 
@@ -153,7 +154,7 @@ class SymmetricTensor:
 
 def evaluate(t: SymmetricTensor, x) -> float:
     """Polynomial value T(x) = sum T_alpha * multinom(d, alpha) * x^alpha."""
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "point")
     if x.shape != (t.dim,):
         raise InputError(f"point has shape {x.shape}, expected ({t.dim},)")
     mono = evaluation_matrix(x[None, :], t.order)[0]
@@ -163,7 +164,7 @@ def evaluate(t: SymmetricTensor, x) -> float:
 def pow_linear(v, d: int) -> SymmetricTensor:
     """The d-th power of the linear form (v . X), as a symmetric tensor:
     coefficients are v^alpha."""
-    v = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
+    v = _real_array(v, "v")
     if v.ndim != 1:
         raise InputError("v must be a vector")
     if d < 1:
@@ -174,20 +175,17 @@ def pow_linear(v, d: int) -> SymmetricTensor:
 
 
 def apolar(p: SymmetricTensor, q: SymmetricTensor) -> float:
-    """Apolar inner product <p, q>_d = sum multinom(d, alpha) conj(p_a) q_a."""
+    """Apolar inner product <p, q>_d = sum multinom(d, alpha) p_a q_a."""
     if p.dim != q.dim or p.order != q.order:
         raise InputError(
             f"apolar product needs matching shapes, got "
             f"({p.dim},{p.order}) vs ({q.dim},{q.order})"
         )
-    val = np.sum(multinomial_weights(p.dim, p.order) * np.conj(p.coeffs) * q.coeffs)
-    if not (np.iscomplexobj(p.coeffs) or np.iscomplexobj(q.coeffs)):
-        return float(val.real)
-    return complex(val)
+    return float(np.sum(multinomial_weights(p.dim, p.order) * p.coeffs * q.coeffs))
 
 
 def apolar_norm(p: SymmetricTensor) -> float:
-    return math.sqrt(abs(apolar(p, p)))
+    return math.sqrt(apolar(p, p))
 
 
 def partial_derivative(t: SymmetricTensor, i: int) -> SymmetricTensor:

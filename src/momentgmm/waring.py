@@ -47,6 +47,9 @@ class DecompositionOptions:
     on_complex: str = "error"
 
     def __post_init__(self):
+        # 1 or NaN would truncate the Hankel SVD to rank 0
+        if not 0.0 <= self.rank_tolerance < 1.0:
+            raise InputError("rank_tolerance must be in [0, 1)")
         if self.refine_iterations < 0 or self.refine_iterations > 50:
             raise InputError("refine_iterations must be in [0, 50]")
         if self.on_complex not in ("error", "warn"):
@@ -105,8 +108,7 @@ def simultaneous_diagonalize(
     a /= np.linalg.norm(a)
     b = rng.standard_normal(m)
     b /= np.linalg.norm(b)
-    m_a = sum(a[i] * slices[i] for i in range(m))
-    m_b = sum(b[i] * slices[i] for i in range(m))
+    m_a, m_b = (np.stack([a, b])[:, :, None, None] * slices).sum(axis=1)
     ga = np.linalg.pinv(m_a)
     try:
         eigvals, f = np.linalg.eig(ga @ m_b)
@@ -245,7 +247,7 @@ def _normal_equations(
     block[:, diag, :, diag] += pair * lower_gram
 
     # dR/dX_j = d * sum_beta c^(d-1)_beta R_(beta+e_j) X^beta
-    lower = evaluation_matrix(points, d - 1) if d > 1 else np.ones((r, 1))
+    lower = evaluation_matrix(points, d - 1)
     partials = d * lower @ (multinomial_weights(m, d - 1)[:, None] * res[sum_index(m, d - 1, 1)])
     grad = np.concatenate([
         np.einsum("ij,ij->i", points, partials) / d,

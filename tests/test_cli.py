@@ -256,6 +256,14 @@ class TestDecompose:
         assert main(["decompose", str(tensor_path), "--seed", "-1"]) == 1
         assert "--seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["1", "2", "nan", "inf", "-1"])
+    def test_tolerance_outside_unit_interval_rejected(self, tmp_path, capsys, tol):
+        # a tolerance >= 1 or NaN keeps no singular value, so no pencil
+        tensor_path = tmp_path / "t.json"
+        tensor_path.write_text(SymmetricTensor(2, 3, [1.0, 0.0, 0.0, 1.0]).to_json())
+        assert main(["decompose", str(tensor_path), "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("error: rank_tolerance must be in [0, 1)")
+
 
 class TestMoments:
     def test_reports_moment_set(self, dataset, tmp_path):
@@ -373,6 +381,12 @@ class TestBenchmark:
                    "--out-dir", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
 
+    def test_integral_floats_accepted(self, example2_params):
+        cfg = dict(self.make_config(example2_params, n=150.0, replicates=1.0),
+                   initializers=["random"], max_iter=5.0)
+        summary, rows = run_benchmark(cfg)
+        assert summary["replicates"] == 1 and len(rows) == 1
+
     @pytest.mark.parametrize("text", ['{"n": 50,', "[1, 2]"])
     def test_malformed_config_file_rejected(self, tmp_path, text):
         cfg = tmp_path / "config.json"
@@ -393,10 +407,16 @@ class TestBenchmark:
             {"master_seed": -1},
             {"max_iter": -1},
             {"repeats": 0},
+            {"n": 40.9},
+            {"replicates": True},
+            {"repeats": 1.5},
+            {"master_seed": True},
+            {"max_iter": 99.5},
         ],
         ids=["no-model", "no-n", "no-replicates", "n-abc", "replicates-list",
              "max-iter-inf", "negative-master-seed", "negative-max-iter",
-             "zero-repeats"],
+             "zero-repeats", "n-fraction", "replicates-bool", "repeats-fraction",
+             "master-seed-bool", "max-iter-fraction"],
     )
     def test_bad_config_value_rejected(self, tmp_path, capsys, example2_params, change):
         cfg_dict = self.make_config(example2_params)

@@ -12,7 +12,13 @@ central finite differences.
 
 `scatter_jacobian`, the Jacobian filled through the shift table, is in turn
 the reference for `refine`'s Gram-form normal equations, which never build it.
+`lift_evaluation_matrix` and `unique_symmetric_array_coeffs` are the earlier
+shift-table forms of the two `index_tuples` gathers; those gathers must match
+them bit for bit and in memory order, since BLAS rounding downstream depends
+on both.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -21,13 +27,12 @@ from momentgmm import DecompositionOptions, SymmetricTensor, empirical_moments, 
 from momentgmm.moments import _symmetric_array_coeffs
 from momentgmm.symtensor import (
     evaluation_matrix,
-    exponent_matrix,
+    index_tuples,
     monomial_index,
     monomials,
     multinomial_weights,
     num_coeffs,
     partial_derivative,
-    pow_linear,
     sum_index,
 )
 from momentgmm.waring import _normal_equations, truncated_svd_basis
@@ -43,6 +48,11 @@ def _index_list(alpha):
     for j, a in enumerate(alpha):
         out.extend([j] * a)
     return out
+
+
+def exponent_matrix(dim, degree):
+    """s x m integer matrix whose rows are the graded-lex exponent vectors."""
+    return np.array(monomials(dim, degree), dtype=np.int64)
 
 
 def loop_monomials(points, k):
@@ -138,6 +148,35 @@ def scatter_jacobian(weights, points, d):
     return jac
 
 
+def lift_evaluation_matrix(points, k):
+    """Monomials built degree by degree, x^(beta + e_i) = x^beta * x_i, with
+    (beta, i) the first entry of each degree-d monomial in the shift table."""
+    m = points.shape[1]
+    out = np.ones((points.shape[0], 1))
+    for degree in range(1, k + 1):
+        _, first = np.unique(sum_index(m, degree - 1, 1), return_index=True)
+        beta, var = np.divmod(first, m)
+        out = out[:, beta] * points[:, var]
+    return out
+
+
+def unique_symmetric_array_coeffs(arr):
+    """Entry of each monomial at its first position in C order, found with
+    np.unique over the flattened shift tables."""
+    pos = np.arange(arr.shape[0])
+    for degree in range(1, arr.ndim):
+        pos = sum_index(arr.shape[0], degree, 1)[pos]
+    _, first = np.unique(pos, return_index=True)
+    return arr.ravel()[first]
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def random_tensor(rng, m, d):
     return SymmetricTensor(m, d, rng.standard_normal(num_coeffs(m, d)))
 
@@ -163,13 +202,40 @@ def test_evaluation_matrix_matches_powers(m, d):
 
 
 @pytest.mark.parametrize("m", DIMS)
-@pytest.mark.parametrize("d", DEGREES)
-def test_pow_linear_complex_matches_powers(m, d):
-    rng = np.random.default_rng(20 * m + d)
-    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    t = pow_linear(v, d)
-    assert np.iscomplexobj(t.coeffs)
-    np.testing.assert_allclose(t.coeffs, loop_monomials(v[None, :], d)[0], rtol=RTOL, atol=0)
+@pytest.mark.parametrize("d", (0,) + DEGREES)
+def test_index_tuples_list_exponents(m, d):
+    table = index_tuples(m, d)
+    assert table.shape == (num_coeffs(m, d), d)
+    assert np.all(np.diff(table, axis=1) >= 0)
+    counts = np.array([np.bincount(row, minlength=m) for row in table]).reshape(-1, m)
+    assert np.array_equal(counts, exponent_matrix(m, d))
+
+
+@pytest.mark.parametrize("layout", ("random", "axis"))
+@pytest.mark.parametrize("m", DIMS)
+@pytest.mark.parametrize("k", (0,) + DEGREES)
+def test_evaluation_matrix_bit_identical_to_lift_form(m, k, layout):
+    rng = np.random.default_rng(110 * m + k)
+    for r in (1, 4):
+        if layout == "axis":
+            # negative entries, so zero products carry a sign
+            points = -orthogonal_points(min(r, m), m)
+        else:
+            points = rng.standard_normal((r, m))
+        assert_same_bits(evaluation_matrix(points, k), lift_evaluation_matrix(points, k))
+
+
+@pytest.mark.parametrize("m", DIMS)
+@pytest.mark.parametrize("ndim", DEGREES)
+def test_symmetric_array_coeffs_bit_identical_to_unique_form(m, ndim):
+    rng = np.random.default_rng(120 * m + ndim)
+    base = rng.standard_normal((m,) * ndim)
+    # symmetrized, then perturbed in the last digits, so that the copies of an
+    # entry at permuted positions nearly always differ, as the third-moment
+    # array's do
+    arr = sum(np.transpose(base, perm) for perm in itertools.permutations(range(ndim)))
+    arr *= 1.0 + 1e-15 * rng.standard_normal(arr.shape)
+    assert_same_bits(_symmetric_array_coeffs(arr), unique_symmetric_array_coeffs(arr))
 
 
 @pytest.mark.parametrize("m", DIMS)

@@ -42,3 +42,26 @@ def test_pow_linear_is_a_module_global(module):
     # the benchmark's smoke check reads pow_linear from these two modules
     mod = importlib.import_module(f"momentgmm.{module}")
     assert mod.pow_linear is importlib.import_module("momentgmm.symtensor").pow_linear
+
+
+def test_init_moments_calls_pow_linear_and_decompose(monkeypatch):
+    # the smoke check's traced init_moments run needs spans from both
+    from momentgmm import gmm, moments
+
+    calls = {"pow_linear": 0, "decompose": 0}
+
+    def counting(name):
+        inner = getattr(moments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(moments, name, counting(name))
+    model = gmm.GmmParams([0.5, 0.5], [[3.0, 0.0], [0.0, 3.0]], [1.0, 1.0])
+    _, fallback = gmm.init_moments(gmm.sample(model, 200)[0], 2)
+    assert not fallback
+    assert calls["pow_linear"] > 0 and calls["decompose"] > 0

@@ -10,6 +10,7 @@ from momentgmm import (
     apolar,
     apolar_norm,
     evaluate,
+    evaluation_matrix,
     pow_linear,
     reconstruct,
 )
@@ -99,6 +100,21 @@ class TestPowLinear:
     def test_zero_vector_rejected(self):
         with pytest.raises(InputError):
             pow_linear([0.0, 0.0], 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: pow_linear(z, 3),
+        lambda z: evaluation_matrix(z[None, :], 3),
+        lambda z: SymmetricTensor(2, 1, z),
+        lambda z: evaluate(SymmetricTensor(2, 3, np.ones(4)), z),
+    ],
+    ids=["pow_linear", "evaluation_matrix", "SymmetricTensor", "evaluate"],
+)
+def test_complex_input_rejected(call):
+    with pytest.raises(InputError, match="must be real"):
+        call(np.array([1.0 + 2.0j, 0.5]))
 
 
 class TestApolar:
@@ -262,3 +278,16 @@ class TestJson:
         ):
             with pytest.raises(InputError, match="malformed tensor JSON"):
                 SymmetricTensor.from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 3.7, "order": 3, "coeffs": [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]}',
+            '{"dim": 2, "order": true, "coeffs": [1.0, 0.5]}',
+        ],
+        ids=["dim-fraction", "order-bool"],
+    )
+    def test_non_integer_dim_or_order_rejected(self, text):
+        # int() would read these as dim 3 and order 1, which the coefficients fit
+        with pytest.raises(InputError, match="must be an integer"):
+            SymmetricTensor.from_json(text)
