@@ -166,9 +166,16 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
     except KeyError as exc:
         raise InputError(f"benchmark config lacks {exc}") from exc
     model = gmm.GmmParams.from_json(model_json)
-    initializers = list(config.get("initializers", INITIALIZERS))
-    if replicates < 1 or repeats < 1 or not initializers:
-        raise InputError("replicates and repeats must be >= 1 and initializers nonempty")
+    initializers = config.get("initializers", list(INITIALIZERS))
+    if not isinstance(initializers, list) or not initializers:
+        raise InputError("initializers must be a nonempty list of initializer names")
+    for i, name in enumerate(initializers):
+        if name not in INITIALIZERS:
+            raise InputError(f"initializers: unknown initializer {name!r}")
+        if name in initializers[:i]:
+            raise InputError(f"initializers: {name!r} is listed twice")
+    if replicates < 1 or repeats < 1:
+        raise InputError("replicates and repeats must be >= 1")
     if master_seed < 0 or max_iter < 0:
         raise InputError("master_seed and max_iter must be >= 0")
     r = model.n_components

@@ -109,18 +109,51 @@ def _sq_dist(data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray) -> np.n
     )
 
 
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """a.T.sum(axis=1) of a C-contiguous (k, n) array, bit for bit: the k rows
+    are added in numpy's pairwise order for a contiguous row of k terms (in
+    sequence below 8 terms, in 8 interleaved lanes up to 128, split at
+    h = k//2 - (k//2) % 8 above), each step one length-n vector op.  `a` is
+    overwritten; the sum is returned as a view of its first row.  A column of
+    all -0.0 sums to -0.0 here and to +0.0 in numpy, so the summands must not
+    be -0.0 throughout a column; exps and squares never are."""
+    k = len(a)
+    if k > 128:
+        h = k // 2 - (k // 2) % 8
+        total = _column_sum(a[:h])
+        total += _column_sum(a[h:])
+        return total
+    end = 1
+    if k >= 8:
+        end = k - k % 8
+        for i in range(8, end, 8):
+            a[:8] += a[i : i + 8]
+        # ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)) over the lanes
+        a[0:8:2] += a[1:8:2]
+        a[0:8:4] += a[2:8:4]
+        a[0] += a[4]
+    for i in range(end, k):
+        a[0] += a[i]
+    return a[0]
+
+
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)) of a real 2-D array, bit for bit what
     scipy's logsumexp(a, axis=1) returns: the row maximum is shifted out, its
     ties are counted instead of exponentiated, and log1p takes the rest.
     Rows holding -inf, +inf or NaN give scipy's results too, without a
-    RuntimeWarning."""
+    RuntimeWarning.  The work runs on a C-ordered copy of a.T, so that each
+    reduction is a few length-n vector ops."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        top = a.max(axis=1, keepdims=True)
-        is_top = a == top
-        count = is_top.sum(axis=1, keepdims=True)
-        s = np.exp(np.where(is_top, -np.inf, a - top)).sum(axis=1, keepdims=True) / count
-        return (np.log1p(s) + np.log(count) + top)[:, 0]
+        # np.array copies even where a.T is already contiguous (r = 1)
+        cols = np.array(a.T, order="C")
+        top = cols.max(axis=0)
+        is_top = cols == top
+        count = is_top.sum(axis=0)
+        cols -= top
+        cols[is_top] = -np.inf
+        s = _column_sum(np.exp(cols, out=cols)) / count
+        return np.log1p(s) + np.log(count) + top
 
 
 def _log_component_matrix(params: GmmParams, data: np.ndarray) -> np.ndarray:
@@ -209,10 +242,14 @@ def m_step(
 
     weights = counts / n
     means = (resp.T @ data) / counts[:, None]
+    # squared differences in (m, n) layout, so that the sum over m is m
+    # length-n vector adds
+    cols = np.array(data.T, order="C")
+    sq = np.empty_like(cols)
     variances = np.empty(r)
     for j in range(r):
-        diff = data - means[j]
-        variances[j] = np.sum(resp[:, j] * np.sum(diff**2, axis=1)) / (m * counts[j])
+        np.square(np.subtract(cols, means[j][:, None], out=sq), out=sq)
+        variances[j] = np.sum(resp[:, j] * _column_sum(sq)) / (m * counts[j])
     variances = np.maximum(variances, max(variance_floor, 1e-300))
     weights = weights / weights.sum()
     return GmmParams(weights=weights, means=means, variances=variances)
@@ -371,13 +408,14 @@ def init_emem(
     data = np.asarray(data, dtype=float)
     if not 1 <= r <= len(data):
         raise InputError(f"r={r} must lie in [1, n={len(data)}]")
+    floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
     best_loglik = -np.inf
     best_params = None
     for run in range(short_runs):
         rng = np.random.default_rng(rng_seed + run)
         resp = rng.uniform(size=(len(data), r))
         resp /= resp.sum(axis=1, keepdims=True)
-        start = m_step(data, resp, rng=rng)
+        start = m_step(data, resp, variance_floor=floor, rng=rng)
         fit = em_fit(data, r, start, max_iter=short_iters, tol=0.0, rng_seed=rng)
         if fit.loglik_trace[-1] > best_loglik:
             best_loglik = fit.loglik_trace[-1]

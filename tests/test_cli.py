@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import momentgmm
-from momentgmm import SymmetricTensor, WaringDecomposition, reconstruct
-from momentgmm.cli import main, read_csv, run_benchmark, write_csv
+from momentgmm import SymmetricTensor, gmm, WaringDecomposition, reconstruct
+from momentgmm.cli import INITIALIZERS, main, read_csv, run_benchmark, write_csv
 
 
 @pytest.fixture
@@ -431,3 +431,39 @@ class TestBenchmark:
                    "--out-dir", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "initializers, message",
+        [
+            (["kmeans", "kmeans"], "initializers: 'kmeans' is listed twice"),
+            ("kmeans", "initializers must be a nonempty list"),
+            (["random", "bogus"], "initializers: unknown initializer 'bogus'"),
+            ({"kmeans": 1}, "initializers must be a nonempty list"),
+            (7, "initializers must be a nonempty list"),
+            ([], "initializers must be a nonempty list"),
+        ],
+        ids=["duplicate", "string", "unknown-name", "object", "number", "empty"],
+    )
+    def test_bad_initializers_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, example2_params, initializers, message
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the initializers were checked")
+
+        monkeypatch.setattr(gmm, "sample", no_sampling)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(self.make_config(example2_params),
+                                       initializers=initializers)))
+        rc = main(["benchmark", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_default_initializers(self, example2_params):
+        cfg = self.make_config(example2_params, n=100, replicates=1)
+        del cfg["initializers"]
+        summary, rows = run_benchmark(dict(cfg, max_iter=2))
+        assert summary["initializers"] == list(INITIALIZERS)
+        assert [row["initializer"] for row in rows] == list(INITIALIZERS)
+        for name in INITIALIZERS:
+            assert summary["shares"][name]["fits"] == 1

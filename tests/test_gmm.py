@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from momentgmm import (
 from momentgmm import gmm
 from momentgmm.gmm import (
     VARIANCE_FLOOR_FRACTION,
+    _column_sum,
     _kmeans_pp_seeds,
     _lloyd,
     _row_logsumexp,
@@ -161,6 +163,183 @@ class TestRowLogsumexp:
             warnings.simplefilter("error")
             for a in self.cases():
                 _row_logsumexp(a)
+
+
+def row_logsumexp(a):
+    """The row-layout log-sum-exp _row_logsumexp must reproduce: max, tie
+    count and exp-sum each reduce along the short r-long axis of (n, r)."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        top = a.max(axis=1, keepdims=True)
+        is_top = a == top
+        count = is_top.sum(axis=1, keepdims=True)
+        s = np.exp(np.where(is_top, -np.inf, a - top)).sum(axis=1, keepdims=True) / count
+        return (np.log1p(s) + np.log(count) + top)[:, 0]
+
+
+def row_e_step(params, data):
+    """The E step on row_logsumexp."""
+    data = np.asarray(data, dtype=float)
+    log_comp = gmm._log_component_matrix(params, data)
+    log_norm = row_logsumexp(log_comp)
+    return np.exp(log_comp - log_norm[:, None]), float(np.sum(log_norm))
+
+
+def row_m_step(data, resp, variance_floor=None, rng=None):
+    """The row-layout M step m_step must reproduce: the variance loop sums
+    each row of squared differences along the short m-long axis."""
+    data = np.asarray(data, dtype=float)
+    n, m = data.shape
+    r = resp.shape[1]
+    if variance_floor is None:
+        variance_floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
+    counts = resp.sum(axis=0)
+    empty = counts < 1e-10 * n
+    if np.any(empty):
+        rng = rng if rng is not None else np.random.default_rng(0)
+        resp = resp.copy()
+        for j in np.flatnonzero(empty):
+            movable = ~np.any((counts - resp < 1e-10 * n) & ~empty, axis=1)
+            i = int(rng.integers(n))
+            while not movable[i] and movable.any():
+                i = int(rng.integers(n))
+            counts -= resp[i]
+            counts[j] += 1.0
+            empty[j] = False
+            resp[i] = 0.0
+            resp[i, j] = 1.0
+        counts = resp.sum(axis=0)
+    weights = counts / n
+    means = (resp.T @ data) / counts[:, None]
+    variances = np.empty(r)
+    for j in range(r):
+        diff = data - means[j]
+        variances[j] = np.sum(resp[:, j] * np.sum(diff**2, axis=1)) / (m * counts[j])
+    variances = np.maximum(variances, max(variance_floor, 1e-300))
+    weights = weights / weights.sum()
+    return GmmParams(weights=weights, means=means, variances=variances)
+
+
+def assert_same_params(got, want):
+    assert _same_bits(got.weights, want.weights)
+    assert _same_bits(got.means, want.means)
+    assert _same_bits(got.variances, want.variances)
+
+
+def random_mixture_data(m, r, seed, n=400):
+    """(params, data): n points of a random spherical r-mixture in R^m whose
+    coordinates lie far from the origin relative to the spread."""
+    rng = np.random.default_rng(seed)
+    params = GmmParams(
+        weights=rng.dirichlet(np.ones(r)),
+        means=50.0 + 4.0 * rng.standard_normal((r, m)),
+        variances=rng.uniform(0.5, 3.0, size=r),
+    )
+    return params, sample(params, n, rng_seed=seed)[0]
+
+
+SIZES = (1, 2, 5, 8, 9, 15, 30)
+
+
+class TestColumnLayout:
+    """The column-layout kernels against the row-layout references, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["nonnegative", "mixed-scale"])
+    def test_column_sum_bit_equal_to_numpy(self, kind):
+        rng = np.random.default_rng(30)
+        for k in [*range(1, 301), 511, 1024]:
+            if kind == "nonnegative":
+                x = rng.exponential(size=(13, k))
+            else:
+                x = rng.standard_normal((13, k)) * 10.0 ** rng.uniform(-8, 8, size=(13, k))
+            want = x.sum(axis=1)
+            assert _same_bits(_column_sum(np.array(x.T, order="C")), want), k
+
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_row_logsumexp_leaves_its_input_alone(self, r):
+        a = np.random.default_rng(31).normal(size=(50, r))
+        for arg in (a, np.asfortranarray(a)):
+            kept = arg.copy()
+            _row_logsumexp(arg)
+            assert _same_bits(arg, kept)
+
+    @pytest.mark.parametrize("r", SIZES)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_e_step_bit_equal_to_row_layout(self, m, r):
+        params, data = random_mixture_data(m, r, seed=100 * m + r)
+        resp, loglik = e_step(params, data)
+        ref_resp, ref_loglik = row_e_step(params, data)
+        assert _same_bits(resp, ref_resp)
+        assert _same_bits(np.array(loglik), np.array(ref_loglik))
+
+    @pytest.mark.parametrize("r", SIZES)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_m_step_bit_equal_to_row_layout(self, m, r):
+        _, data = random_mixture_data(m, r, seed=100 * m + r)
+        rng = np.random.default_rng(m + r)
+        resp = rng.uniform(size=(len(data), r))
+        resp /= resp.sum(axis=1, keepdims=True)
+        assert_same_params(m_step(data, resp), row_m_step(data, resp))
+        assert_same_params(
+            m_step(data, resp, variance_floor=1e-3), row_m_step(data, resp, variance_floor=1e-3)
+        )
+        if r > 1:  # the last component is empty and reseeded
+            resp[:, -1] = 0.0
+            resp /= resp.sum(axis=1, keepdims=True)
+            got = m_step(data, resp, rng=np.random.default_rng(3))
+            assert_same_params(got, row_m_step(data, resp, rng=np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("r", SIZES)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_em_fit_bit_equal_to_row_layout(self, monkeypatch, m, r):
+        params, data = random_mixture_data(m, r, seed=100 * m + r)
+        init = init_random(data, r, rng_seed=m)
+        if r > 1:  # a component far from every row starts empty
+            init.means[-1] += 1e4
+            assert e_step(init, data)[0][:, -1].sum() < 1e-10 * len(data)
+        got = em_fit(data, r, init, max_iter=8, rng_seed=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(gmm, "e_step", row_e_step)
+            patch.setattr(gmm, "m_step", row_m_step)
+            want = em_fit(data, r, init, max_iter=8, rng_seed=5)
+        assert_same_params(got.params, want.params)
+        assert _same_bits(np.array(got.loglik_trace), np.array(want.loglik_trace))
+        assert np.array_equal(got.hard_labels, want.hard_labels)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    def test_log_density_unchanged(self):
+        for m, r in ((1, 1), (3, 2), (6, 4), (30, 15)):
+            params, data = random_mixture_data(m, r, seed=m, n=20)
+            for x in data:
+                want = row_logsumexp(gmm._log_component_matrix(params, x[None, :]))[0]
+                assert _same_bits(np.array(log_density(params, x)), np.array(want))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuard:
+    """The column-layout copies may not raise the kernels' peak memory above
+    the row-layout references' by more than 5 %."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        params, data = random_mixture_data(10, 5, seed=40, n=20_000)
+        return params, data, e_step(params, data)[0]
+
+    def test_m_step_peak(self, problem):
+        _, data, resp = problem
+        assert traced_peak(m_step, data, resp) <= 1.05 * traced_peak(row_m_step, data, resp)
+
+    def test_e_step_peak(self, problem):
+        params, data, _ = problem
+        assert traced_peak(e_step, params, data) <= 1.05 * traced_peak(row_e_step, params, data)
 
 
 class TestSample:
@@ -399,16 +578,10 @@ def few_distinct_rows(seed):
 
 
 class TestEmem:
-    @staticmethod
-    def assert_same_params(got, want):
-        assert _same_bits(got.weights, want.weights)
-        assert _same_bits(got.means, want.means)
-        assert _same_bits(got.variances, want.variances)
-
     @pytest.mark.parametrize("example, r", [("example1_params", 4), ("example2_params", 3)])
     def test_bit_equal_to_loop_on_examples(self, request, example, r):
         data, _ = sample(request.getfixturevalue(example), 1000, rng_seed=r)
-        self.assert_same_params(init_emem(data, r, rng_seed=7), loop_emem(data, r, rng_seed=7))
+        assert_same_params(init_emem(data, r, rng_seed=7), loop_emem(data, r, rng_seed=7))
 
     def test_bit_equal_to_loop_through_reseeds(self, monkeypatch):
         reseeded = set()
@@ -425,7 +598,7 @@ class TestEmem:
             with monkeypatch.context() as patch:
                 patch.setattr(gmm, "m_step", spy)
                 got = init_emem(data, 5, short_runs=5, rng_seed=seed)
-            self.assert_same_params(got, want)
+            assert_same_params(got, want)
         assert reseeded
 
 
