@@ -371,8 +371,8 @@ def cmd_benchmark(args) -> int:
     if args.repeats is not None:
         config["repeats"] = args.repeats
     out_dir = args.out_dir or config.get("outputs", ".")
-    os.makedirs(out_dir, exist_ok=True)
     summary, rows = run_benchmark(config)
+    os.makedirs(out_dir, exist_ok=True)
 
     rows.sort(key=lambda r_: (r_["repeat"], r_["replicate"], r_["initializer"]))
     csv_path = os.path.join(out_dir, "replicates.csv")

@@ -8,7 +8,8 @@ form,
     M3(X) = sum_i w_i (mu_i . X)^3
 
 where s_i^2 are the component variances.  Recovery runs a Waring
-decomposition of M3 and two linear solves against M2 and M1.
+decomposition of M3 restricted to the span of M2's top r eigenvectors, and
+two linear solves against M2 and M1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .symtensor import (
     multinomial_weights,
     pow_linear,
     reconstruct,
+    sum_index,
 )
 from .waring import DecompositionOptions, decompose
 
@@ -66,7 +68,8 @@ class MomentSet:
 @dataclass
 class RecoveredParams:
     """Mixture parameters read off the moment tensors, with the least-squares
-    residuals of the two linear solves as diagnostics."""
+    residuals of the two linear solves, the decomposition dimension and M2's
+    eigenvalues lambda_r, lambda_(r+1) as diagnostics."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -139,16 +142,24 @@ def exact_moments(params) -> MomentSet:
 
 
 def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
-    """Waring-decompose M3, rescale against M2, then solve M1 for variances."""
+    """Waring-decompose M3 in the span W of M2's top r eigenvectors, where the
+    means lie, map the points back, rescale against M2, then solve M1 for
+    variances."""
     m = moments.dim
     if r > m:
         raise InputError(f"r={r} exceeds dimension m={m}; r <= m is required")
 
+    eigvals, eigvecs = np.linalg.eigh(moments.m2)
+    basis = eigvecs[:, ::-1][:, :r]
+    # dense[a, b, c] = T_(e_a+e_b+e_c), gathered through the degree-2 and
+    # degree-3 "beta + e_i" tables
+    dense = moments.m3.coeffs[sum_index(m, 2, 1)[sum_index(m, 1, 1)]]
+    projected = np.einsum("abc,ai,bj,ck->ijk", dense, basis, basis, basis, optimize=True)
     opts = DecompositionOptions(
         rank=r, k=2, on_complex="error" if moments.n_samples == "exact" else "warn"
     )
-    dec = decompose(moments.m3, opts)
-    w_tilde, mu_tilde = dec.weights, dec.points
+    dec = decompose(SymmetricTensor(r, 3, _symmetric_array_coeffs(projected)), opts)
+    w_tilde, mu_tilde = dec.weights, dec.points @ basis.T
 
     # scale system: sum_i lambda_i w~_i (mu~_i . X)^2 = M2(X), solved over the
     # degree-2 coefficients under the apolar weighting
@@ -188,6 +199,9 @@ def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
             "residual_m2": resid_m2,
             "residual_m1": resid_m1,
             "complex_leak": dec.complex_leak,
+            "subspace_dim": r,
+            "m2_lambda_r": float(eigvals[m - r]),
+            "m2_lambda_r_plus_1": float(eigvals[m - r - 1]) if r < m else None,
         },
     )
 

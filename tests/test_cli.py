@@ -381,6 +381,14 @@ class TestBenchmark:
                    "--out-dir", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
 
+    def test_rejected_config_leaves_no_directory(self, tmp_path, example2_params):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.make_config(example2_params, replicates=0)))
+        out_dir = tmp_path / "outbad" / "sub"
+        rc = main(["benchmark", "--config", str(cfg), "--out-dir", str(out_dir), "--quiet"])
+        assert rc == 1
+        assert not (tmp_path / "outbad").exists()
+
     def test_integral_floats_accepted(self, example2_params):
         cfg = dict(self.make_config(example2_params, n=150.0, replicates=1.0),
                    initializers=["random"], max_iter=5.0)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from momentgmm import (
     GmmParams,
@@ -11,6 +12,7 @@ from momentgmm import (
     recover_parameters,
     sample,
 )
+from momentgmm.gmm import e_step, em_fit, init_moments
 from momentgmm.symtensor import monomials
 from conftest import random_independent_points
 
@@ -182,6 +184,73 @@ class TestRecoverParameters:
         assert rec.diagnostics["residual_m2"] < 1e-8
         assert rec.diagnostics["residual_m1"] < 1e-8
         assert rec.diagnostics["complex_leak"] is False
+
+    @pytest.mark.parametrize("m, r", [(30, 15), (6, 6), (5, 1)])
+    def test_exact_recovery_through_projection(self, m, r):
+        # Criterion 3's bound, at a high dimension, at r = m (where the
+        # projection is a rotation) and at r = 1
+        p = random_params(np.random.default_rng(300 + m + r), r, m)
+        rec = recover_parameters(exact_moments(p), r)
+        perm = match_components(rec.means, p.means)
+        worst = max(
+            np.max(np.abs(rec.weights[perm] - p.weights) / p.weights),
+            np.max(np.linalg.norm(rec.means[perm] - p.means, axis=1)
+                   / np.linalg.norm(p.means, axis=1)),
+            np.max(np.abs(rec.variances[perm] - p.variances) / p.variances),
+        )
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("m, r", [(5, 3), (4, 4)])
+    def test_subspace_diagnostics(self, m, r):
+        data, _ = sample(random_params(np.random.default_rng(9), r, m), 2000, 1)
+        ms = empirical_moments(data)
+        diag = recover_parameters(ms, r).diagnostics
+        descending = np.linalg.eigvalsh(ms.m2)[::-1]
+        assert diag["subspace_dim"] == r
+        assert np.isfinite(diag["m2_lambda_r"])
+        assert diag["m2_lambda_r"] == pytest.approx(descending[r - 1], rel=1e-12)
+        if r < m:
+            assert np.isfinite(diag["m2_lambda_r_plus_1"])
+            assert diag["m2_lambda_r_plus_1"] == pytest.approx(descending[r], rel=1e-12)
+        else:
+            assert diag["m2_lambda_r_plus_1"] is None
+
+
+class TestHighDimStartQuality:
+    """Gate on the moments start at m = 30, r = 15, n = 5000: means
+    4 N(0, I) redrawn until of rank r, Dirichlet(5) weights, variances
+    U(0.5, 2), the mixture from seed 0 and all 8 samples of sample seed 1.
+    The bounds are the counts this recovery reaches; they may only tighten."""
+
+    R, M, N, SAMPLES = 15, 30, 5000, 8
+
+    @staticmethod
+    def recovery_error(got, truth):
+        """||matched means - true means||_F / ||true means||_F."""
+        rows, cols = linear_sum_assignment(
+            np.sum((got[:, None, :] - truth[None, :, :]) ** 2, axis=2))
+        return np.linalg.norm(got[rows] - truth[cols]) / np.linalg.norm(truth)
+
+    def test_counts(self):
+        rng = np.random.default_rng(0)
+        means = random_independent_points(rng, self.R, self.M, scale=4.0)
+        weights = rng.dirichlet(np.full(self.R, 5.0))
+        variances = rng.uniform(0.5, 2.0, size=self.R)
+        truth = GmmParams(weights=weights, means=means, variances=variances)
+        close = reached = one_point = 0
+        for k in range(self.SAMPLES):
+            seed = int(np.random.default_rng([1, k, 1]).integers(2**31 - 1))
+            data, _ = sample(truth, self.N, rng_seed=seed)
+            start, _ = init_moments(data, self.R, rng_seed=k)
+            fit = em_fit(data, self.R, start, rng_seed=k)
+            best = em_fit(data, self.R, truth, rng_seed=k).loglik_trace[-1]
+            close += self.recovery_error(start.means, means) < 0.1
+            reached += fit.loglik_trace[-1] >= best - 1e-6 * abs(best)
+            # total responsibility under two points: a component holding one row
+            one_point += e_step(fit.params, data)[0].sum(axis=0).min() < 2.0
+        assert close >= 2
+        assert reached >= 4
+        assert one_point <= 4
 
 
 class TestMomentSetJson:
