@@ -11,7 +11,6 @@ from .gmm import (
     init_kmeans,
     init_moments,
     init_random,
-    log_density,
     m_step,
     pooled_variance,
     sample,
@@ -53,7 +52,6 @@ __all__ = [
     "init_kmeans",
     "init_moments",
     "init_random",
-    "log_density",
     "m_step",
     "nu_spherical",
     "pooled_variance",

@@ -109,72 +109,29 @@ def _sq_dist(data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray) -> np.n
     )
 
 
-def _column_sum(a: np.ndarray) -> np.ndarray:
-    """a.T.sum(axis=1) of a C-contiguous (k, n) array, bit for bit: the k rows
-    are added in numpy's pairwise order for a contiguous row of k terms (in
-    sequence below 8 terms, in 8 interleaved lanes up to 128, split at
-    h = k//2 - (k//2) % 8 above), each step one length-n vector op.  `a` is
-    overwritten; the sum is returned as a view of its first row.  A column of
-    all -0.0 sums to -0.0 here and to +0.0 in numpy, so the summands must not
-    be -0.0 throughout a column; exps and squares never are."""
-    k = len(a)
-    if k > 128:
-        h = k // 2 - (k // 2) % 8
-        total = _column_sum(a[:h])
-        total += _column_sum(a[h:])
-        return total
-    end = 1
-    if k >= 8:
-        end = k - k % 8
-        for i in range(8, end, 8):
-            a[:8] += a[i : i + 8]
-        # ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)) over the lanes
-        a[0:8:2] += a[1:8:2]
-        a[0:8:4] += a[2:8:4]
-        a[0] += a[4]
-    for i in range(end, k):
-        a[0] += a[i]
-    return a[0]
-
-
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of a real 2-D array, bit for bit what
-    scipy's logsumexp(a, axis=1) returns: the row maximum is shifted out, its
-    ties are counted instead of exponentiated, and log1p takes the rest.
-    Rows holding -inf, +inf or NaN give scipy's results too, without a
+    """log(sum(exp(a), axis=1)) of a real 2-D array, each row shifted by its
+    maximum, or by 0 where that maximum is not finite, so that rows holding
+    -inf, +inf or NaN give what scipy's logsumexp does, without a
     RuntimeWarning.  The work runs on a C-ordered copy of a.T, so that each
     reduction is a few length-n vector ops."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         # np.array copies even where a.T is already contiguous (r = 1)
         cols = np.array(a.T, order="C")
         top = cols.max(axis=0)
-        is_top = cols == top
-        count = is_top.sum(axis=0)
+        top[~np.isfinite(top)] = 0.0
         cols -= top
-        cols[is_top] = -np.inf
-        s = _column_sum(np.exp(cols, out=cols)) / count
-        return np.log1p(s) + np.log(count) + top
+        return np.log(np.exp(cols, out=cols).sum(axis=0)) + top
 
 
 def _log_component_matrix(params: GmmParams, data: np.ndarray) -> np.ndarray:
     """n x r matrix of log(w_j) + log N(x_i | mu_j, s_j^2 I)."""
-    m = params.dim
     sq_dist = np.maximum(_sq_dist(data, np.sum(data**2, axis=1), params.means), 0.0)
     return (
         np.log(params.weights)[None, :]
-        - 0.5 * m * (LOG_2PI + np.log(params.variances))[None, :]
+        - 0.5 * params.dim * (LOG_2PI + np.log(params.variances))[None, :]
         - 0.5 * sq_dist / params.variances[None, :]
     )
-
-
-def log_density(params: GmmParams, x) -> float:
-    """log p(x) of one point x under the mixture, stabilized with log-sum-exp."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != 1 or x.ndim != 2:
-        raise InputError("log_density takes a single point")
-    if x.shape[1] != params.dim:
-        raise InputError("point dimension does not match the mixture")
-    return float(_row_logsumexp(_log_component_matrix(params, x))[0])
 
 
 def sample(
@@ -195,8 +152,7 @@ def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
     data = np.asarray(data, dtype=float)
     log_comp = _log_component_matrix(params, data)
     log_norm = _row_logsumexp(log_comp)
-    resp = np.exp(log_comp - log_norm[:, None])
-    return resp, float(np.sum(log_norm))
+    return np.exp(log_comp - log_norm[:, None]), float(np.sum(log_norm))
 
 
 def pooled_variance(data: np.ndarray) -> float:
@@ -214,7 +170,12 @@ def m_step(
     """Weighted-statistics update; empty components are reseeded at a random
     data point.  A drawn row whose move would empty another component (a row
     reseeded just before included) is drawn again while any other row can
-    move.  Needs at least as many rows as components."""
+    move.  Needs at least as many rows as components.
+
+    About the data mean c, with o_j = sum_i r_ij (x_i - c) / N_j: mu_j = c + o_j
+    and m N_j s_j^2 = sum_i r_ij ||x_i - c||^2 - N_j ||o_j||^2.  Against direct
+    differences, s_j^2's relative error grows as eps * ||mu_j - c||^2 / s_j^2
+    (2e-10 at 1e6, 5e-6 at 1e10)."""
     data = np.asarray(data, dtype=float)
     n, m = data.shape
     r = resp.shape[1]
@@ -241,15 +202,12 @@ def m_step(
         counts = resp.sum(axis=0)
 
     weights = counts / n
-    means = (resp.T @ data) / counts[:, None]
-    # squared differences in (m, n) layout, so that the sum over m is m
-    # length-n vector adds
-    cols = np.array(data.T, order="C")
-    sq = np.empty_like(cols)
-    variances = np.empty(r)
-    for j in range(r):
-        np.square(np.subtract(cols, means[j][:, None], out=sq), out=sq)
-        variances[j] = np.sum(resp[:, j] * _column_sum(sq)) / (m * counts[j])
+    c = data.mean(axis=0)
+    centered = data - c
+    offsets = (resp.T @ centered) / counts[:, None]
+    means = offsets + c
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    variances = (sq_norms @ resp - counts * np.sum(offsets**2, axis=1)) / (m * counts)
     variances = np.maximum(variances, max(variance_floor, 1e-300))
     weights = weights / weights.sum()
     return GmmParams(weights=weights, means=means, variances=variances)

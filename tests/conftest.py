@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import momentgmm
 from momentgmm import GmmParams
 
 
@@ -44,3 +50,22 @@ def random_independent_points(rng, r, m, scale=1.0):
         pts = scale * rng.standard_normal((r, m))
         if np.linalg.matrix_rank(pts) == r:
             return pts
+
+
+def summaries_per_blas_thread_count(cfg, tmp_path, counts=("1", "2")):
+    """summary.json bytes of `momentgmm benchmark` on the config file `cfg`,
+    one fresh process per OpenBLAS thread count, since OpenBLAS reads
+    OPENBLAS_NUM_THREADS once, when numpy is first imported."""
+    src = str(Path(momentgmm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blobs = []
+    for threads in counts:
+        out_dir = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "momentgmm.cli", "benchmark",
+             "--config", str(cfg), "--out-dir", str(out_dir), "--quiet"],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            check=True, timeout=300,
+        )
+        blobs.append((out_dir / "summary.json").read_bytes())
+    return blobs

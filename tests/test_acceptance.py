@@ -42,7 +42,7 @@ from momentgmm.symtensor import (
     partial_derivative,
     reconstruct,
 )
-from conftest import random_independent_points
+from conftest import random_independent_points, summaries_per_blas_thread_count
 
 
 def announce(number: int, name: str, ok: bool, detail: str) -> None:
@@ -480,17 +480,22 @@ class TestCriterion10BicFormula:
 # ---------------------------------------------------------------------------
 
 
+def write_criterion11_config(tmp_path, example2_params):
+    config = {
+        "model": json.loads(example2_params.to_json()),
+        "n": 300,
+        "replicates": 4,
+        "initializers": INITIALIZERS,
+        "master_seed": 11,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
 class TestCriterion11BenchmarkDeterminism:
     def test_byte_identical_summaries(self, tmp_path, example2_params, monkeypatch):
-        config = {
-            "model": json.loads(example2_params.to_json()),
-            "n": 300,
-            "replicates": 4,
-            "initializers": INITIALIZERS,
-            "master_seed": 11,
-        }
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
+        cfg = write_criterion11_config(tmp_path, example2_params)
         blobs = []
         for tag, threads in (("run1", "1"), ("run2", "1"), ("run3", "4")):
             monkeypatch.setenv("MOMENTGMM_THREADS", threads)
@@ -506,3 +511,8 @@ class TestCriterion11BenchmarkDeterminism:
             "summary.json byte-identical across two runs and thread counts 1 and 4",
         )
         assert ok
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path, example2_params):
+        cfg = write_criterion11_config(tmp_path, example2_params)
+        blobs = summaries_per_blas_thread_count(cfg, tmp_path)
+        assert blobs[0] == blobs[1]

@@ -1,15 +1,12 @@
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import momentgmm
 from momentgmm import SymmetricTensor, gmm, WaringDecomposition, reconstruct
 from momentgmm.cli import INITIALIZERS, main, read_csv, run_benchmark, write_csv
+from conftest import summaries_per_blas_thread_count
 
 
 @pytest.fixture
@@ -345,22 +342,9 @@ class TestBenchmark:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_summary_identical_across_blas_thread_counts(self, tmp_path, example2_params):
-        # a fresh process per thread count, since OpenBLAS reads
-        # OPENBLAS_NUM_THREADS once, when numpy is first imported
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(self.make_config(example2_params, n=400)))
-        src = str(Path(momentgmm.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        blobs = []
-        for threads in ("1", "2"):
-            out_dir = tmp_path / f"threads{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "momentgmm.cli", "benchmark",
-                 "--config", str(cfg), "--out-dir", str(out_dir), "--quiet"],
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
-                check=True, timeout=300,
-            )
-            blobs.append((out_dir / "summary.json").read_bytes())
+        blobs = summaries_per_blas_thread_count(cfg, tmp_path)
         assert blobs[0] == blobs[1]
 
     def test_repeats_aggregate(self, tmp_path, example2_params):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from momentgmm import (
@@ -18,14 +20,12 @@ from momentgmm import (
     init_kmeans,
     init_moments,
     init_random,
-    log_density,
     m_step,
     sample,
 )
 from momentgmm import gmm
 from momentgmm.gmm import (
     VARIANCE_FLOOR_FRACTION,
-    _column_sum,
     _kmeans_pp_seeds,
     _lloyd,
     _row_logsumexp,
@@ -88,35 +88,30 @@ class TestGmmParams:
 
 
 class TestLogDensity:
+    """The log-density of one point, as the E-step's log-likelihood of a
+    one-row data matrix."""
+
+    @staticmethod
+    def log_density(params, x):
+        return e_step(params, np.asarray(x, dtype=float)[None, :])[1]
+
     def test_standard_normal_at_origin(self):
         p = single_gaussian(np.zeros(2), 1.0)
-        assert log_density(p, [0.0, 0.0]) == pytest.approx(-math.log(2 * math.pi))
+        assert self.log_density(p, [0.0, 0.0]) == pytest.approx(-math.log(2 * math.pi))
 
     def test_matches_closed_form(self):
         p = single_gaussian([1.0, -2.0, 0.5], 2.5)
         x = np.array([0.3, 0.1, -1.0])
         d = np.sum((x - p.means[0]) ** 2)
         expected = -1.5 * math.log(2 * math.pi * 2.5) - d / (2 * 2.5)
-        assert log_density(p, x) == pytest.approx(expected, rel=1e-12)
+        assert self.log_density(p, x) == pytest.approx(expected, rel=1e-12)
 
     def test_mixture_of_two(self):
-        p = two_blob_params()
-        x = np.zeros(2)
-        expected = math.log(
-            0.5 * math.exp(log_density(single_gaussian([-6.0, 0.0], 1.0), x))
-            + 0.5 * math.exp(log_density(single_gaussian([6.0, 0.0], 1.0), x))
+        # at the origin both unit components sit at squared distance 36
+        expected = -18.0 - math.log(2 * math.pi)
+        assert self.log_density(two_blob_params(), np.zeros(2)) == pytest.approx(
+            expected, rel=1e-12
         )
-        assert log_density(p, x) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_check(self):
-        with pytest.raises(InputError):
-            log_density(two_blob_params(), [1.0, 2.0, 3.0])
-
-    def test_rejects_several_points(self):
-        p = two_blob_params()
-        with pytest.raises(InputError):
-            log_density(p, [[0.0, 0.0], [100.0, 100.0]])
-        assert log_density(p, [[0.0, 0.0]]) == log_density(p, [0.0, 0.0])
 
 
 def _same_bits(a, b):
@@ -128,7 +123,10 @@ def _same_bits(a, b):
 
 
 class TestRowLogsumexp:
-    """_row_logsumexp must return scipy's logsumexp(a, axis=1) bit for bit."""
+    """_row_logsumexp against scipy's logsumexp(a, axis=1): the same
+    non-finite entries, and the finite ones within 4 ulps of
+    max(|row max|, 1).  The test name dates from a bit-for-bit kernel and is
+    kept as the test's id."""
 
     @staticmethod
     def scipy_rows(a):
@@ -156,7 +154,11 @@ class TestRowLogsumexp:
 
     def test_bit_equal_to_scipy(self):
         for a in self.cases():
-            assert _same_bits(_row_logsumexp(a), self.scipy_rows(a))
+            got, want = _row_logsumexp(a), self.scipy_rows(a)
+            finite = np.isfinite(want)
+            assert _same_bits(got[~finite], want[~finite])
+            scale = np.maximum(np.abs(a[finite].max(axis=1)), 1.0)
+            assert np.all(np.abs(got[finite] - want[finite]) <= 4 * np.spacing(scale))
 
     def test_no_runtime_warning(self):
         with warnings.catch_warnings():
@@ -225,6 +227,11 @@ def assert_same_params(got, want):
     assert _same_bits(got.variances, want.variances)
 
 
+def assert_close_params(got, want, rtol):
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=rtol)
+
+
 def random_mixture_data(m, r, seed, n=400):
     """(params, data): n points of a random spherical r-mixture in R^m whose
     coordinates lie far from the origin relative to the spread."""
@@ -241,18 +248,11 @@ SIZES = (1, 2, 5, 8, 9, 15, 30)
 
 
 class TestColumnLayout:
-    """The column-layout kernels against the row-layout references, bit for bit."""
-
-    @pytest.mark.parametrize("kind", ["nonnegative", "mixed-scale"])
-    def test_column_sum_bit_equal_to_numpy(self, kind):
-        rng = np.random.default_rng(30)
-        for k in [*range(1, 301), 511, 1024]:
-            if kind == "nonnegative":
-                x = rng.exponential(size=(13, k))
-            else:
-                x = rng.standard_normal((13, k)) * 10.0 ** rng.uniform(-8, 8, size=(13, k))
-            want = x.sum(axis=1)
-            assert _same_bits(_column_sum(np.array(x.T, order="C")), want), k
+    """The column-layout kernels against the row-layout references, to
+    tolerance; the test names date from bit-for-bit kernels and are kept as
+    the tests' ids.  Measured worst cases are 4e-15 (responsibilities,
+    absolute), 2e-15 (M step, relative) and 1e-10 (8-iteration fits,
+    relative)."""
 
     @pytest.mark.parametrize("r", [1, 5])
     def test_row_logsumexp_leaves_its_input_alone(self, r):
@@ -268,8 +268,8 @@ class TestColumnLayout:
         params, data = random_mixture_data(m, r, seed=100 * m + r)
         resp, loglik = e_step(params, data)
         ref_resp, ref_loglik = row_e_step(params, data)
-        assert _same_bits(resp, ref_resp)
-        assert _same_bits(np.array(loglik), np.array(ref_loglik))
+        np.testing.assert_allclose(resp, ref_resp, rtol=0, atol=1e-13)
+        assert loglik == pytest.approx(ref_loglik, rel=1e-13)
 
     @pytest.mark.parametrize("r", SIZES)
     @pytest.mark.parametrize("m", SIZES)
@@ -278,15 +278,18 @@ class TestColumnLayout:
         rng = np.random.default_rng(m + r)
         resp = rng.uniform(size=(len(data), r))
         resp /= resp.sum(axis=1, keepdims=True)
-        assert_same_params(m_step(data, resp), row_m_step(data, resp))
-        assert_same_params(
-            m_step(data, resp, variance_floor=1e-3), row_m_step(data, resp, variance_floor=1e-3)
+        assert_close_params(m_step(data, resp), row_m_step(data, resp), 1e-13)
+        assert_close_params(
+            m_step(data, resp, variance_floor=1e-3),
+            row_m_step(data, resp, variance_floor=1e-3),
+            1e-13,
         )
         if r > 1:  # the last component is empty and reseeded
             resp[:, -1] = 0.0
             resp /= resp.sum(axis=1, keepdims=True)
             got = m_step(data, resp, rng=np.random.default_rng(3))
-            assert_same_params(got, row_m_step(data, resp, rng=np.random.default_rng(3)))
+            want = row_m_step(data, resp, rng=np.random.default_rng(3))
+            assert_close_params(got, want, 1e-13)
 
     @pytest.mark.parametrize("r", SIZES)
     @pytest.mark.parametrize("m", SIZES)
@@ -301,17 +304,43 @@ class TestColumnLayout:
             patch.setattr(gmm, "e_step", row_e_step)
             patch.setattr(gmm, "m_step", row_m_step)
             want = em_fit(data, r, init, max_iter=8, rng_seed=5)
-        assert_same_params(got.params, want.params)
-        assert _same_bits(np.array(got.loglik_trace), np.array(want.loglik_trace))
+        assert_close_params(got.params, want.params, 1e-8)
+        np.testing.assert_allclose(got.loglik_trace, want.loglik_trace, rtol=1e-8)
         assert np.array_equal(got.hard_labels, want.hard_labels)
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
-    def test_log_density_unchanged(self):
-        for m, r in ((1, 1), (3, 2), (6, 4), (30, 15)):
-            params, data = random_mixture_data(m, r, seed=m, n=20)
-            for x in data:
-                want = row_logsumexp(gmm._log_component_matrix(params, x[None, :]))[0]
-                assert _same_bits(np.array(log_density(params, x)), np.array(want))
+
+class TestCenteredVariances:
+    """m_step's variances come from sufficient statistics about the data
+    mean; these cases probe where that form loses accuracy."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.sampled_from([1, 3, 6]),
+        r=st.sampled_from([1, 2, 4]),
+        shift=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+    )
+    def test_translation(self, m, r, shift):
+        _, data = random_mixture_data(m, r, seed=10 * m + r, n=200)
+        resp = np.random.default_rng(m * r).dirichlet(np.ones(r), size=len(data))
+        t = np.array(shift[:m])
+        got, want = m_step(data + t, resp), m_step(data, resp)
+        np.testing.assert_allclose(got.means, want.means + t, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got.variances, want.variances, rtol=1e-9)
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-12)
+
+    def test_tight_component_far_from_the_mean(self):
+        # ||mu - xbar||^2 / s^2 = 1e6 for the tight component; the expected
+        # relative error is about eps * 1e6 = 2e-10
+        rng = np.random.default_rng(50)
+        tight = np.array([11.1, 0.0, 0.0]) + 1e-2 * rng.standard_normal((100, 3))
+        data = np.vstack([rng.standard_normal((900, 3)), tight])
+        resp = np.zeros((1000, 2))
+        resp[:900, 0] = resp[900:, 1] = 1.0
+        want = row_m_step(data, resp)
+        ratio = np.sum((want.means[1] - data.mean(axis=0)) ** 2) / want.variances[1]
+        assert 5e5 < ratio < 2e6
+        assert_close_params(m_step(data, resp), want, 1e-8)
 
 
 def traced_peak(fn, *args):
@@ -378,7 +407,13 @@ class TestEStepMStep:
         p = two_blob_params()
         data, _ = sample(p, 50, rng_seed=3)
         _, loglik = e_step(p, data)
-        direct = sum(log_density(p, x) for x in data)
+        direct = sum(
+            math.log(sum(
+                w * math.exp(-np.sum((x - mu) ** 2) / (2 * v)) / (2 * math.pi * v)
+                for w, mu, v in zip(p.weights, p.means, p.variances)
+            ))
+            for x in data
+        )
         assert loglik == pytest.approx(direct, rel=1e-12)
 
     def test_m_step_recovers_hard_split(self):
