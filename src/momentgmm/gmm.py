@@ -4,6 +4,12 @@ Four initializer strategies are provided: repeated k-means (best of 50 runs
 by within-cluster sum of squares), the method of moments (tensor
 decomposition of the empirical third moment), emEM (50 short 5-iteration EM
 bursts, keep the best log-likelihood), and plain random seeding.
+
+EM runs on the data centered once (`_frame`), so distances and sufficient
+statistics are taken about the data mean, not the origin.  One E-kernel and
+one M-kernel work on a stack of runs with responsibilities laid out
+(runs, r, n): `em_fit` is one run, emEM's bursts are stacked, and `e_step` /
+`m_step` are one-run wrappers with (n, r) responsibilities.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEFAULT_TOL = 1e-8
 VARIANCE_FLOOR_FRACTION = 1e-8
 WEIGHT_SUM_SLACK = 1e-3
+# responsibilities (runs x r x n) that init_emem stacks in one block
+EMEM_BLOCK_ELEMENTS = 2**20
 
 
 @dataclass
@@ -109,31 +117,6 @@ def _sq_dist(data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray) -> np.n
     )
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of a real 2-D array, each row shifted by its
-    maximum, or by 0 where that maximum is not finite, so that rows holding
-    -inf, +inf or NaN give what scipy's logsumexp does, without a
-    RuntimeWarning.  The work runs on a C-ordered copy of a.T, so that each
-    reduction is a few length-n vector ops."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        # np.array copies even where a.T is already contiguous (r = 1)
-        cols = np.array(a.T, order="C")
-        top = cols.max(axis=0)
-        top[~np.isfinite(top)] = 0.0
-        cols -= top
-        return np.log(np.exp(cols, out=cols).sum(axis=0)) + top
-
-
-def _log_component_matrix(params: GmmParams, data: np.ndarray) -> np.ndarray:
-    """n x r matrix of log(w_j) + log N(x_i | mu_j, s_j^2 I)."""
-    sq_dist = np.maximum(_sq_dist(data, np.sum(data**2, axis=1), params.means), 0.0)
-    return (
-        np.log(params.weights)[None, :]
-        - 0.5 * params.dim * (LOG_2PI + np.log(params.variances))[None, :]
-        - 0.5 * sq_dist / params.variances[None, :]
-    )
-
-
 def sample(
     params: GmmParams, n: int, rng_seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -147,12 +130,13 @@ def sample(
     return data, labels
 
 
-def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
-    """Responsibilities (row-stochastic) and total log-likelihood."""
-    data = np.asarray(data, dtype=float)
-    log_comp = _log_component_matrix(params, data)
-    log_norm = _row_logsumexp(log_comp)
-    return np.exp(log_comp - log_norm[:, None]), float(np.sum(log_norm))
+def _frame(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, x, x_sq): the data mean c, the centered data x = data - c and its
+    row norms ||x_i||^2.  The EM kernels take means as offsets from c, so
+    that a shift of the data costs their expanded forms no digits."""
+    c = data.mean(axis=0)
+    x = data - c
+    return c, x, np.einsum("ij,ij->i", x, x)
 
 
 def pooled_variance(data: np.ndarray) -> float:
@@ -161,56 +145,114 @@ def pooled_variance(data: np.ndarray) -> float:
     return float(np.sum(centered**2) / centered.size)
 
 
+def _log_normalize(a: np.ndarray) -> np.ndarray:
+    """Turns a (runs, r, n) array of log terms, in place, into exp(a - l) and
+    returns l = log(sum(exp(a), axis=1)), (runs, n).  Each column is shifted
+    by its maximum, or by 0 where that maximum is not finite, so that columns
+    holding -inf, +inf or NaN give what scipy's logsumexp does, without a
+    RuntimeWarning."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        top = a.max(axis=1)
+        top[~np.isfinite(top)] = 0.0
+        a -= top[:, None, :]
+        total = np.exp(a, out=a).sum(axis=1)
+        a /= total[:, None, :]
+        return np.log(total) + top
+
+
+def _e_kernel(x: np.ndarray, x_sq: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+    """E step of a stack of runs on a frame (x, x_sq).  step holds the
+    weights (runs, r), the offsets (runs, r, m) of the means from the frame's
+    center and the variances (runs, r).  Returns the responsibilities
+    (runs, r, n) and the log-likelihoods (runs,).  Each run is its own
+    matrix product, so a run's result does not depend on the stack."""
+    weights, offsets, variances = step
+    # log w_j - m/2 log(2 pi s_j) - ||x_i - o_j||^2 / (2 s_j), with the squared
+    # distance expanded and clamped at 0
+    a = offsets @ x.T
+    a *= -2.0
+    a += x_sq
+    a += np.sum(offsets**2, axis=2)[..., None]
+    np.maximum(a, 0.0, out=a)
+    a *= (-0.5 / variances)[..., None]
+    a += (np.log(weights) - 0.5 * x.shape[1] * (LOG_2PI + np.log(variances)))[..., None]
+    return a, _log_normalize(a).sum(axis=1)
+
+
+def _reseed_empty(resp: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Moves a random data row into each empty component of one run's (r, n)
+    responsibilities, in place, and returns their new row sums.  A drawn row
+    whose move would empty another component (a row reseeded just before
+    included) is drawn again while any other row can move."""
+    n = resp.shape[1]
+    empty = counts < 1e-10 * n
+    for j in np.flatnonzero(empty):
+        movable = ~np.any((counts[:, None] - resp < 1e-10 * n) & ~empty[:, None], axis=0)
+        i = int(rng.integers(n))
+        while not movable[i] and movable.any():
+            i = int(rng.integers(n))
+        counts -= resp[:, i]
+        counts[j] += 1.0
+        empty[j] = False
+        resp[:, i] = 0.0
+        resp[j, i] = 1.0
+    return resp.sum(axis=1)
+
+
+def _m_kernel(x: np.ndarray, x_sq: np.ndarray, resp: np.ndarray, variance_floor: float, rngs):
+    """M step of a stack of runs from responsibilities (runs, r, n) on a
+    frame (x, x_sq); returns the step _e_kernel takes.  A run with an empty
+    component is reseeded in resp, in place, on its Generator in rngs.
+
+    With o_j = sum_i r_ij x_i / N_j, m N_j s_j^2 = sum_i r_ij ||x_i||^2 -
+    N_j ||o_j||^2.  Against direct differences, s_j^2's relative error grows
+    as eps * ||o_j||^2 / s_j^2 (2e-10 at 1e6, 5e-6 at 1e10)."""
+    r, n = resp.shape[1:]
+    if n < r:
+        raise InputError(f"m_step needs n >= r rows, got n={n}, r={r}")
+    counts = resp.sum(axis=2)
+    for k in np.flatnonzero(np.any(counts < 1e-10 * n, axis=1)):
+        counts[k] = _reseed_empty(resp[k], counts[k], rngs[k])
+    offsets = (resp @ x) / counts[..., None]
+    variances = (resp @ x_sq - counts * np.sum(offsets**2, axis=2)) / (x.shape[1] * counts)
+    weights = counts / n
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights, offsets, np.maximum(variances, max(variance_floor, 1e-300))
+
+
+def _as_step(params: GmmParams, c: np.ndarray) -> tuple:
+    """params as a one-run step about the center c."""
+    return params.weights[None], (params.means - c)[None], params.variances[None]
+
+
+def _run_params(step: tuple, c: np.ndarray, k: int = 0) -> GmmParams:
+    """Run k of a step as GmmParams, its means moved back from the center c."""
+    weights, offsets, variances = step
+    return GmmParams(weights=weights[k], means=offsets[k] + c, variances=variances[k])
+
+
+def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
+    """Responsibilities, (n, r) and row-stochastic, and total log-likelihood."""
+    c, x, x_sq = _frame(np.asarray(data, dtype=float))
+    resp, loglik = _e_kernel(x, x_sq, _as_step(params, c))
+    return resp[0].T, float(loglik[0])
+
+
 def m_step(
     data: np.ndarray,
     resp: np.ndarray,
     variance_floor: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> GmmParams:
-    """Weighted-statistics update; empty components are reseeded at a random
-    data point.  A drawn row whose move would empty another component (a row
-    reseeded just before included) is drawn again while any other row can
-    move.  Needs at least as many rows as components.
-
-    About the data mean c, with o_j = sum_i r_ij (x_i - c) / N_j: mu_j = c + o_j
-    and m N_j s_j^2 = sum_i r_ij ||x_i - c||^2 - N_j ||o_j||^2.  Against direct
-    differences, s_j^2's relative error grows as eps * ||mu_j - c||^2 / s_j^2
-    (2e-10 at 1e6, 5e-6 at 1e10)."""
-    data = np.asarray(data, dtype=float)
-    n, m = data.shape
-    r = resp.shape[1]
-    if n < r:
-        raise InputError(f"m_step needs n >= r rows, got n={n}, r={r}")
+    """Weighted-statistics update from (n, r) responsibilities; empty
+    components are reseeded at a random data row (_reseed_empty).  Needs at
+    least as many rows as components."""
+    c, x, x_sq = _frame(np.asarray(data, dtype=float))
     if variance_floor is None:
-        variance_floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
-    counts = resp.sum(axis=0)
-
-    empty = counts < 1e-10 * n
-    if np.any(empty):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        resp = resp.copy()
-        for j in np.flatnonzero(empty):
-            movable = ~np.any((counts - resp < 1e-10 * n) & ~empty, axis=1)
-            i = int(rng.integers(n))
-            while not movable[i] and movable.any():
-                i = int(rng.integers(n))
-            counts -= resp[i]
-            counts[j] += 1.0
-            empty[j] = False
-            resp[i] = 0.0
-            resp[i, j] = 1.0
-        counts = resp.sum(axis=0)
-
-    weights = counts / n
-    c = data.mean(axis=0)
-    centered = data - c
-    offsets = (resp.T @ centered) / counts[:, None]
-    means = offsets + c
-    sq_norms = np.einsum("ij,ij->i", centered, centered)
-    variances = (sq_norms @ resp - counts * np.sum(offsets**2, axis=1)) / (m * counts)
-    variances = np.maximum(variances, max(variance_floor, 1e-300))
-    weights = weights / weights.sum()
-    return GmmParams(weights=weights, means=means, variances=variances)
+        variance_floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+    rng = rng if rng is not None else np.random.default_rng(0)
+    step = _m_kernel(x, x_sq, np.array(resp.T, dtype=float)[None], variance_floor, [rng])
+    return _run_params(step, c)
 
 
 def em_fit(
@@ -222,45 +264,35 @@ def em_fit(
     rng_seed: int | np.random.Generator = 0,
 ) -> EmResult:
     """Standard EM loop; stops on relative log-likelihood improvement < tol.
-    `rng_seed`, a seed or a Generator, draws the empty-component reseeds."""
+    `rng_seed`, a seed or a Generator, draws the empty-component reseeds.
+    The steps run on the data centered once.  The hard labels take the
+    smallest signed integer type that holds r."""
     data = np.asarray(data, dtype=float)
     if init.n_components != r or init.dim != data.shape[1]:
         raise InputError("initializer shape does not match (r, m)")
-    floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
-    rng = np.random.default_rng(rng_seed)
+    c, x, x_sq = _frame(data)
+    floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+    rngs = [np.random.default_rng(rng_seed)]
     params = init
-    trace: list[float] = []
+    resp, loglik = _e_kernel(x, x_sq, _as_step(init, c))
+    trace = [float(loglik[0])]
     converged = False
-    resp, loglik = e_step(params, data)
-    trace.append(loglik)
     it = 0
     for it in range(1, max_iter + 1):
-        params = m_step(data, resp, variance_floor=floor, rng=rng)
-        resp, loglik = e_step(params, data)
-        trace.append(loglik)
+        step = _m_kernel(x, x_sq, resp, floor, rngs)
+        params = _run_params(step, c)
+        resp, loglik = _e_kernel(x, x_sq, step)
+        trace.append(float(loglik[0]))
         if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1.0):
             converged = True
             break
-    return EmResult(
-        params=params,
-        loglik_trace=trace,
-        iterations=it,
-        converged=converged,
-        hard_labels=np.argmax(resp, axis=1),
-    )
+    labels = np.argmax(resp[0], axis=0).astype(np.min_scalar_type(-r))
+    return EmResult(params, trace, iterations=it, converged=converged, hard_labels=labels)
 
 
 # ---------------------------------------------------------------------------
 # Initializers
 # ---------------------------------------------------------------------------
-
-
-def _params_from_hard_labels(
-    data: np.ndarray, labels: np.ndarray, r: int
-) -> GmmParams:
-    resp = np.zeros((len(data), r))
-    resp[np.arange(len(data)), labels] = 1.0
-    return m_step(data, resp)
 
 
 def _kmeans_pp_seeds(data: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -332,7 +364,7 @@ def init_kmeans(
         labels, centers, wcss = _lloyd(data, data_sq, centers)
         if best is None or wcss < best[0]:
             best = (wcss, labels)
-    return _params_from_hard_labels(data, best[1], r)
+    return m_step(data, np.eye(r)[best[1]])
 
 
 def init_random(data: np.ndarray, r: int, rng_seed: int = 0) -> GmmParams:
@@ -359,26 +391,34 @@ def init_emem(
 ) -> GmmParams:
     """emEM: short EM bursts from random starts; keep the best log-likelihood.
 
-    Each short run starts from a uniformly random row-stochastic
-    responsibility matrix (the classical random soft partition), followed by
-    an M step and `short_iters` `em_fit` iterations with tol=0, all on one rng.
+    Burst `run` draws on its own Generator, default_rng(rng_seed + run), a
+    uniformly random row-stochastic responsibility matrix (the classical
+    random soft partition) and any reseeds of its M step and `short_iters`
+    E/M steps.  The first burst with the highest final log-likelihood wins.
+    The bursts run stacked, EMEM_BLOCK_ELEMENTS responsibilities at a time.
     """
     data = np.asarray(data, dtype=float)
-    if not 1 <= r <= len(data):
-        raise InputError(f"r={r} must lie in [1, n={len(data)}]")
-    floor = VARIANCE_FLOOR_FRACTION * pooled_variance(data)
-    best_loglik = -np.inf
-    best_params = None
-    for run in range(short_runs):
-        rng = np.random.default_rng(rng_seed + run)
-        resp = rng.uniform(size=(len(data), r))
-        resp /= resp.sum(axis=1, keepdims=True)
-        start = m_step(data, resp, variance_floor=floor, rng=rng)
-        fit = em_fit(data, r, start, max_iter=short_iters, tol=0.0, rng_seed=rng)
-        if fit.loglik_trace[-1] > best_loglik:
-            best_loglik = fit.loglik_trace[-1]
-            best_params = fit.params
-    return best_params
+    n = len(data)
+    if not 1 <= r <= n:
+        raise InputError(f"r={r} must lie in [1, n={n}]")
+    c, x, x_sq = _frame(data)
+    floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+    block = max(1, EMEM_BLOCK_ELEMENTS // (r * n))
+    best_loglik, best = -np.inf, None
+    for first in range(0, short_runs, block):
+        runs = range(first, min(first + block, short_runs))
+        rngs = [np.random.default_rng(rng_seed + run) for run in runs]
+        resp = np.empty((len(rngs), r, n))
+        for k, rng in enumerate(rngs):
+            start = rng.uniform(size=(n, r))
+            resp[k] = (start / start.sum(axis=1, keepdims=True)).T
+        step = _m_kernel(x, x_sq, resp, floor, rngs)
+        for _ in range(short_iters):
+            step = _m_kernel(x, x_sq, _e_kernel(x, x_sq, step)[0], floor, rngs)
+        for k, loglik in enumerate(_e_kernel(x, x_sq, step)[1]):
+            if loglik > best_loglik:
+                best_loglik, best = loglik, (step, k)
+    return _run_params(best[0], c, best[1])
 
 
 def init_moments(

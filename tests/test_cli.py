@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from momentgmm import SymmetricTensor, gmm, WaringDecomposition, reconstruct
-from momentgmm.cli import INITIALIZERS, main, read_csv, run_benchmark, write_csv
+from momentgmm.cli import (
+    INITIALIZERS,
+    fit_once,
+    main,
+    read_csv,
+    run_benchmark,
+    write_csv,
+    write_plot_data,
+)
 from conftest import summaries_per_blas_thread_count
 
 
@@ -188,6 +196,20 @@ class TestFit:
             reports.append(json.loads(open(out).read()))
         assert reports[0]["bic"] == -reports[1]["bic"]
 
+    @pytest.mark.parametrize("init", ["kmeans", "emem"])
+    def test_plot_data_independent_of_label_dtype(self, dataset, tmp_path, init):
+        # the fit's compact hard labels write the file that 64-bit labels did
+        data_path, _ = dataset
+        plot = tmp_path / "plot.csv"
+        assert main(["fit", data_path, "--r", "3", "--init", init, "--seed", "0",
+                     "--out", str(tmp_path / "fit.json"), "--plot-data", str(plot)]) == 0
+        data = read_csv(data_path)
+        labels = fit_once(data, 3, init, 0)["hard_labels"]
+        assert labels.dtype == np.int8
+        want = tmp_path / "want.csv"
+        write_plot_data(str(want), data, labels.astype(np.int64))
+        assert plot.read_bytes() == want.read_bytes()
+
     def test_moments_needs_small_r(self, dataset):
         data_path, _ = dataset
         rc = main(["fit", data_path, "--r", "6", "--init", "moments"])
@@ -327,14 +349,13 @@ class TestBenchmark:
         csv_lines = open(os.path.join(out_dir, "replicates.csv")).read().splitlines()
         assert len(csv_lines) == 1 + 3 * 4
 
-    def test_summary_deterministic_across_runs_and_threads(
-        self, tmp_path, example2_params, monkeypatch
-    ):
+    def test_summary_deterministic_across_runs_and_threads(self, tmp_path, example2_params):
+        # three runs in one process; the BLAS thread count is varied by
+        # test_summary_identical_across_blas_thread_counts
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(self.make_config(example2_params, n=150)))
         blobs = []
-        for tag, threads in (("one", "1"), ("two", "1"), ("par", "4")):
-            monkeypatch.setenv("MOMENTGMM_THREADS", threads)
+        for tag in ("one", "two", "three"):
             out_dir = str(tmp_path / tag)
             assert main(["benchmark", "--config", str(cfg), "--out-dir", out_dir,
                          "--quiet"]) == 0
