@@ -347,8 +347,8 @@ def cmd_moments(args) -> int:
 
 def cmd_pca(args) -> int:
     data = read_csv(args.data, header=args.header)
-    if not 1 <= args.q <= data.shape[1]:
-        raise InputError(f"q={args.q} must lie in [1, {data.shape[1]}] (the column count)")
+    if not 1 <= args.q <= min(data.shape):
+        raise InputError(f"q={args.q} must lie in [1, min(n, m) = {min(data.shape)}]")
     centered = data - data.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     directions = vt[: args.q]

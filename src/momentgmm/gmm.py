@@ -5,11 +5,14 @@ by within-cluster sum of squares), the method of moments (tensor
 decomposition of the empirical third moment), emEM (50 short 5-iteration EM
 bursts, keep the best log-likelihood), and plain random seeding.
 
-EM runs on the data centered once (`_frame`), so distances and sufficient
-statistics are taken about the data mean, not the origin.  One E-kernel and
-one M-kernel work on a stack of runs with responsibilities laid out
-(runs, r, n): `em_fit` is one run, emEM's bursts are stacked, and `e_step` /
-`m_step` are one-run wrappers with (n, r) responsibilities.
+EM and k-means run on the data centered once (`_frame`), so distances and
+sufficient statistics are taken about the data mean, not the origin; one
+helper, `_sq_dist`, gives the squared distances to a stack of centers.  One
+E-kernel and one M-kernel work on a stack of runs with responsibilities laid
+out (runs, r, n): `em_fit` is one run, emEM's bursts are stacked, and
+`e_step` / `m_step` are one-run wrappers with (n, r) responsibilities.
+Lloyd updates all centers with one `bincount`; an empty cluster takes the
+farthest point whose move empties no other cluster.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ EMEM_BLOCK_ELEMENTS = 2**20
 
 @dataclass
 class GmmParams:
-    """Weights on the simplex, r mean vectors, r spherical variances."""
+    """Weights on the simplex, r mean vectors, r spherical variances, all
+    finite; the constructor rejects anything else."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -48,6 +52,10 @@ class GmmParams:
             raise InputError("means must be an r x m matrix")
         if self.variances.shape != (r,):
             raise InputError("variances must have length r")
+        if not all(np.isfinite(v).all() for v in (self.weights, self.means, self.variances)):
+            raise InputError("mixture weights, means and variances must be finite")
+        if np.any(self.weights < 0):
+            raise InputError("mixture weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise InputError("weights must sum to 1")
         if not np.all(self.variances > 0):
@@ -72,25 +80,21 @@ class GmmParams:
 
     @classmethod
     def from_json(cls, text: str) -> "GmmParams":
-        """Parse a mixture JSON object.  Non-finite entries and negative
-        weights are rejected.  Weights that sum to within WEIGHT_SUM_SLACK of
-        1, as published four-digit weights do, are renormalized with a
-        warning; larger deviations are rejected."""
+        """Parse a mixture JSON object.  Weights that sum to within
+        WEIGHT_SUM_SLACK of 1, as published four-digit weights do, are
+        renormalized with a warning; the constructor checks everything."""
         try:
             obj = json.loads(text)
             weights, means, variances = (
                 np.array(obj[key], dtype=float)
                 for key in ("weights", "means", "variances")
             )
-            if not all(np.isfinite(v).all() for v in (weights, means, variances)):
-                raise InputError("mixture weights, means and variances must be finite")
-            if np.any(weights < 0):
-                raise InputError("mixture weights must be nonnegative")
             total = weights.sum()
-            if 1e-12 < abs(total - 1.0) <= WEIGHT_SUM_SLACK:
+            rescale = 1e-12 < abs(total - 1.0) <= WEIGHT_SUM_SLACK
+            params = cls(weights / total if rescale else weights, means, variances)
+            if rescale:
                 warnings.warn(f"mixture weights sum to {total:.17g}; renormalized")
-                weights = weights / total
-            return cls(weights, means, variances)
+            return params
         except InputError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -104,17 +108,6 @@ class EmResult:
     iterations: int
     converged: bool
     hard_labels: np.ndarray
-
-
-def _sq_dist(data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """n x r matrix of ||x_i - c_j||^2 in the expanded form
-    ||x||^2 - 2 x.c + ||c||^2, which can dip below zero by rounding;
-    `data_sq` is np.sum(data**2, axis=1)."""
-    return (
-        data_sq[:, None]
-        - 2.0 * data @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
 
 
 def sample(
@@ -132,11 +125,22 @@ def sample(
 
 def _frame(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c, x, x_sq): the data mean c, the centered data x = data - c and its
-    row norms ||x_i||^2.  The EM kernels take means as offsets from c, so
-    that a shift of the data costs their expanded forms no digits."""
+    row norms ||x_i||^2.  The EM kernels and Lloyd take means as offsets
+    from c, so that a shift of the data costs their expanded forms no digits."""
     c = data.mean(axis=0)
     x = data - c
     return c, x, np.einsum("ij,ij->i", x, x)
+
+
+def _sq_dist(x: np.ndarray, x_sq: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """||x_i - o_j||^2 laid out (..., r, n) for offsets (..., r, m) from the
+    center of a frame (x, x_sq), in the expanded form ||x_i||^2 - 2 x_i.o_j +
+    ||o_j||^2, clamped at 0, below which rounding can take it."""
+    d = offsets @ x.T
+    d *= -2.0
+    d += x_sq
+    d += np.sum(offsets**2, axis=-1)[..., None]
+    return np.maximum(d, 0.0, out=d)
 
 
 def pooled_variance(data: np.ndarray) -> float:
@@ -167,13 +171,8 @@ def _e_kernel(x: np.ndarray, x_sq: np.ndarray, step) -> tuple[np.ndarray, np.nda
     (runs, r, n) and the log-likelihoods (runs,).  Each run is its own
     matrix product, so a run's result does not depend on the stack."""
     weights, offsets, variances = step
-    # log w_j - m/2 log(2 pi s_j) - ||x_i - o_j||^2 / (2 s_j), with the squared
-    # distance expanded and clamped at 0
-    a = offsets @ x.T
-    a *= -2.0
-    a += x_sq
-    a += np.sum(offsets**2, axis=2)[..., None]
-    np.maximum(a, 0.0, out=a)
+    # log w_j - m/2 log(2 pi s_j) - ||x_i - o_j||^2 / (2 s_j)
+    a = _sq_dist(x, x_sq, offsets)
     a *= (-0.5 / variances)[..., None]
     a += (np.log(weights) - 0.5 * x.shape[1] * (LOG_2PI + np.log(variances)))[..., None]
     return a, _log_normalize(a).sum(axis=1)
@@ -311,57 +310,52 @@ def _kmeans_pp_seeds(data: np.ndarray, r: int, rng: np.random.Generator) -> np.n
 
 
 def _lloyd(
-    data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray, max_iter: int = 100
+    x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, max_iter: int = 100
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd iterations from `centers`; `data_sq` is np.sum(data**2, axis=1).
-    Empty clusters are reseeded at the farthest point.
+    """Lloyd iterations on a frame (x, x_sq) from `centers`, offsets (r, m)
+    from the frame's center.  Each empty cluster, in index order, takes the
+    point farthest from its own center among those whose move empties no
+    other cluster (so no point is taken twice); n >= r leaves one to take.
     Returns (labels, centers, within-cluster sum of squares)."""
-    (n, m), r = data.shape, len(centers)
+    (n, m), r = x.shape, len(centers)
     rows = np.arange(n)
     labels = np.full(n, -1)
     for _ in range(max_iter):
-        dists = _sq_dist(data, data_sq, centers)
-        new_labels = np.argmin(dists, axis=1)
+        dists = _sq_dist(x, x_sq, centers)
+        new_labels = np.argmin(dists, axis=0)
         counts = np.bincount(new_labels, minlength=r)
-        if counts.all() and m > 1:
-            # bincount adds each (cluster, column) bin in row order from 0.0,
-            # as data[new_labels == j].mean(axis=0) does when m > 1
-            bins = (new_labels * m)[:, None] + np.arange(m)
-            sums = np.bincount(bins.ravel(), weights=data.ravel(), minlength=r * m)
-            centers = sums.reshape(r, m) / counts[:, None]
-        else:
-            closest = dists[rows, new_labels]
-            for j in range(r):
-                mask = new_labels == j
-                if not np.any(mask):
-                    far = int(np.argmax(closest))
-                    centers[j] = data[far]
-                    new_labels[far] = j
-                    mask = new_labels == j
-                centers[j] = data[mask].mean(axis=0)
+        for j in np.flatnonzero(counts == 0):
+            movable = counts[new_labels] > 1
+            far = int(np.argmax(np.where(movable, dists[new_labels, rows], -1.0)))
+            counts[new_labels[far]] -= 1
+            counts[j] = 1
+            new_labels[far] = j
+        bins = (new_labels * m)[:, None] + np.arange(m)
+        sums = np.bincount(bins.ravel(), weights=x.ravel(), minlength=r * m)
+        centers = sums.reshape(r, m) / counts[:, None]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    dists = _sq_dist(data, data_sq, centers)
-    labels = np.argmin(dists, axis=1)
-    wcss = float(np.sum(dists[rows, labels]))
-    return labels, centers, wcss
+    dists = _sq_dist(x, x_sq, centers)
+    labels = np.argmin(dists, axis=0)
+    return labels, centers, float(dists[labels, rows].sum())
 
 
 def init_kmeans(
     data: np.ndarray, r: int, runs: int = 50, rng_seed: int = 0
 ) -> GmmParams:
     """Best of `runs` k-means++ / Lloyd runs by WCSS, turned into mixture
-    parameters through a hard-label M step."""
+    parameters through a hard-label M step.  Seeding and Lloyd run on the
+    data centered once (`_frame`)."""
     data = np.asarray(data, dtype=float)
     if not 1 <= r <= len(data):
         raise InputError(f"r={r} must lie in [1, n={len(data)}]")
-    data_sq = np.sum(data**2, axis=1)
+    _, x, x_sq = _frame(data)
     best = None
     for run in range(runs):
         rng = np.random.default_rng(rng_seed + run)
-        centers = _kmeans_pp_seeds(data, r, rng)
-        labels, centers, wcss = _lloyd(data, data_sq, centers)
+        centers = _kmeans_pp_seeds(x, r, rng)
+        labels, centers, wcss = _lloyd(x, x_sq, centers)
         if best is None or wcss < best[0]:
             best = (wcss, labels)
     return m_step(data, np.eye(r)[best[1]])

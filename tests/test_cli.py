@@ -310,6 +310,16 @@ class TestPca:
         rc = main(["pca", data_path, "--q", "9", "--out", str(tmp_path / "o.csv")])
         assert rc == 1
 
+    def test_q_above_row_count(self, tmp_path):
+        # 2 rows, 3 columns: the SVD has only 2 directions
+        path = tmp_path / "d.csv"
+        write_csv(str(path), np.arange(6.0).reshape(2, 3) ** 2)
+        out = tmp_path / "o.csv"
+        assert main(["pca", str(path), "--q", "3", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(["pca", str(path), "--q", "2", "--out", str(out)]) == 0
+        assert read_csv(str(out)).shape == (2, 2)
+
     @pytest.mark.parametrize("q", ["0", "-1"])
     def test_non_positive_q_rejected(self, dataset, tmp_path, q):
         data_path, _ = dataset

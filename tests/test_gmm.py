@@ -28,6 +28,7 @@ from momentgmm.gmm import (
     DEFAULT_TOL,
     LOG_2PI,
     VARIANCE_FLOOR_FRACTION,
+    _frame,
     _kmeans_pp_seeds,
     _lloyd,
     _log_normalize,
@@ -59,6 +60,17 @@ class TestGmmParams:
             GmmParams(np.array([1.0]), np.zeros((1, 3)), np.array([-1.0]))
         with pytest.raises(InputError):
             GmmParams(np.array([1.0]), np.zeros((2, 3)), np.ones(1))
+        nan, inf = float("nan"), float("inf")
+        for weights, means, variances in [
+            ([nan, 0.5], np.zeros((2, 3)), np.ones(2)),
+            ([1.5, -0.5], np.zeros((2, 3)), np.ones(2)),
+            ([0.5, 0.5], [[0.0, nan, 0.0], [0.0, 0.0, 0.0]], np.ones(2)),
+            ([0.5, 0.5], [[0.0, 0.0, -inf], [0.0, 0.0, 0.0]], np.ones(2)),
+            ([0.5, 0.5], np.zeros((2, 3)), [1.0, inf]),
+            ([0.5, 0.5], np.zeros((2, 3)), [nan, 1.0]),
+        ]:
+            with pytest.raises(InputError, match="mixture"):
+                GmmParams(weights, means, variances)
 
     def test_json_round_trip(self, example1_params):
         back = GmmParams.from_json(example1_params.to_json())
@@ -76,6 +88,12 @@ class TestGmmParams:
         obj["weights"] = [0.0930, 0.2151, 0.6908]
         with pytest.raises(InputError):
             GmmParams.from_json(json.dumps(obj))
+        # a rejected model is not announced as renormalized first
+        obj["weights"] = [-0.0005, 0.3005, 0.6999]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="nonnegative"):
+                GmmParams.from_json(json.dumps(obj))
 
     def test_malformed_json(self):
         with pytest.raises(InputError):
@@ -569,54 +587,63 @@ class TestEmFit:
             em_fit(data, 4, init_random(data, 3, rng_seed=0))
 
 
-def loop_sq_dist(data, centers):
-    return (
-        np.sum(data**2, axis=1)[:, None]
-        - 2.0 * data @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
+def direct_sq_dist(x, centers):
+    """(r, n) squared distances ||x_i - c_j||^2 by direct differences."""
+    return np.array([np.sum((x - c) ** 2, axis=1) for c in centers])
 
 
-def loop_lloyd(data, centers, max_iter=100):
-    """The per-cluster Lloyd loop _lloyd must reproduce; also returns whether
-    an empty cluster was reseeded."""
-    r = len(centers)
-    labels = np.full(len(data), -1)
-    reseeded = False
-    for _ in range(max_iter):
-        dists = loop_sq_dist(data, centers)
-        new_labels = np.argmin(dists, axis=1)
-        closest = dists[np.arange(len(data)), new_labels]
-        for j in range(r):
-            mask = new_labels == j
-            if not np.any(mask):
-                reseeded = True
-                far = int(np.argmax(closest))
-                centers[j] = data[far]
-                new_labels[far] = j
-                mask = new_labels == j
-            centers[j] = data[mask].mean(axis=0)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    dists = loop_sq_dist(data, centers)
-    labels = np.argmin(dists, axis=1)
-    wcss = float(np.sum(dists[np.arange(len(data)), labels]))
-    return labels, centers, wcss, reseeded
+def loop_lloyd(x, centers, labels):
+    """One Lloyd update, the per-cluster loop _lloyd must follow: from the
+    assignment `labels` to `centers`, each empty cluster, in index order,
+    takes the point farthest (by direct differences) from its own center
+    among those whose move empties no other cluster, then each center
+    becomes its cluster's mean.  Returns (labels, centers, whether a cluster
+    was empty)."""
+    labels, r = labels.copy(), len(centers)
+    closest = direct_sq_dist(x, centers)[labels, np.arange(len(x))]
+    empty = [j for j in range(r) if not np.any(labels == j)]
+    for j in empty:
+        sizes = np.bincount(labels, minlength=r)
+        movable = [i for i in range(len(x)) if sizes[labels[i]] > 1]
+        labels[max(movable, key=lambda i: closest[i])] = j
+    return labels, np.array([x[labels == j].mean(axis=0) for j in range(r)]), bool(empty)
 
 
 class TestLloyd:
+    """_lloyd against loop_lloyd to tolerance, in lock step: _lloyd's state
+    after k iterations is _lloyd(..., max_iter=k), whose labels are the
+    assignment of iteration k + 1.  Exactly tied distances may be split
+    either way, and a split decides the rest of the run, so each step starts
+    from _lloyd's own state."""
+
     @staticmethod
-    def assert_matches_loop(data, centers):
-        labels, got_centers, wcss = _lloyd(data, np.sum(data**2, axis=1), centers.copy())
-        ref_labels, ref_centers, ref_wcss, reseeded = loop_lloyd(data, centers.copy())
-        assert np.array_equal(labels, ref_labels)
-        assert _same_bits(got_centers, ref_centers)
-        assert _same_bits(np.array(wcss), np.array(ref_wcss))
-        return reseeded
+    def assert_matches_loop(x, centers):
+        """Every assignment is the direct-difference argmin but at ties (a gap
+        within 1e-13 of ||x_i||^2 + ||c_j||^2), every update loop_lloyd's to
+        atol 1e-12 * max|x_i| (measured 6e-16), and every WCSS the direct one
+        to 1e-12 of sum ||x_i||^2 (measured 3e-16).  Returns whether a
+        cluster was reseeded."""
+        x_sq = np.sum(x**2, axis=1)
+        rows = np.arange(len(x))
+        want, reseeded = centers, False
+        for k in range(101):
+            labels, got, wcss = _lloyd(x, x_sq, centers.copy(), max_iter=k)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(x).max())
+            dists = direct_sq_dist(x, got)
+            best = np.argmin(dists, axis=0)
+            gap = dists[labels, rows] - dists[best, rows]
+            assert np.all(gap <= 1e-13 * (x_sq + np.max(np.sum(got**2, axis=1))))
+            assert wcss == pytest.approx(dists[labels, rows].sum(), rel=0, abs=1e-12 * x_sq.sum())
+            if k and np.array_equal(got, previous):
+                return reseeded
+            previous = got
+            _, want, empty = loop_lloyd(x, got, labels)
+            reseeded |= empty
+        raise AssertionError("_lloyd did not converge in 100 iterations")
 
     @pytest.mark.parametrize("m, r", [(1, 3), (2, 2), (6, 4), (5, 3), (12, 6), (30, 15)])
     def test_bit_equal_to_loop(self, m, r):
+        """Lock step with loop_lloyd to tolerance."""
         rng = np.random.default_rng(100 * m + r)
         for t in range(6):
             n = int(rng.integers(r, 600))
@@ -625,24 +652,37 @@ class TestLloyd:
                 data = np.round(data)  # duplicated rows and exact ties
             if t % 3 == 2:
                 data = data[rng.integers(0, max(r, n // 10), size=n)]
-            centers = _kmeans_pp_seeds(data, r, np.random.default_rng(t))
-            self.assert_matches_loop(data, centers)
+            x = _frame(data)[1]
+            self.assert_matches_loop(x, _kmeans_pp_seeds(x, r, np.random.default_rng(t)))
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_empty_cluster_far_center(self, m):
         rng = np.random.default_rng(21)
-        data = rng.normal(size=(300, m))
-        centers = _kmeans_pp_seeds(data, 4, rng)
+        x = _frame(rng.normal(size=(300, m)))[1]
+        centers = _kmeans_pp_seeds(x, 4, rng)
         centers[2] = 1e6
-        assert self.assert_matches_loop(data, centers)
+        assert self.assert_matches_loop(x, centers)
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_empty_cluster_coincident_centers(self, m):
         rng = np.random.default_rng(22)
-        data = rng.normal(size=(300, m))
-        centers = _kmeans_pp_seeds(data, 4, rng)
+        x = _frame(rng.normal(size=(300, m)))[1]
+        centers = _kmeans_pp_seeds(x, 4, rng)
         centers[3] = centers[1]
-        assert self.assert_matches_loop(data, centers)
+        assert self.assert_matches_loop(x, centers)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_two_empty_clusters_take_distinct_points(self, m):
+        # both far centers are empty after the first assignment, and the
+        # farthest point can fill only one of them
+        rng = np.random.default_rng(21)
+        x = _frame(rng.normal(size=(300, m)))[1]
+        centers = _kmeans_pp_seeds(x, 4, rng)
+        centers[2], centers[3] = 1e6, 2e6
+        labels, got, _ = _lloyd(x, np.sum(x**2, axis=1), centers.copy(), max_iter=1)
+        assert not np.array_equal(got[2], got[3])
+        assert np.all(np.bincount(labels, minlength=4) > 0)
+        assert self.assert_matches_loop(x, centers)
 
 
 def loop_emem(data, r, short_runs=50, short_iters=5, rng_seed=0):
@@ -733,8 +773,8 @@ def three_blobs():
 
 
 class TestTranslationInvariance:
-    """EM and emEM work about the data mean, so shifting data and start by t
-    changes nothing but the rounding of the shifted input."""
+    """EM, emEM and k-means work about the data mean, so shifting data and
+    start by t changes nothing but the rounding of the shifted input."""
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(shift=st.lists(st.floats(-1e7, 1e7), min_size=3, max_size=3))
@@ -746,6 +786,16 @@ class TestTranslationInvariance:
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
         assert np.array_equal(got.hard_labels, want.hard_labels)
         assert got.loglik_trace[-1] == pytest.approx(want.loglik_trace[-1], rel=1e-10)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(shift=st.lists(st.floats(-1e7, 1e7), min_size=3, max_size=3))
+    def test_init_kmeans(self, shift):
+        data, _ = three_blobs()
+        t = np.array(shift)
+        got, want = init_kmeans(data + t, 3, runs=10), init_kmeans(data, 3, runs=10)
+        # measured at |t| = 1e7: 8.5e-10 on the means, bit-equal weights
+        np.testing.assert_allclose(got.means - t, want.means, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(got.weights, want.weights)
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(shift=st.lists(st.floats(-1e7, 1e7), min_size=3, max_size=3))
