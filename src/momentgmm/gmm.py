@@ -11,8 +11,13 @@ helper, `_sq_dist`, gives the squared distances to a stack of centers.  One
 E-kernel and one M-kernel work on a stack of runs with responsibilities laid
 out (runs, r, n): `em_fit` is one run, emEM's bursts are stacked, and
 `e_step` / `m_step` are one-run wrappers with (n, r) responsibilities.
-Lloyd updates all centers with one `bincount`; an empty cluster takes the
-farthest point whose move empties no other cluster.
+k-means' restarts are stacked too: k-means++ seeds every run on its own
+Generator, and Lloyd iterates the runs still moving, with distances laid out
+(runs, r, n), a running comparison for the nearest center and a `bincount`
+over (run, cluster) bins for the center sums; an empty cluster takes the
+farthest point whose move empties no other cluster.  A stacked run does the
+arithmetic it does alone, so its result is the same, bit for bit.  Both
+initializers stack their restarts in blocks of RESTART_BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEFAULT_TOL = 1e-8
 VARIANCE_FLOOR_FRACTION = 1e-8
 WEIGHT_SUM_SLACK = 1e-3
-# responsibilities (runs x r x n) that init_emem stacks in one block
-EMEM_BLOCK_ELEMENTS = 2**20
+# entries of the largest array that init_kmeans and init_emem stack in one
+# block of restarts: (runs x r x n) responsibilities or distances, and for
+# k-means also (runs x n x m) seeding differences and center-sum weights
+RESTART_BLOCK_ELEMENTS = 2**20
 
 
 @dataclass
@@ -272,19 +279,19 @@ def em_fit(
     c, x, x_sq = _frame(data)
     floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
     rngs = [np.random.default_rng(rng_seed)]
-    params = init
+    step = None
     resp, loglik = _e_kernel(x, x_sq, _as_step(init, c))
     trace = [float(loglik[0])]
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         step = _m_kernel(x, x_sq, resp, floor, rngs)
-        params = _run_params(step, c)
         resp, loglik = _e_kernel(x, x_sq, step)
         trace.append(float(loglik[0]))
         if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1.0):
             converged = True
             break
+    params = init if step is None else _run_params(step, c)
     labels = np.argmax(resp[0], axis=0).astype(np.min_scalar_type(-r))
     return EmResult(params, trace, iterations=it, converged=converged, hard_labels=labels)
 
@@ -294,71 +301,115 @@ def em_fit(
 # ---------------------------------------------------------------------------
 
 
-def _kmeans_pp_seeds(data: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(data)
-    centers = np.empty((r, data.shape[1]))
-    centers[0] = data[rng.integers(n)]
-    closest = np.sum((data - centers[0]) ** 2, axis=1)
+def _kmeans_pp_seeds(x: np.ndarray, r: int, rngs) -> np.ndarray:
+    """k-means++ centers (runs, r, m), run k drawn on its Generator rngs[k],
+    with the same calls in the same order as a run seeded alone.  The
+    distances to the nearest center so far are direct differences, (runs, n):
+    the expanded form can round below zero, which rng.choice rejects."""
+    def direct_sq_dist(center):
+        diff = x - center[:, None]
+        return np.sum(np.square(diff, out=diff), axis=2)
+
+    n = len(x)
+    centers = np.empty((len(rngs), r, x.shape[1]))
+    centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
+    closest = direct_sq_dist(centers[:, 0])
     for j in range(1, r):
-        total = closest.sum()
-        if total <= 0:
-            centers[j] = data[rng.integers(n)]
-        else:
-            centers[j] = data[rng.choice(n, p=closest / total)]
-        closest = np.minimum(closest, np.sum((data - centers[j]) ** 2, axis=1))
+        for k, rng in enumerate(rngs):
+            total = closest[k].sum()
+            row = rng.integers(n) if total <= 0 else rng.choice(n, p=closest[k] / total)
+            centers[k, j] = x[row]
+        np.minimum(closest, direct_sq_dist(centers[:, j]), out=closest)
     return centers
+
+
+def _nearest(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and value of the smallest of the r slices of d (runs, r, n), the
+    first on ties as argmin gives it, by a running comparison: argmin along
+    the short middle axis costs several times more.  The indices take the
+    smallest unsigned integer type that holds r - 1."""
+    kind = np.min_scalar_type(d.shape[1] - 1).type
+    labels = np.zeros((len(d), d.shape[2]), dtype=kind)
+    nearest = d[:, 0].copy()
+    for j in range(1, d.shape[1]):
+        closer = d[:, j] < nearest
+        # every label is below j here, so this sets j where closer
+        np.maximum(labels, closer * kind(j), out=labels)
+        np.minimum(nearest, d[:, j], out=nearest)
+    return labels, nearest
 
 
 def _lloyd(
     x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, max_iter: int = 100
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd iterations on a frame (x, x_sq) from `centers`, offsets (r, m)
-    from the frame's center.  Each empty cluster, in index order, takes the
-    point farthest from its own center among those whose move empties no
-    other cluster (so no point is taken twice); n >= r leaves one to take.
-    Returns (labels, centers, within-cluster sum of squares)."""
-    (n, m), r = x.shape, len(centers)
-    rows = np.arange(n)
-    labels = np.full(n, -1)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iterations of a stack of runs on a frame (x, x_sq) from
+    `centers`, offsets (runs, r, m) from the frame's center.  Each empty
+    cluster, in index order, takes the point farthest from its own center
+    among those whose move empties no other cluster (so no point is taken
+    twice); n >= r leaves one to take.  A run stops once its labels do not
+    change.  A run's arithmetic is that of the run alone, in the same order:
+    each center sum is one bincount bin, filled in row order.  Returns
+    labels (runs, n), centers and within-cluster sums of squares (runs,)."""
+    (n, m), (runs, r) = x.shape, centers.shape[:2]
+    centers = centers.copy()
+    labels = np.full((runs, n), -1)
+    active = np.arange(runs)
+    # column d of x repeated for every run, so a prefix serves any active set
+    columns = np.tile(x.T, runs)
     for _ in range(max_iter):
-        dists = _sq_dist(x, x_sq, centers)
-        new_labels = np.argmin(dists, axis=0)
-        counts = np.bincount(new_labels, minlength=r)
-        for j in np.flatnonzero(counts == 0):
-            movable = counts[new_labels] > 1
-            far = int(np.argmax(np.where(movable, dists[new_labels, rows], -1.0)))
-            counts[new_labels[far]] -= 1
-            counts[j] = 1
-            new_labels[far] = j
-        bins = (new_labels * m)[:, None] + np.arange(m)
-        sums = np.bincount(bins.ravel(), weights=x.ravel(), minlength=r * m)
-        centers = sums.reshape(r, m) / counts[:, None]
-        if np.array_equal(new_labels, labels):
+        new_labels, nearest = _nearest(_sq_dist(x, x_sq, centers[active]))
+        cells = new_labels + (np.arange(len(active)) * r)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=len(active) * r).reshape(-1, r)
+        for k in np.flatnonzero(np.any(counts == 0, axis=1)):
+            run_labels, run_counts = new_labels[k], counts[k]
+            for j in np.flatnonzero(run_counts == 0):
+                movable = run_counts[run_labels] > 1
+                far = int(np.argmax(np.where(movable, nearest[k], -1.0)))
+                run_counts[run_labels[far]] -= 1
+                run_counts[j] = 1
+                run_labels[far] = j
+                cells[k, far] = k * r + j
+        cells = cells.ravel()
+        sums = np.stack(
+            [np.bincount(cells, weights=col[: cells.size], minlength=counts.size) for col in columns],
+            axis=-1,
+        )
+        centers[active] = sums.reshape(-1, r, m) / counts[..., None]
+        moved = np.any(new_labels != labels[active], axis=1)
+        labels[active] = new_labels
+        active = active[moved]
+        if not active.size:
             break
-        labels = new_labels
-    dists = _sq_dist(x, x_sq, centers)
-    labels = np.argmin(dists, axis=0)
-    return labels, centers, float(dists[labels, rows].sum())
+    labels, nearest = _nearest(_sq_dist(x, x_sq, centers))
+    return labels, centers, nearest.sum(axis=1)
 
 
 def init_kmeans(
     data: np.ndarray, r: int, runs: int = 50, rng_seed: int = 0
 ) -> GmmParams:
     """Best of `runs` k-means++ / Lloyd runs by WCSS, turned into mixture
-    parameters through a hard-label M step.  Seeding and Lloyd run on the
-    data centered once (`_frame`)."""
+    parameters through a hard-label M step.  Run `run` seeds on its own
+    Generator, default_rng(rng_seed + run), and the first run with the least
+    WCSS wins.  Seeding and Lloyd run on the data centered once (`_frame`),
+    stacked, RESTART_BLOCK_ELEMENTS entries of their largest array at a
+    time."""
     data = np.asarray(data, dtype=float)
-    if not 1 <= r <= len(data):
-        raise InputError(f"r={r} must lie in [1, n={len(data)}]")
+    n, m = data.shape
+    if not 1 <= r <= n:
+        raise InputError(f"r={r} must lie in [1, n={n}]")
+    if runs < 1:
+        raise InputError(f"runs={runs} must be >= 1")
     _, x, x_sq = _frame(data)
-    best = None
-    for run in range(runs):
-        rng = np.random.default_rng(rng_seed + run)
-        centers = _kmeans_pp_seeds(x, r, rng)
-        labels, centers, wcss = _lloyd(x, x_sq, centers)
-        if best is None or wcss < best[0]:
-            best = (wcss, labels)
-    return m_step(data, np.eye(r)[best[1]])
+    block = max(1, RESTART_BLOCK_ELEMENTS // (max(r, m) * n))
+    best_wcss, best = np.inf, None
+    for first in range(0, runs, block):
+        stack = range(first, min(first + block, runs))
+        rngs = [np.random.default_rng(rng_seed + run) for run in stack]
+        labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, r, rngs))
+        for k, run_wcss in enumerate(wcss):
+            if best is None or run_wcss < best_wcss:
+                best_wcss, best = run_wcss, labels[k]
+    return m_step(data, np.eye(r)[best])
 
 
 def init_random(data: np.ndarray, r: int, rng_seed: int = 0) -> GmmParams:
@@ -389,15 +440,17 @@ def init_emem(
     uniformly random row-stochastic responsibility matrix (the classical
     random soft partition) and any reseeds of its M step and `short_iters`
     E/M steps.  The first burst with the highest final log-likelihood wins.
-    The bursts run stacked, EMEM_BLOCK_ELEMENTS responsibilities at a time.
+    The bursts run stacked, RESTART_BLOCK_ELEMENTS responsibilities at a time.
     """
     data = np.asarray(data, dtype=float)
     n = len(data)
     if not 1 <= r <= n:
         raise InputError(f"r={r} must lie in [1, n={n}]")
+    if short_runs < 1:
+        raise InputError(f"short_runs={short_runs} must be >= 1")
     c, x, x_sq = _frame(data)
     floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
-    block = max(1, EMEM_BLOCK_ELEMENTS // (r * n))
+    block = max(1, RESTART_BLOCK_ELEMENTS // (r * n))
     best_loglik, best = -np.inf, None
     for first in range(0, short_runs, block):
         runs = range(first, min(first + block, short_runs))

@@ -586,6 +586,19 @@ class TestEmFit:
         with pytest.raises(InputError):
             em_fit(data, 4, init_random(data, 3, rng_seed=0))
 
+    def test_non_finite_fit_rejected(self):
+        # squared norms of rows near 1e160 overflow, and the steps turn NaN;
+        # the fit's parameters are checked when they are built
+        data = np.random.default_rng(0).normal(size=(40, 2)) * 1e160
+        start = GmmParams(np.array([0.5, 0.5]), data[:2], np.ones(2))
+        with np.errstate(all="ignore"), pytest.raises(InputError, match="finite"):
+            em_fit(data, 2, start, max_iter=5)
+
+    def test_no_iterations_return_the_start(self, example2_params):
+        data, _ = sample(example2_params, 100, rng_seed=9)
+        start = init_random(data, 3, rng_seed=0)
+        assert em_fit(data, 3, start, max_iter=0).params is start
+
 
 def direct_sq_dist(x, centers):
     """(r, n) squared distances ||x_i - c_j||^2 by direct differences."""
@@ -609,36 +622,50 @@ def loop_lloyd(x, centers, labels):
     return labels, np.array([x[labels == j].mean(axis=0) for j in range(r)]), bool(empty)
 
 
+def stacked_seeds(x, r, seeds):
+    """k-means++ centers (runs, r, m) of one run per seed."""
+    return _kmeans_pp_seeds(x, r, [np.random.default_rng(seed) for seed in seeds])
+
+
 class TestLloyd:
-    """_lloyd against loop_lloyd to tolerance, in lock step: _lloyd's state
-    after k iterations is _lloyd(..., max_iter=k), whose labels are the
-    assignment of iteration k + 1.  Exactly tied distances may be split
-    either way, and a split decides the rest of the run, so each step starts
-    from _lloyd's own state."""
+    """The stacked _lloyd against loop_lloyd to tolerance, run by run, in lock
+    step: _lloyd's state after k iterations is _lloyd(..., max_iter=k), whose
+    labels are the assignment of iteration k + 1.  Exactly tied distances may
+    be split either way, and a split decides the rest of the run, so each
+    step starts from _lloyd's own state."""
 
     @staticmethod
     def assert_matches_loop(x, centers):
-        """Every assignment is the direct-difference argmin but at ties (a gap
-        within 1e-13 of ||x_i||^2 + ||c_j||^2), every update loop_lloyd's to
-        atol 1e-12 * max|x_i| (measured 6e-16), and every WCSS the direct one
-        to 1e-12 of sum ||x_i||^2 (measured 3e-16).  Returns whether a
-        cluster was reseeded."""
+        """For each run of a stack of at least 3: every assignment is the
+        direct-difference argmin but at ties (a gap within 1e-13 of ||x_i||^2
+        + ||c_j||^2), every update loop_lloyd's to atol 1e-12 * max|x_i|
+        (measured 6e-16), and every WCSS the direct one to 1e-12 of sum
+        ||x_i||^2 (measured 3e-16).  Returns which runs reseeded a cluster."""
+        assert len(centers) >= 3
         x_sq = np.sum(x**2, axis=1)
         rows = np.arange(len(x))
-        want, reseeded = centers, False
+        atol = 1e-12 * np.abs(x).max()
+        want, previous = centers.copy(), None
+        running = set(range(len(centers)))
+        reseeded = np.zeros(len(centers), dtype=bool)
         for k in range(101):
-            labels, got, wcss = _lloyd(x, x_sq, centers.copy(), max_iter=k)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(x).max())
-            dists = direct_sq_dist(x, got)
-            best = np.argmin(dists, axis=0)
-            gap = dists[labels, rows] - dists[best, rows]
-            assert np.all(gap <= 1e-13 * (x_sq + np.max(np.sum(got**2, axis=1))))
-            assert wcss == pytest.approx(dists[labels, rows].sum(), rel=0, abs=1e-12 * x_sq.sum())
-            if k and np.array_equal(got, previous):
+            labels, got, wcss = _lloyd(x, x_sq, centers, max_iter=k)
+            for run in sorted(running):
+                np.testing.assert_allclose(got[run], want[run], rtol=0, atol=atol)
+                dists = direct_sq_dist(x, got[run])
+                best = np.argmin(dists, axis=0)
+                gap = dists[labels[run], rows] - dists[best, rows]
+                assert np.all(gap <= 1e-13 * (x_sq + np.max(np.sum(got[run] ** 2, axis=1))))
+                direct = dists[labels[run], rows].sum()
+                assert wcss[run] == pytest.approx(direct, rel=0, abs=1e-12 * x_sq.sum())
+                if k and np.array_equal(got[run], previous[run]):
+                    running.remove(run)
+                    continue
+                _, want[run], empty = loop_lloyd(x, got[run], labels[run])
+                reseeded[run] |= empty
+            if not running:
                 return reseeded
             previous = got
-            _, want, empty = loop_lloyd(x, got, labels)
-            reseeded |= empty
         raise AssertionError("_lloyd did not converge in 100 iterations")
 
     @pytest.mark.parametrize("m, r", [(1, 3), (2, 2), (6, 4), (5, 3), (12, 6), (30, 15)])
@@ -653,36 +680,179 @@ class TestLloyd:
             if t % 3 == 2:
                 data = data[rng.integers(0, max(r, n // 10), size=n)]
             x = _frame(data)[1]
-            self.assert_matches_loop(x, _kmeans_pp_seeds(x, r, np.random.default_rng(t)))
+            self.assert_matches_loop(x, stacked_seeds(x, r, range(3 * t, 3 * t + 3)))
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_empty_cluster_far_center(self, m):
-        rng = np.random.default_rng(21)
-        x = _frame(rng.normal(size=(300, m)))[1]
-        centers = _kmeans_pp_seeds(x, 4, rng)
-        centers[2] = 1e6
-        assert self.assert_matches_loop(x, centers)
+        x = _frame(np.random.default_rng(21).normal(size=(300, m)))[1]
+        centers = stacked_seeds(x, 4, [21, 22, 23])
+        centers[1, 2] = 1e6
+        assert self.assert_matches_loop(x, centers)[1]
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_empty_cluster_coincident_centers(self, m):
-        rng = np.random.default_rng(22)
-        x = _frame(rng.normal(size=(300, m)))[1]
-        centers = _kmeans_pp_seeds(x, 4, rng)
-        centers[3] = centers[1]
-        assert self.assert_matches_loop(x, centers)
+        x = _frame(np.random.default_rng(22).normal(size=(300, m)))[1]
+        centers = stacked_seeds(x, 4, [22, 23, 24])
+        centers[0, 3] = centers[0, 1]
+        assert self.assert_matches_loop(x, centers)[0]
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_two_empty_clusters_take_distinct_points(self, m):
-        # both far centers are empty after the first assignment, and the
-        # farthest point can fill only one of them
-        rng = np.random.default_rng(21)
-        x = _frame(rng.normal(size=(300, m)))[1]
-        centers = _kmeans_pp_seeds(x, 4, rng)
-        centers[2], centers[3] = 1e6, 2e6
-        labels, got, _ = _lloyd(x, np.sum(x**2, axis=1), centers.copy(), max_iter=1)
-        assert not np.array_equal(got[2], got[3])
-        assert np.all(np.bincount(labels, minlength=4) > 0)
-        assert self.assert_matches_loop(x, centers)
+        # both far centers of the last run are empty after the first
+        # assignment, and the farthest point can fill only one of them
+        x = _frame(np.random.default_rng(21).normal(size=(300, m)))[1]
+        centers = stacked_seeds(x, 4, [21, 22, 23])
+        centers[2, 2], centers[2, 3] = 1e6, 2e6
+        labels, got, _ = _lloyd(x, np.sum(x**2, axis=1), centers, max_iter=1)
+        assert not np.array_equal(got[2, 2], got[2, 3])
+        assert np.all(np.bincount(labels[2], minlength=4) > 0)
+        assert self.assert_matches_loop(x, centers)[2]
+
+    def test_runs_stop_apart(self):
+        # a stack whose runs converge after different numbers of iterations
+        # keeps each run's own result
+        x = _frame(np.random.default_rng(5).normal(size=(400, 3)))[1]
+        centers = stacked_seeds(x, 5, range(4))
+        x_sq = np.sum(x**2, axis=1)
+        stacked = _lloyd(x, x_sq, centers)
+        for run in range(4):
+            alone = _lloyd(x, x_sq, centers[run : run + 1])
+            assert all(_same_bits(np.asarray(a[0], float), np.asarray(b[run], float))
+                       for a, b in zip(alone, stacked))
+
+
+def loop_kmeans_pp_seeds(x, r, rng):
+    """k-means++ seeding of one run, one center at a time."""
+    n = len(x)
+    centers = np.empty((r, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    closest = np.sum((x - centers[0]) ** 2, axis=1)
+    for j in range(1, r):
+        total = closest.sum()
+        if total <= 0:
+            centers[j] = x[rng.integers(n)]
+        else:
+            centers[j] = x[rng.choice(n, p=closest / total)]
+        closest = np.minimum(closest, np.sum((x - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def loop_lloyd_run(x, x_sq, centers, max_iter=100):
+    """Lloyd iterations of one run, with argmin assignments and a bincount
+    update.  Returns (labels, centers, WCSS)."""
+    (n, m), r = x.shape, len(centers)
+    rows = np.arange(n)
+    labels = np.full(n, -1)
+    for _ in range(max_iter):
+        dists = gmm._sq_dist(x, x_sq, centers)
+        new_labels = np.argmin(dists, axis=0)
+        counts = np.bincount(new_labels, minlength=r)
+        for j in np.flatnonzero(counts == 0):
+            movable = counts[new_labels] > 1
+            far = int(np.argmax(np.where(movable, dists[new_labels, rows], -1.0)))
+            counts[new_labels[far]] -= 1
+            counts[j] = 1
+            new_labels[far] = j
+        bins = (new_labels * m)[:, None] + np.arange(m)
+        sums = np.bincount(bins.ravel(), weights=x.ravel(), minlength=r * m)
+        centers = sums.reshape(r, m) / counts[:, None]
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    dists = gmm._sq_dist(x, x_sq, centers)
+    labels = np.argmin(dists, axis=0)
+    return labels, centers, float(dists[labels, rows].sum())
+
+
+def loop_kmeans(data, r, runs=50, rng_seed=0):
+    """The run-by-run loop init_kmeans must reproduce bit for bit: per run,
+    seeding and Lloyd on default_rng(rng_seed + run); the first run with
+    the least WCSS wins."""
+    data = np.asarray(data, dtype=float)
+    _, x, x_sq = _frame(data)
+    best = None
+    for run in range(runs):
+        centers = loop_kmeans_pp_seeds(x, r, np.random.default_rng(rng_seed + run))
+        labels, _, wcss = loop_lloyd_run(x, x_sq, centers)
+        if best is None or wcss < best[0]:
+            best = (wcss, labels)
+    return m_step(data, np.eye(r)[best[1]])
+
+
+def two_points(copies=10):
+    """Copies of two points: every k-means run has WCSS 0, and the run's
+    first seed decides which point is cluster 0."""
+    return np.repeat(np.array([[0.0, 0.0], [3.0, 1.0]]), copies, axis=0)
+
+
+class TestKmeansStack:
+    """init_kmeans' stacked restarts against loop_kmeans, bit for bit."""
+
+    @pytest.mark.parametrize("example, r", [("example1_params", 4), ("example2_params", 3)])
+    def test_bit_equal_to_loop_on_examples(self, request, example, r):
+        params = request.getfixturevalue(example)
+        for seed in range(10):
+            data, _ = sample(params, 1000, rng_seed=seed)
+            got = init_kmeans(data, r, rng_seed=seed)
+            assert_same_params(got, loop_kmeans(data, r, rng_seed=seed))
+
+    @pytest.mark.parametrize("m, r", [(1, 3), (2, 2), (5, 3), (12, 6), (30, 15)])
+    def test_bit_equal_to_loop_on_rounded_and_duplicated_rows(self, m, r):
+        rng = np.random.default_rng(10 * m + r)
+        for t in range(4):
+            n = int(rng.integers(r, 300))
+            data = np.round(rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-1, 2))
+            if t % 2:
+                data = data[rng.integers(0, max(r, n // 10), size=n)]
+            got = init_kmeans(data, r, runs=10, rng_seed=t)
+            assert_same_params(got, loop_kmeans(data, r, runs=10, rng_seed=t))
+
+    def test_bit_equal_to_loop_on_few_distinct_rows(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m, distinct = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            r = int(rng.integers(distinct + 1, 9))
+            rows = rng.integers(distinct, size=int(rng.integers(r, 25)))
+            data = rng.standard_normal((distinct, m))[rows]
+            got = init_kmeans(data, r, runs=7, rng_seed=seed)
+            assert_same_params(got, loop_kmeans(data, r, runs=7, rng_seed=seed))
+
+    def test_bit_equal_to_loop_r1(self, example2_params):
+        for seed in range(3):
+            data, _ = sample(example2_params, 500, rng_seed=seed)
+            got = init_kmeans(data, 1, rng_seed=seed)
+            assert_same_params(got, loop_kmeans(data, 1, rng_seed=seed))
+
+    def test_first_of_tied_runs_wins(self):
+        data = two_points()
+        alone = [init_kmeans(data, 2, runs=1, rng_seed=run) for run in range(10)]
+        assert any(not _same_bits(a.means, alone[0].means) for a in alone)  # the order differs
+        got = init_kmeans(data, 2, runs=10)
+        assert_same_params(got, alone[0])
+        assert_same_params(got, loop_kmeans(data, 2, runs=10))
+
+    @pytest.mark.parametrize("runs_per_block", [1, 3])
+    def test_block_size_does_not_matter(self, monkeypatch, example2_params, runs_per_block):
+        cases = [(sample(example2_params, 1000, rng_seed=1)[0], 3), (two_points(), 2)]
+        cases += [(few_distinct_rows(seed), 5) for seed in range(8)]
+        for seed, (data, r) in enumerate(cases):
+            per_run = max(r, data.shape[1]) * len(data)
+            assert 50 * per_run <= gmm.RESTART_BLOCK_ELEMENTS  # one block
+            whole = init_kmeans(data, r, rng_seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(gmm, "RESTART_BLOCK_ELEMENTS", runs_per_block * per_run)
+                blocked = init_kmeans(data, r, rng_seed=seed)
+            assert_same_params(blocked, whole)
+
+    def test_memory_bounded_by_the_block(self):
+        # at n = 1e5 and r = 5 a block holds 2 runs: 50 runs take no more
+        # memory at once than 5 do
+        corners = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [2, 2]])
+        blobs = GmmParams(np.full(5, 0.2), 20.0 * corners, np.ones(5))
+        data, _ = sample(blobs, 100_000, rng_seed=1)
+        assert gmm.RESTART_BLOCK_ELEMENTS // (5 * len(data)) == 2
+        few = traced_peak(init_kmeans, data, 5, 5)
+        assert traced_peak(init_kmeans, data, 5, 50) <= 2 * few
 
 
 def loop_emem(data, r, short_runs=50, short_iters=5, rng_seed=0):
@@ -752,10 +922,10 @@ class TestEmem:
         cases += [(few_distinct_rows(seed), 5, {"short_runs": 5}) for seed in range(8)]
         assert any(loop_emem(d, r, rng_seed=i, **kw)[2] for i, (d, r, kw) in enumerate(cases))
         for seed, (data, r, kw) in enumerate(cases):
-            assert 50 * r * len(data) <= gmm.EMEM_BLOCK_ELEMENTS  # one block
+            assert 50 * r * len(data) <= gmm.RESTART_BLOCK_ELEMENTS  # one block
             whole = init_emem(data, r, rng_seed=seed, **kw)
             with monkeypatch.context() as patch:
-                patch.setattr(gmm, "EMEM_BLOCK_ELEMENTS", runs_per_block * r * len(data))
+                patch.setattr(gmm, "RESTART_BLOCK_ELEMENTS", runs_per_block * r * len(data))
                 blocked = init_emem(data, r, rng_seed=seed, **kw)
             assert_same_params(blocked, whole)
 
@@ -907,6 +1077,16 @@ class TestInitializers:
             if not (np.all(np.isfinite(init.means)) and np.all(init.weights > 0)):
                 bad.append(seed)
         assert bad == []
+
+    def test_zero_runs_rejected(self):
+        data = np.random.default_rng(18).standard_normal((20, 2))
+        with pytest.raises(InputError, match="runs=0"):
+            init_kmeans(data, 2, runs=0)
+
+    def test_zero_short_runs_rejected(self):
+        data = np.random.default_rng(18).standard_normal((20, 2))
+        with pytest.raises(InputError, match="short_runs=0"):
+            init_emem(data, 2, short_runs=0)
 
     def test_too_few_points(self):
         data = np.zeros((2, 3))
