@@ -1,23 +1,19 @@
 """Spherical Gaussian mixtures: density, sampling, EM, and EM initializers.
 
-Four initializer strategies are provided: repeated k-means (best of 50 runs
-by within-cluster sum of squares), the method of moments (tensor
-decomposition of the empirical third moment), emEM (50 short 5-iteration EM
-bursts, keep the best log-likelihood), and plain random seeding.
+Four initializers: repeated k-means (best of 50 runs by within-cluster sum
+of squares), the method of moments (tensor decomposition of the empirical
+third moment), emEM (50 short 5-iteration EM bursts, keep the best
+log-likelihood) and plain random seeding.
 
-EM and k-means run on the data centered once (`_frame`), so distances and
-sufficient statistics are taken about the data mean, not the origin; one
-helper, `_sq_dist`, gives the squared distances to a stack of centers.  One
-E-kernel and one M-kernel work on a stack of runs with responsibilities laid
-out (runs, r, n): `em_fit` is one run, emEM's bursts are stacked, and
-`e_step` / `m_step` are one-run wrappers with (n, r) responsibilities.
-k-means' restarts are stacked too: k-means++ seeds every run on its own
-Generator, and Lloyd iterates the runs still moving, with distances laid out
-(runs, r, n), a running comparison for the nearest center and a `bincount`
-over (run, cluster) bins for the center sums; an empty cluster takes the
-farthest point whose move empties no other cluster.  A stacked run does the
-arithmetic it does alone, so its result is the same, bit for bit.  Both
-initializers stack their restarts in blocks of RESTART_BLOCK_ELEMENTS.
+EM, emEM and k-means check their data and center them once (`_frame`), so
+that distances and sufficient statistics are taken about the data mean; one
+helper, `_sq_dist`, gives the squared distances to a stack of centers for
+the E-kernel, Lloyd and k-means++.  One EM loop, `_em_loop`, runs a stack of
+runs with responsibilities laid out (runs, r, n): `em_fit` is one run, and
+emEM's bursts are a stack run for `short_iters` steps at tol = 0.  k-means'
+restarts are stacked too.  A stacked run does the arithmetic it does alone,
+so its result is the same, bit for bit; the restarts run in blocks of
+RESTART_BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ VARIANCE_FLOOR_FRACTION = 1e-8
 WEIGHT_SUM_SLACK = 1e-3
 # entries of the largest array that init_kmeans and init_emem stack in one
 # block of restarts: (runs x r x n) responsibilities or distances, and for
-# k-means also (runs x n x m) seeding differences and center-sum weights
+# k-means also Lloyd's (m x runs n) center-sum weights
 RESTART_BLOCK_ELEMENTS = 2**20
 
 
@@ -132,11 +128,18 @@ def sample(
 
 def _frame(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c, x, x_sq): the data mean c, the centered data x = data - c and its
-    row norms ||x_i||^2.  The EM kernels and Lloyd take means as offsets
-    from c, so that a shift of the data costs their expanded forms no digits."""
+    row norms ||x_i||^2, all finite (a non-finite entry makes every row norm
+    non-finite).  The EM kernels and Lloyd take means as offsets from c, so
+    that a shift of the data costs their expanded forms no digits."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or not data.size:
+        raise InputError(f"data must be a nonempty n x m matrix, got shape {data.shape}")
     c = data.mean(axis=0)
     x = data - c
-    return c, x, np.einsum("ij,ij->i", x, x)
+    x_sq = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(x_sq).all():
+        raise InputError("data must be finite, with squared row norms below overflow")
+    return c, x, x_sq
 
 
 def _sq_dist(x: np.ndarray, x_sq: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -228,6 +231,8 @@ def _m_kernel(x: np.ndarray, x_sq: np.ndarray, resp: np.ndarray, variance_floor:
 
 def _as_step(params: GmmParams, c: np.ndarray) -> tuple:
     """params as a one-run step about the center c."""
+    if params.dim != len(c):
+        raise InputError(f"params are {params.dim}-dimensional, the data {len(c)}-dimensional")
     return params.weights[None], (params.means - c)[None], params.variances[None]
 
 
@@ -237,9 +242,26 @@ def _run_params(step: tuple, c: np.ndarray, k: int = 0) -> GmmParams:
     return GmmParams(weights=weights[k], means=offsets[k] + c, variances=variances[k])
 
 
+def _em_loop(x, x_sq, step, variance_floor, rngs, max_iter, tol):
+    """EM of a stack of runs on a frame (x, x_sq): an E step of `step`, then
+    up to max_iter M/E pairs, until every run's log-likelihood changes by
+    less than tol relative (never at tol = 0).  Returns the last step, its
+    responsibilities, each E step's log-likelihoods as a list of Python
+    floats, and whether tol stopped the loop."""
+    resp, loglik = _e_kernel(x, x_sq, step)
+    trace = [loglik.tolist()]
+    for _ in range(max_iter):
+        step = _m_kernel(x, x_sq, resp, variance_floor, rngs)
+        resp, loglik = _e_kernel(x, x_sq, step)
+        trace.append(loglik.tolist())
+        if all([abs(a - b) < tol * max(abs(b), 1.0) for a, b in zip(trace[-1], trace[-2])]):
+            return step, resp, trace, True
+    return step, resp, trace, False
+
+
 def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
     """Responsibilities, (n, r) and row-stochastic, and total log-likelihood."""
-    c, x, x_sq = _frame(np.asarray(data, dtype=float))
+    c, x, x_sq = _frame(data)
     resp, loglik = _e_kernel(x, x_sq, _as_step(params, c))
     return resp[0].T, float(loglik[0])
 
@@ -253,7 +275,9 @@ def m_step(
     """Weighted-statistics update from (n, r) responsibilities; empty
     components are reseeded at a random data row (_reseed_empty).  Needs at
     least as many rows as components."""
-    c, x, x_sq = _frame(np.asarray(data, dtype=float))
+    c, x, x_sq = _frame(data)
+    if np.ndim(resp) != 2 or len(resp) != len(x):
+        raise InputError(f"resp must be an n x r matrix with n = {len(x)}, got {np.shape(resp)}")
     if variance_floor is None:
         variance_floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -269,31 +293,19 @@ def em_fit(
     tol: float = DEFAULT_TOL,
     rng_seed: int | np.random.Generator = 0,
 ) -> EmResult:
-    """Standard EM loop; stops on relative log-likelihood improvement < tol.
-    `rng_seed`, a seed or a Generator, draws the empty-component reseeds.
-    The steps run on the data centered once.  The hard labels take the
-    smallest signed integer type that holds r."""
-    data = np.asarray(data, dtype=float)
-    if init.n_components != r or init.dim != data.shape[1]:
-        raise InputError("initializer shape does not match (r, m)")
+    """Standard EM loop, the one-run case of `_em_loop`; stops on relative
+    log-likelihood improvement < tol.  `rng_seed`, a seed or a Generator,
+    draws the empty-component reseeds.  The hard labels take the smallest
+    signed integer type that holds r."""
     c, x, x_sq = _frame(data)
+    if init.n_components != r:
+        raise InputError(f"init has {init.n_components} components, r={r}")
     floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
     rngs = [np.random.default_rng(rng_seed)]
-    step = None
-    resp, loglik = _e_kernel(x, x_sq, _as_step(init, c))
-    trace = [float(loglik[0])]
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        step = _m_kernel(x, x_sq, resp, floor, rngs)
-        resp, loglik = _e_kernel(x, x_sq, step)
-        trace.append(float(loglik[0]))
-        if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1.0):
-            converged = True
-            break
-    params = init if step is None else _run_params(step, c)
+    step, resp, trace, converged = _em_loop(x, x_sq, _as_step(init, c), floor, rngs, max_iter, tol)
+    params = init if len(trace) == 1 else _run_params(step, c)
     labels = np.argmax(resp[0], axis=0).astype(np.min_scalar_type(-r))
-    return EmResult(params, trace, iterations=it, converged=converged, hard_labels=labels)
+    return EmResult(params, [run[0] for run in trace], len(trace) - 1, converged, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +313,23 @@ def em_fit(
 # ---------------------------------------------------------------------------
 
 
-def _kmeans_pp_seeds(x: np.ndarray, r: int, rngs) -> np.ndarray:
-    """k-means++ centers (runs, r, m), run k drawn on its Generator rngs[k],
-    with the same calls in the same order as a run seeded alone.  The
-    distances to the nearest center so far are direct differences, (runs, n):
-    the expanded form can round below zero, which rng.choice rejects."""
-    def direct_sq_dist(center):
-        diff = x - center[:, None]
-        return np.sum(np.square(diff, out=diff), axis=2)
-
+def _kmeans_pp_seeds(x: np.ndarray, x_sq: np.ndarray, r: int, rngs) -> np.ndarray:
+    """k-means++ centers (runs, r, m) on a frame (x, x_sq), run k drawn on
+    its Generator rngs[k], with the same calls in the same order as a run
+    seeded alone.  The distances to the nearest center so far, (runs, n),
+    come from _sq_dist.  In its expanded form a row's distance to itself is
+    not exactly 0 but up to about 1.2e-15 ||x_i||^2 (measured at m = 2-30;
+    m = 1 is exact), so a chosen row keeps a weight at rounding level."""
     n = len(x)
     centers = np.empty((len(rngs), r, x.shape[1]))
     centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
-    closest = direct_sq_dist(centers[:, 0])
+    closest = _sq_dist(x, x_sq, centers[:, :1])[:, 0]
     for j in range(1, r):
         for k, rng in enumerate(rngs):
             total = closest[k].sum()
             row = rng.integers(n) if total <= 0 else rng.choice(n, p=closest[k] / total)
             centers[k, j] = x[row]
-        np.minimum(closest, direct_sq_dist(centers[:, j]), out=closest)
+        np.minimum(closest, _sq_dist(x, x_sq, centers[:, j : j + 1])[:, 0], out=closest)
     return centers
 
 
@@ -393,19 +403,18 @@ def init_kmeans(
     WCSS wins.  Seeding and Lloyd run on the data centered once (`_frame`),
     stacked, RESTART_BLOCK_ELEMENTS entries of their largest array at a
     time."""
-    data = np.asarray(data, dtype=float)
-    n, m = data.shape
+    _, x, x_sq = _frame(data)
+    n, m = x.shape
     if not 1 <= r <= n:
         raise InputError(f"r={r} must lie in [1, n={n}]")
     if runs < 1:
         raise InputError(f"runs={runs} must be >= 1")
-    _, x, x_sq = _frame(data)
     block = max(1, RESTART_BLOCK_ELEMENTS // (max(r, m) * n))
     best_wcss, best = np.inf, None
     for first in range(0, runs, block):
         stack = range(first, min(first + block, runs))
         rngs = [np.random.default_rng(rng_seed + run) for run in stack]
-        labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, r, rngs))
+        labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, x_sq, r, rngs))
         for k, run_wcss in enumerate(wcss):
             if best is None or run_wcss < best_wcss:
                 best_wcss, best = run_wcss, labels[k]
@@ -442,13 +451,12 @@ def init_emem(
     E/M steps.  The first burst with the highest final log-likelihood wins.
     The bursts run stacked, RESTART_BLOCK_ELEMENTS responsibilities at a time.
     """
-    data = np.asarray(data, dtype=float)
-    n = len(data)
+    c, x, x_sq = _frame(data)
+    n = len(x)
     if not 1 <= r <= n:
         raise InputError(f"r={r} must lie in [1, n={n}]")
     if short_runs < 1:
         raise InputError(f"short_runs={short_runs} must be >= 1")
-    c, x, x_sq = _frame(data)
     floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
     block = max(1, RESTART_BLOCK_ELEMENTS // (r * n))
     best_loglik, best = -np.inf, None
@@ -460,9 +468,8 @@ def init_emem(
             start = rng.uniform(size=(n, r))
             resp[k] = (start / start.sum(axis=1, keepdims=True)).T
         step = _m_kernel(x, x_sq, resp, floor, rngs)
-        for _ in range(short_iters):
-            step = _m_kernel(x, x_sq, _e_kernel(x, x_sq, step)[0], floor, rngs)
-        for k, loglik in enumerate(_e_kernel(x, x_sq, step)[1]):
+        step, _, trace, _ = _em_loop(x, x_sq, step, floor, rngs, short_iters, tol=0.0)
+        for k, loglik in enumerate(trace[-1]):
             if loglik > best_loglik:
                 best_loglik, best = loglik, (step, k)
     return _run_params(best[0], c, best[1])
@@ -474,13 +481,14 @@ def init_moments(
     """Method-of-moments initializer.
 
     Returns (params, fallback); fallback is True when moment recovery failed
-    and random seeding was substituted.
+    and random seeding was substituted.  `rng_seed` seeds only that random
+    fallback: the pencil draws of the decomposition always use seed 0
+    (`DecompositionOptions.rng_seed`), so every seed gives the same start on
+    the same data.
     """
     data = np.asarray(data, dtype=float)
-    if not 1 <= r <= data.shape[1]:
-        raise InputError(
-            f"moments initializer needs 1 <= r <= m, got r={r}, m={data.shape[1]}"
-        )
+    if data.ndim != 2 or not 1 <= r <= data.shape[1]:
+        raise InputError(f"moments initializer needs n x m data and 1 <= r <= m, got r={r}")
     try:
         moments = empirical_moments(data)
         rec = recover_parameters(moments, r)

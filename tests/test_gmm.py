@@ -587,8 +587,8 @@ class TestEmFit:
             em_fit(data, 4, init_random(data, 3, rng_seed=0))
 
     def test_non_finite_fit_rejected(self):
-        # squared norms of rows near 1e160 overflow, and the steps turn NaN;
-        # the fit's parameters are checked when they are built
+        # squared norms of rows near 1e160 overflow, so the data are
+        # rejected before the first step
         data = np.random.default_rng(0).normal(size=(40, 2)) * 1e160
         start = GmmParams(np.array([0.5, 0.5]), data[:2], np.ones(2))
         with np.errstate(all="ignore"), pytest.raises(InputError, match="finite"):
@@ -598,6 +598,46 @@ class TestEmFit:
         data, _ = sample(example2_params, 100, rng_seed=9)
         start = init_random(data, 3, rng_seed=0)
         assert em_fit(data, 3, start, max_iter=0).params is start
+
+
+def malformed_calls():
+    """A call of a public entry point for each malformed input: data with a
+    non-finite row, 1-D data or no rows, for each entry point, and params or
+    responsibilities that do not fit the data."""
+    good = np.random.default_rng(30).normal(size=(40, 3))
+    nan_row, inf_row = good.copy(), good.copy()
+    nan_row[7, 1], inf_row[7, 1] = np.nan, np.inf
+    bad_data = {"nan-row": nan_row, "inf-row": inf_row, "1d": good[:, 0], "no-rows": good[:0]}
+    start = GmmParams(np.full(2, 0.5), good[:2], np.ones(2))
+    entries = {
+        "init_kmeans": lambda data: init_kmeans(data, 2),
+        "init_emem": lambda data: init_emem(data, 2),
+        "init_random": lambda data: init_random(data, 2),
+        "init_moments": lambda data: init_moments(data, 2),
+        "em_fit": lambda data: em_fit(data, 2, start),
+        "e_step": lambda data: e_step(start, data),
+        "m_step": lambda data: m_step(data, np.full((len(data), 2), 0.5)),
+    }
+    calls = [
+        pytest.param(lambda entry=entry, data=data: entry(data), id=f"{name}-{defect}")
+        for name, entry in entries.items()
+        for defect, data in bad_data.items()
+    ]
+    wide = GmmParams(np.full(2, 0.5), np.zeros((2, 4)), np.ones(2))
+    return calls + [
+        pytest.param(lambda: e_step(wide, good), id="e_step-params-of-other-dim"),
+        pytest.param(lambda: em_fit(good, 2, wide), id="em_fit-start-of-other-dim"),
+        pytest.param(lambda: m_step(good, np.full((39, 2), 0.5)), id="m_step-resp-row-short"),
+        pytest.param(lambda: m_step(good, np.ones(40)), id="m_step-resp-1d"),
+        pytest.param(lambda: m_step(good, np.full((40, 2, 1), 0.5)), id="m_step-resp-3d"),
+    ]
+
+
+@pytest.mark.parametrize("call", malformed_calls())
+def test_malformed_input_rejected(call):
+    # an infinite entry warns on its way to the check
+    with np.errstate(invalid="ignore"), pytest.raises(InputError):
+        call()
 
 
 def direct_sq_dist(x, centers):
@@ -624,7 +664,8 @@ def loop_lloyd(x, centers, labels):
 
 def stacked_seeds(x, r, seeds):
     """k-means++ centers (runs, r, m) of one run per seed."""
-    return _kmeans_pp_seeds(x, r, [np.random.default_rng(seed) for seed in seeds])
+    x_sq = np.einsum("ij,ij->i", x, x)
+    return _kmeans_pp_seeds(x, x_sq, r, [np.random.default_rng(seed) for seed in seeds])
 
 
 class TestLloyd:
