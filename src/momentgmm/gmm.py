@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .moments import empirical_moments, recover_parameters
+from .moments import recover_from_data
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 DEFAULT_TOL = 1e-8
@@ -423,15 +423,15 @@ def init_kmeans(
 
 def init_random(data: np.ndarray, r: int, rng_seed: int = 0) -> GmmParams:
     """Uniform weights, means at r distinct data rows, pooled variance."""
-    data = np.asarray(data, dtype=float)
-    if not 1 <= r <= len(data):
-        raise InputError(f"r={r} must lie in [1, n={len(data)}]")
+    _, x, _ = _frame(data)
+    if not 1 <= r <= len(x):
+        raise InputError(f"r={r} must lie in [1, n={len(x)}]")
     rng = np.random.default_rng(rng_seed)
-    rows = rng.choice(len(data), size=r, replace=False)
-    var = max(pooled_variance(data), 1e-12)
+    rows = rng.choice(len(x), size=r, replace=False)
+    var = max(float(np.sum(x**2) / x.size), 1e-12)
     return GmmParams(
         weights=np.full(r, 1.0 / r),
-        means=data[rows].copy(),
+        means=np.asarray(data, dtype=float)[rows],
         variances=np.full(r, var),
     )
 
@@ -490,14 +490,13 @@ def init_moments(
     if data.ndim != 2 or not 1 <= r <= data.shape[1]:
         raise InputError(f"moments initializer needs n x m data and 1 <= r <= m, got r={r}")
     try:
-        moments = empirical_moments(data)
-        rec = recover_parameters(moments, r)
+        rec, sigma_bar_sq = recover_from_data(data, r)
     except (NumericalError, np.linalg.LinAlgError):
         return init_random(data, r, rng_seed=rng_seed), True
     # near-zero starting variances freeze the E-step, so floor the initializer
     # variances at a twentieth of the mixture-average variance, which
-    # recover_parameters has already put in place of non-positive ones
-    floor = 0.05 * max(1e-6, moments.sigma_bar_sq)
+    # recovery has already put in place of non-positive ones
+    floor = 0.05 * max(1e-6, sigma_bar_sq)
     variances = np.maximum(rec.variances, floor)
     params = GmmParams(
         weights=rec.weights / rec.weights.sum(),

@@ -23,16 +23,22 @@ def bic(loglik: float, n: int, nu: int) -> float:
     return 2.0 * loglik - nu * math.log(n)
 
 
+def _codes(labels: np.ndarray) -> np.ndarray:
+    """Codes from 0, distinct for distinct labels, that index a dense table."""
+    labels = np.asarray(labels)
+    if np.can_cast(labels.dtype, np.int64) and labels.size:
+        low = int(labels.min())
+        if int(labels.max()) - low < labels.size:
+            return labels.astype(np.int64) - low
+    return np.unique(labels, return_inverse=True)[1]
+
+
 def _contingency(labels_a, labels_b) -> np.ndarray:
-    labels_a = np.asarray(labels_a)
-    labels_b = np.asarray(labels_b)
-    if labels_a.shape != labels_b.shape:
+    if np.shape(labels_a) != np.shape(labels_b):
         raise InputError("label vectors must have equal length")
-    _, a = np.unique(labels_a, return_inverse=True)
-    _, b = np.unique(labels_b, return_inverse=True)
-    table = np.zeros((a.max() + 1, b.max() + 1), dtype=np.int64)
-    np.add.at(table, (a, b), 1)
-    return table
+    a, b = _codes(labels_a), _codes(labels_b)
+    cols = int(b.max()) + 1
+    return np.bincount(a * cols + b, minlength=(int(a.max()) + 1) * cols).reshape(-1, cols)
 
 
 def ari(labels_a, labels_b) -> float:
@@ -58,15 +64,13 @@ def ari(labels_a, labels_b) -> float:
 
 def error_rate(pred, truth, r: int) -> float:
     """Minimal misclassification fraction over relabelings of the predicted
-    clusters, via optimal assignment on the r x r confusion matrix."""
+    clusters, via optimal assignment on the confusion matrix."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise InputError("label vectors must have equal length")
     if np.any(pred < 0) or np.any(pred >= r) or np.any(truth < 0) or np.any(truth >= r):
         raise InputError(f"labels must lie in [0, {r})")
-    confusion = np.zeros((r, r), dtype=np.int64)
-    np.add.at(confusion, (pred, truth), 1)
+    # the table leaves out labels that never occur: zero rows and columns add no agreement
+    confusion = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     agree = int(confusion[rows, cols].sum())
     return float((len(pred) - agree) / len(pred))

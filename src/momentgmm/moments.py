@@ -7,9 +7,10 @@ form,
     M2(X) = sum_i w_i (mu_i . X)^2
     M3(X) = sum_i w_i (mu_i . X)^3
 
-where s_i^2 are the component variances.  Recovery runs a Waring
-decomposition of M3 restricted to the span of M2's top r eigenvectors, and
-two linear solves against M2 and M1.
+where s_i^2 are the component variances.  Recovery Waring-decomposes M3 in
+the span W of M2's top r eigenvectors, then solves against M2 and M1.  The fit
+path forms only that r-variable M3, from the projected data y = data W;
+`recover_parameters` contracts a full M3 with W.
 """
 
 from __future__ import annotations
@@ -77,14 +78,14 @@ class RecoveredParams:
     diagnostics: dict = field(default_factory=dict)
 
 
-def empirical_moments(data: np.ndarray) -> MomentSet:
-    """Plug-in moment estimates from an n x m sample matrix."""
+def _sample_moments(data: np.ndarray) -> tuple:
+    """(data as floats, M1, M2, sigma_bar_sq, v, v_ambiguous) of a checked sample."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise InputError("data must be an n x m matrix")
     n, m = data.shape
     if n < 2:
-        raise InputError("need at least 2 samples")
+        raise InputError("data must have at least 2 rows")
     if not np.all(np.isfinite(data)):
         raise InputError("data contains non-finite entries")
 
@@ -101,20 +102,30 @@ def empirical_moments(data: np.ndarray) -> MomentSet:
     proj_sq = (centered @ v) ** 2
     m1 = (data * proj_sq[:, None]).mean(axis=0)
     m2 = data.T @ data / n - sigma_bar_sq * np.eye(m)
+    return data, m1, m2, sigma_bar_sq, v, ambiguous
 
-    # raw[a, b, c] = mean(x_a x_b x_c), one GEMM per c, so that no temporary
-    # is larger than the n x m data (monomials of the rows would be n x s_2)
-    raw = np.empty((m, m, m))
-    for c in range(m):
-        raw[:, :, c] = (data * data[:, [c]]).T @ data / n
-    eye = np.eye(m)
-    raw -= (
+
+def _m3_array(y: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Adjusted M3 of an n x k sample y with adjusted M1 m1: mean(y_a y_b y_c) - sym(m1 (x) I)."""
+    n, k = y.shape
+    # one GEMM per c, so that no temporary is larger than y (monomials of
+    # the rows would be n x s_2)
+    raw = np.empty((k, k, k))
+    for c in range(k):
+        raw[:, :, c] = (y * y[:, [c]]).T @ y / n
+    eye = np.eye(k)
+    return raw - (
         eye[:, :, None] * m1 + eye[:, None, :] * m1[:, None] + eye[None, :, :] * m1[:, None, None]
     )
-    m3 = SymmetricTensor(m, 3, _symmetric_array_coeffs(raw))
+
+
+def empirical_moments(data: np.ndarray) -> MomentSet:
+    """Plug-in moment estimates from an n x m sample matrix."""
+    data, m1, m2, sigma_bar_sq, v, ambiguous = _sample_moments(data)
+    m3 = SymmetricTensor(data.shape[1], 3, _symmetric_array_coeffs(_m3_array(data, m1)))
     return MomentSet(
         m1=m1, m2=m2, m3=m3, sigma_bar_sq=sigma_bar_sq, v=v,
-        n_samples=n, v_ambiguous=ambiguous,
+        n_samples=len(data), v_ambiguous=ambiguous,
     )
 
 
@@ -141,24 +152,35 @@ def exact_moments(params) -> MomentSet:
     )
 
 
-def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
-    """Waring-decompose M3 in the span W of M2's top r eigenvectors, where the
-    means lie, map the points back, rescale against M2, then solve M1 for
-    variances."""
-    m = moments.dim
-    if r > m:
-        raise InputError(f"r={r} exceeds dimension m={m}; r <= m is required")
+def recover_from_data(data: np.ndarray, r: int) -> tuple[RecoveredParams, float]:
+    """(recover_parameters(empirical_moments(data), r), sigma_bar_sq) up to
+    rounding, with M3 in W formed as that of y = data W (W^t W = I)."""
+    data, m1, m2, sigma_bar_sq, _, _ = _sample_moments(data)
+    rec = _recover(m1, m2, sigma_bar_sq, r, len(data), lambda w: _m3_array(data @ w, m1 @ w))
+    return rec, sigma_bar_sq
 
-    eigvals, eigvecs = np.linalg.eigh(moments.m2)
-    basis = eigvecs[:, ::-1][:, :r]
+
+def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
+    """Mixture parameters from a full moment set, its M3 contracted with W."""
+    m = moments.dim
     # dense[a, b, c] = T_(e_a+e_b+e_c), gathered through the degree-2 and
     # degree-3 "beta + e_i" tables
     dense = moments.m3.coeffs[sum_index(m, 2, 1)[sum_index(m, 1, 1)]]
-    projected = np.einsum("abc,ai,bj,ck->ijk", dense, basis, basis, basis, optimize=True)
-    opts = DecompositionOptions(
-        rank=r, k=2, on_complex="error" if moments.n_samples == "exact" else "warn"
-    )
-    dec = decompose(SymmetricTensor(r, 3, _symmetric_array_coeffs(projected)), opts)
+    return _recover(moments.m1, moments.m2, moments.sigma_bar_sq, r, moments.n_samples,
+                    lambda w: np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w, optimize=True))
+
+
+def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
+    """Waring-decompose m3_in(W), M3 in the span W of M2's top r eigenvectors, where the
+    means lie, map the points back, rescale against M2, then solve M1 for variances."""
+    m = len(m1)
+    if r > m:
+        raise InputError(f"r={r} exceeds dimension m={m}; r <= m is required")
+
+    eigvals, eigvecs = np.linalg.eigh(m2)
+    basis = eigvecs[:, ::-1][:, :r]
+    opts = DecompositionOptions(rank=r, k=2, on_complex="error" if n_samples == "exact" else "warn")
+    dec = decompose(SymmetricTensor(r, 3, _symmetric_array_coeffs(m3_in(basis))), opts)
     w_tilde, mu_tilde = dec.weights, dec.points @ basis.T
 
     # scale system: sum_i lambda_i w~_i (mu~_i . X)^2 = M2(X), solved over the
@@ -167,7 +189,7 @@ def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
     design = np.column_stack(
         [w_tilde[i] * pow_linear(mu_tilde[i], 2).coeffs for i in range(r)]
     ) * sqrt_w2[:, None]
-    target = _symmetric_array_coeffs(moments.m2) * sqrt_w2
+    target = _symmetric_array_coeffs(m2) * sqrt_w2
     lam, _, rank2, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank2 < r:
         raise NumericalError("scale system is rank deficient")
@@ -184,11 +206,11 @@ def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
 
     # variance system: sum_i w_i s_i^2 (mu_i . X) = M1(X)
     design1 = (weights[:, None] * means).T
-    variances, _, _, _ = np.linalg.lstsq(design1, moments.m1, rcond=None)
-    resid_m1 = float(np.linalg.norm(design1 @ variances - moments.m1))
+    variances, _, _, _ = np.linalg.lstsq(design1, m1, rcond=None)
+    resid_m1 = float(np.linalg.norm(design1 @ variances - m1))
     # non-positive variance estimates (possible on noisy moments) are replaced
     # by the mixture-average variance, a neutral value EM can adjust from
-    fallback_var = max(WEIGHT_CLAMP, moments.sigma_bar_sq)
+    fallback_var = max(WEIGHT_CLAMP, sigma_bar_sq)
     variances = np.where(variances <= 0, fallback_var, variances)
 
     return RecoveredParams(

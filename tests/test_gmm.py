@@ -601,8 +601,9 @@ class TestEmFit:
 
 
 def malformed_calls():
-    """A call of a public entry point for each malformed input: data with a
-    non-finite row, 1-D data or no rows, for each entry point, and params or
+    """A call of a public entry point for each malformed input, with a pattern
+    its message must match: data with a non-finite row, 1-D data or no rows,
+    for each entry point, where the message names the data, and params or
     responsibilities that do not fit the data."""
     good = np.random.default_rng(30).normal(size=(40, 3))
     nan_row, inf_row = good.copy(), good.copy()
@@ -619,24 +620,25 @@ def malformed_calls():
         "m_step": lambda data: m_step(data, np.full((len(data), 2), 0.5)),
     }
     calls = [
-        pytest.param(lambda entry=entry, data=data: entry(data), id=f"{name}-{defect}")
+        pytest.param(lambda entry=entry, data=data: entry(data), "data", id=f"{name}-{defect}")
         for name, entry in entries.items()
         for defect, data in bad_data.items()
     ]
     wide = GmmParams(np.full(2, 0.5), np.zeros((2, 4)), np.ones(2))
     return calls + [
-        pytest.param(lambda: e_step(wide, good), id="e_step-params-of-other-dim"),
-        pytest.param(lambda: em_fit(good, 2, wide), id="em_fit-start-of-other-dim"),
-        pytest.param(lambda: m_step(good, np.full((39, 2), 0.5)), id="m_step-resp-row-short"),
-        pytest.param(lambda: m_step(good, np.ones(40)), id="m_step-resp-1d"),
-        pytest.param(lambda: m_step(good, np.full((40, 2, 1), 0.5)), id="m_step-resp-3d"),
+        pytest.param(lambda: e_step(wide, good), "params", id="e_step-params-of-other-dim"),
+        pytest.param(lambda: em_fit(good, 2, wide), "params", id="em_fit-start-of-other-dim"),
+        pytest.param(lambda: m_step(good, np.full((39, 2), 0.5)), "resp",
+                     id="m_step-resp-row-short"),
+        pytest.param(lambda: m_step(good, np.ones(40)), "resp", id="m_step-resp-1d"),
+        pytest.param(lambda: m_step(good, np.full((40, 2, 1), 0.5)), "resp", id="m_step-resp-3d"),
     ]
 
 
-@pytest.mark.parametrize("call", malformed_calls())
-def test_malformed_input_rejected(call):
+@pytest.mark.parametrize("call, match", malformed_calls())
+def test_malformed_input_rejected(call, match):
     # an infinite entry warns on its way to the check
-    with np.errstate(invalid="ignore"), pytest.raises(InputError):
+    with np.errstate(invalid="ignore"), pytest.raises(InputError, match=match):
         call()
 
 
@@ -1079,10 +1081,10 @@ class TestInitializers:
         import momentgmm.gmm as gmm_mod
         from momentgmm import NumericalError
 
-        def boom(moments, r):
+        def boom(data, r):
             raise NumericalError("forced failure")
 
-        monkeypatch.setattr(gmm_mod, "recover_parameters", boom)
+        monkeypatch.setattr(gmm_mod, "recover_from_data", boom)
         rng = np.random.default_rng(17)
         data = rng.standard_normal((80, 3))
         params, fallback = init_moments(data, 2, rng_seed=0)

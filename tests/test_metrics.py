@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from momentgmm import InputError, ari, bic, error_rate, nu_spherical
 
@@ -131,3 +132,71 @@ class TestErrorRate:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             error_rate([0], [0, 1], 2)
+
+
+def unique_contingency(a, b):
+    """The contingency table by sorting: ranks of each label vector among its
+    distinct values, counted with np.add.at."""
+    _, ia = np.unique(a, return_inverse=True)
+    _, ib = np.unique(b, return_inverse=True)
+    table = np.zeros((ia.max() + 1, ib.max() + 1), dtype=np.int64)
+    np.add.at(table, (ia, ib), 1)
+    return table
+
+
+def sorting_ari(a, b):
+    """ARI from unique_contingency, by the pair-count formula ari uses."""
+    table = unique_contingency(a, b)
+    n = int(table.sum())
+    if n < 2:
+        return 1.0
+    sum_ij = int(np.sum(table * (table - 1) // 2))
+    rows, cols = table.sum(axis=1), table.sum(axis=0)
+    sum_a, sum_b = int(np.sum(rows * (rows - 1) // 2)), int(np.sum(cols * (cols - 1) // 2))
+    expected = sum_a * sum_b / (n * (n - 1) // 2)
+    max_index = 0.5 * (sum_a + sum_b)
+    if max_index == expected:
+        return 1.0
+    return float((sum_ij - expected) / (max_index - expected))
+
+
+def add_at_error_rate(pred, truth, r):
+    """error_rate with its r x r table counted by np.add.at."""
+    confusion = np.zeros((r, r), dtype=np.int64)
+    np.add.at(confusion, (pred, truth), 1)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    return float((len(pred) - int(confusion[rows, cols].sum())) / len(pred))
+
+
+def label_pairs():
+    rng = np.random.default_rng(41)
+    n = 500
+    base = rng.integers(0, 4, n)
+    yield "int64", base, rng.integers(0, 5, n)
+    yield "int8", base.astype(np.int8), rng.integers(0, 3, n).astype(np.int8)
+    yield "negative", base - 7, rng.integers(-3, 2, n)
+    yield "non-contiguous", base * 10 + 3, rng.choice([-50, 2, 999], n)
+    yield "sparse-range", base * 10**9, rng.integers(0, 2, n)
+    yield "single-cluster", np.zeros(n, dtype=np.int8), base
+    yield "strided", rng.integers(0, 4, 2 * n)[::2], base
+    yield "float", base + 0.5, rng.integers(0, 3, n).astype(float)
+    yield "string", np.array(["a", "b", "c", "d"])[base], base
+
+
+@pytest.mark.parametrize("a, b", [pytest.param(a, b, id=kind) for kind, a, b in label_pairs()])
+def test_ari_matches_sorting_count(a, b):
+    assert ari(a, b) == sorting_ari(a, b)
+    assert ari(b, a) == sorting_ari(b, a)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_error_rate_matches_add_at_count(dtype, r):
+    rng = np.random.default_rng(r)
+    pred = rng.integers(0, r, 300).astype(dtype)
+    truth = rng.integers(0, r, 300).astype(dtype)
+    assert error_rate(pred, truth, r) == add_at_error_rate(pred, truth, r)
+    # a strided view and a single cluster
+    assert error_rate(pred[::3], truth[::3], r) == add_at_error_rate(pred[::3], truth[::3], r)
+    ones = np.zeros_like(pred)
+    assert error_rate(ones, truth, r) == add_at_error_rate(ones, truth, r)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from momentgmm import (
@@ -13,7 +15,8 @@ from momentgmm import (
     sample,
 )
 from momentgmm.gmm import e_step, em_fit, init_moments
-from momentgmm.symtensor import monomials
+from momentgmm.moments import _m3_array
+from momentgmm.symtensor import monomials, sum_index
 from conftest import random_independent_points
 
 
@@ -214,6 +217,46 @@ class TestRecoverParameters:
             assert diag["m2_lambda_r_plus_1"] == pytest.approx(descending[r], rel=1e-12)
         else:
             assert diag["m2_lambda_r_plus_1"] is None
+
+
+class TestProjectedMoments:
+    """The moments start forms M3 only in W, the span of M2's top r
+    eigenvectors, as the adjusted third moment of the projected data; it
+    must agree with contracting the full M3 with W."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 8),
+        r_frac=st.floats(0.0, 1.0),
+        n=st.integers(2, 60),
+        shift=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_contracted_full_m3(self, m, r_frac, n, shift, seed):
+        r = 1 + min(m - 1, int(r_frac * m))
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n, m)) * rng.uniform(0.1, 3.0, m) + shift
+        ms = empirical_moments(data)
+        w = np.linalg.eigh(ms.m2)[1][:, ::-1][:, :r]
+        dense = ms.m3.coeffs[sum_index(m, 2, 1)[sum_index(m, 1, 1)]]
+        want = np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w)
+        got = _m3_array(data @ w, ms.m1 @ w)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(ms.m3.coeffs))
+
+    def test_start_matches_full_moments_route(self, example1_params, example2_params):
+        # the start init_moments built from recover_parameters(empirical_moments)
+        for p in (example1_params, example2_params):
+            r = len(p.weights)
+            for seed in range(10):
+                data, _ = sample(p, 1000, seed)
+                ms = empirical_moments(data)
+                rec = recover_parameters(ms, r)
+                want = (rec.weights / rec.weights.sum(), rec.means,
+                        np.maximum(rec.variances, 0.05 * max(1e-6, ms.sigma_bar_sq)))
+                start, fallback = init_moments(data, r)
+                assert not fallback
+                for got, ref in zip((start.weights, start.means, start.variances), want):
+                    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 class TestHighDimStartQuality:
