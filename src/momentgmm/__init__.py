@@ -7,6 +7,7 @@ from .gmm import (
     GmmParams,
     e_step,
     em_fit,
+    em_fits,
     init_emem,
     init_kmeans,
     init_moments,
@@ -42,6 +43,7 @@ __all__ = [
     "decompose",
     "e_step",
     "em_fit",
+    "em_fits",
     "empirical_moments",
     "error_rate",
     "evaluate",

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 I/O error.
 The benchmark harness runs its replicates one after another; each replicate
 draws its data and initializer streams from its own derived seed, so
-`summary.json` is identical across reruns.
+`summary.json` is identical across reruns.  A replicate runs its
+initializers one by one, then EM from all their starts as one stack
+(gmm.em_fits); its rows equal fit_once's, and a row's time_s is the
+initializer's wall time plus that of the replicate's whole EM stack.
 """
 
 from __future__ import annotations
@@ -101,14 +104,10 @@ def run_initializer(
     name: str, data: np.ndarray, r: int, seed: int
 ) -> tuple[gmm.GmmParams, bool]:
     """Dispatch to an initializer; returns (params, moments_fallback_flag)."""
-    if name == "kmeans":
-        return gmm.init_kmeans(data, r, rng_seed=seed), False
     if name == "moments":
         return gmm.init_moments(data, r, rng_seed=seed)
-    if name == "emem":
-        return gmm.init_emem(data, r, rng_seed=seed), False
-    if name == "random":
-        return gmm.init_random(data, r, rng_seed=seed), False
+    if name in INITIALIZERS:
+        return getattr(gmm, f"init_{name}")(data, r, rng_seed=seed), False
     raise InputError(f"unknown initializer '{name}'")
 
 
@@ -121,16 +120,20 @@ def fit_once(
     truth: np.ndarray | None = None,
 ) -> dict:
     """Initialize + EM + metrics; wall time covers initializer and EM."""
-    n, m = data.shape
     t0 = time.perf_counter()
     init_params, fallback = run_initializer(init_name, data, r, seed)
     result = gmm.em_fit(data, r, init_params, max_iter=max_iter, rng_seed=seed)
-    elapsed = time.perf_counter() - t0
-    nu = metrics.nu_spherical(r, m)
+    return _fit_row(init_name, data, result, fallback, time.perf_counter() - t0, truth)
+
+
+def _fit_row(name: str, data: np.ndarray, result: gmm.EmResult, fallback: bool,
+             elapsed: float, truth: np.ndarray | None) -> dict:
+    """The row of one fit, as fit_once and run_benchmark report it."""
+    (n, m), r = data.shape, result.params.n_components
     row = {
-        "initializer": init_name,
+        "initializer": name,
         "loglik": result.loglik_trace[-1],
-        "bic": metrics.bic(result.loglik_trace[-1], n, nu),
+        "bic": metrics.bic(result.loglik_trace[-1], n, metrics.nu_spherical(r, m)),
         "time_s": elapsed,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -183,27 +186,25 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
     def one_replicate(rep: int, idx: int) -> list[dict]:
         seed = master_seed + 100003 * rep + idx
         data, truth = gmm.sample(model, n, rng_seed=seed)
-        rows = []
+        rows, starts = {}, {}
         for name in initializers:
+            t0 = time.perf_counter()
             try:
-                row = fit_once(data, r, name, seed, max_iter=max_iter, truth=truth)
-                row["failure"] = False
+                starts[name] = run_initializer(name, data, r, seed) + (time.perf_counter() - t0,)
             except (NumericalError, np.linalg.LinAlgError) as exc:
-                row = {
-                    "initializer": name,
-                    "loglik": float("nan"),
-                    "bic": float("nan"),
-                    "ari": float("nan"),
-                    "error_rate": float("nan"),
-                    "time_s": float("nan"),
-                    "fallback": False,
-                    "failure": True,
-                    "message": str(exc),
+                nan = float("nan")
+                rows[name] = {
+                    "initializer": name, "loglik": nan, "bic": nan, "ari": nan, "error_rate": nan,
+                    "time_s": nan, "fallback": False, "failure": True, "message": str(exc),
                 }
-            row["repeat"] = rep
-            row["replicate"] = idx
-            rows.append(row)
-        return rows
+        inits = [start for start, _, _ in starts.values()]
+        t0 = time.perf_counter()
+        fits = gmm.em_fits(data, r, inits, max_iter=max_iter, rng_seed=seed)
+        em_time = time.perf_counter() - t0
+        for (name, (_, fallback, init_time)), result in zip(starts.items(), fits):
+            row = _fit_row(name, data, result, fallback, init_time + em_time, truth)
+            rows[name] = dict(row, failure=False)
+        return [dict(rows[name], repeat=rep, replicate=idx) for name in initializers]
 
     all_rows = [
         row

@@ -9,11 +9,11 @@ EM, emEM and k-means check their data and center them once (`_frame`), so
 that distances and sufficient statistics are taken about the data mean; one
 helper, `_sq_dist`, gives the squared distances to a stack of centers for
 the E-kernel, Lloyd and k-means++.  One EM loop, `_em_loop`, runs a stack of
-runs with responsibilities laid out (runs, r, n): `em_fit` is one run, and
-emEM's bursts are a stack run for `short_iters` steps at tol = 0.  k-means'
-restarts are stacked too.  A stacked run does the arithmetic it does alone,
-so its result is the same, bit for bit; the restarts run in blocks of
-RESTART_BLOCK_ELEMENTS.
+runs laid out (runs, r, n), each leaving the stack once it meets its own
+tolerance: `em_fits` is a stack of starts, `em_fit` one run, and emEM's
+bursts a stack run for `short_iters` steps at tol = 0.  k-means' restarts
+are stacked too.  A stacked run does the arithmetic it does alone, so its
+result is the same, bit for bit; restarts run in RESTART_BLOCK_ELEMENTS blocks.
 """
 
 from __future__ import annotations
@@ -236,27 +236,38 @@ def _as_step(params: GmmParams, c: np.ndarray) -> tuple:
     return params.weights[None], (params.means - c)[None], params.variances[None]
 
 
-def _run_params(step: tuple, c: np.ndarray, k: int = 0) -> GmmParams:
-    """Run k of a step as GmmParams, its means moved back from the center c."""
+def _run_params(step: tuple, c: np.ndarray) -> GmmParams:
+    """A one-run step as GmmParams, its means moved back from the center c."""
     weights, offsets, variances = step
-    return GmmParams(weights=weights[k], means=offsets[k] + c, variances=variances[k])
+    return GmmParams(weights=weights[0], means=offsets[0] + c, variances=variances[0])
 
 
 def _em_loop(x, x_sq, step, variance_floor, rngs, max_iter, tol):
     """EM of a stack of runs on a frame (x, x_sq): an E step of `step`, then
-    up to max_iter M/E pairs, until every run's log-likelihood changes by
-    less than tol relative (never at tol = 0).  Returns the last step, its
-    responsibilities, each E step's log-likelihoods as a list of Python
-    floats, and whether tol stopped the loop."""
+    up to max_iter M/E pairs; run k reseeds on rngs[k] and leaves the stack,
+    as in Lloyd, once its log-likelihood changes by less than tol relative
+    (never at tol = 0).  Returns per run its last step as a one-run stack,
+    its (r, n) responsibilities, its E steps' log-likelihoods as Python
+    floats and whether tol stopped it."""
     resp, loglik = _e_kernel(x, x_sq, step)
-    trace = [loglik.tolist()]
-    for _ in range(max_iter):
-        step = _m_kernel(x, x_sq, resp, variance_floor, rngs)
+    runs, traces, out = list(range(len(rngs))), [[] for _ in rngs], [None] * len(rngs)
+    while True:
+        moving = []
+        for i, (k, value) in enumerate(zip(runs, loglik.tolist())):
+            trace = traces[k]
+            trace.append(value)
+            converged = len(trace) > 1 and abs(value - trace[-2]) < tol * max(abs(trace[-2]), 1.0)
+            if converged or len(trace) > max_iter:
+                out[k] = (tuple(a[i : i + 1] for a in step), resp[i], trace, converged)
+            else:
+                moving.append(i)
+        if not moving:
+            return out
+        if len(moving) < len(runs):
+            runs = [runs[i] for i in moving]
+            step, resp = tuple(a[moving] for a in step), resp[moving]
+        step = _m_kernel(x, x_sq, resp, variance_floor, [rngs[k] for k in runs])
         resp, loglik = _e_kernel(x, x_sq, step)
-        trace.append(loglik.tolist())
-        if all([abs(a - b) < tol * max(abs(b), 1.0) for a, b in zip(trace[-1], trace[-2])]):
-            return step, resp, trace, True
-    return step, resp, trace, False
 
 
 def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -285,27 +296,41 @@ def m_step(
     return _run_params(step, c)
 
 
-def em_fit(
-    data: np.ndarray,
-    r: int,
-    init: GmmParams,
-    max_iter: int = 100,
-    tol: float = DEFAULT_TOL,
-    rng_seed: int | np.random.Generator = 0,
-) -> EmResult:
-    """Standard EM loop, the one-run case of `_em_loop`; stops on relative
-    log-likelihood improvement < tol.  `rng_seed`, a seed or a Generator,
-    draws the empty-component reseeds.  The hard labels take the smallest
-    signed integer type that holds r."""
+def em_fits(
+    data: np.ndarray, r: int, inits: list[GmmParams], max_iter: int = 100,
+    tol: float = DEFAULT_TOL, rng_seed: int | np.random.Generator = 0,
+) -> list[EmResult]:
+    """EM from each start in `inits`, stacked on one frame.  Each run reseeds
+    on its own default_rng(rng_seed) (a Generator is shared by the runs) and
+    stops on its own test, so it gives what `em_fit` gives from its start
+    alone, bit for bit.  Hard labels take the smallest signed integer type
+    that holds r."""
     c, x, x_sq = _frame(data)
-    if init.n_components != r:
-        raise InputError(f"init has {init.n_components} components, r={r}")
+    if any(init.n_components != r for init in inits):
+        raise InputError(f"every start must have r={r} components")
+    if not inits:
+        return []
     floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
-    rngs = [np.random.default_rng(rng_seed)]
-    step, resp, trace, converged = _em_loop(x, x_sq, _as_step(init, c), floor, rngs, max_iter, tol)
-    params = init if len(trace) == 1 else _run_params(step, c)
-    labels = np.argmax(resp[0], axis=0).astype(np.min_scalar_type(-r))
-    return EmResult(params, [run[0] for run in trace], len(trace) - 1, converged, labels)
+    step = tuple(map(np.concatenate, zip(*[_as_step(init, c) for init in inits])))
+    rngs = [np.random.default_rng(rng_seed) for _ in inits]
+    fits = []
+    for init, (run_step, resp, trace, converged) in zip(
+        inits, _em_loop(x, x_sq, step, floor, rngs, max_iter, tol)
+    ):
+        params = init if len(trace) == 1 else _run_params(run_step, c)
+        labels = np.argmax(resp, axis=0).astype(np.min_scalar_type(-r))
+        fits.append(EmResult(params, trace, len(trace) - 1, converged, labels))
+    return fits
+
+
+def em_fit(
+    data: np.ndarray, r: int, init: GmmParams, max_iter: int = 100,
+    tol: float = DEFAULT_TOL, rng_seed: int | np.random.Generator = 0,
+) -> EmResult:
+    """Standard EM loop, the one-run case of `em_fits`; stops on relative
+    log-likelihood improvement < tol.  `rng_seed`, a seed or a Generator,
+    draws the empty-component reseeds."""
+    return em_fits(data, r, [init], max_iter, tol, rng_seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +428,7 @@ def init_kmeans(
     WCSS wins.  Seeding and Lloyd run on the data centered once (`_frame`),
     stacked, RESTART_BLOCK_ELEMENTS entries of their largest array at a
     time."""
-    _, x, x_sq = _frame(data)
+    c, x, x_sq = _frame(data)
     n, m = x.shape
     if not 1 <= r <= n:
         raise InputError(f"r={r} must lie in [1, n={n}]")
@@ -418,7 +443,10 @@ def init_kmeans(
         for k, run_wcss in enumerate(wcss):
             if best is None or run_wcss < best_wcss:
                 best_wcss, best = run_wcss, labels[k]
-    return m_step(data, np.eye(r)[best])
+    # m_step(data, np.eye(r)[best]) on this frame, its one-hot laid out as there
+    floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+    step = _m_kernel(x, x_sq, np.eye(r)[best].T[None], floor, [np.random.default_rng(0)])
+    return _run_params(step, c)
 
 
 def init_random(data: np.ndarray, r: int, rng_seed: int = 0) -> GmmParams:
@@ -468,11 +496,10 @@ def init_emem(
             start = rng.uniform(size=(n, r))
             resp[k] = (start / start.sum(axis=1, keepdims=True)).T
         step = _m_kernel(x, x_sq, resp, floor, rngs)
-        step, _, trace, _ = _em_loop(x, x_sq, step, floor, rngs, short_iters, tol=0.0)
-        for k, loglik in enumerate(trace[-1]):
-            if loglik > best_loglik:
-                best_loglik, best = loglik, (step, k)
-    return _run_params(best[0], c, best[1])
+        for run_step, _, trace, _ in _em_loop(x, x_sq, step, floor, rngs, short_iters, tol=0.0):
+            if trace[-1] > best_loglik:
+                best_loglik, best = trace[-1], run_step
+    return _run_params(best, c)
 
 
 def init_moments(

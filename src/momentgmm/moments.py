@@ -112,7 +112,7 @@ def _m3_array(y: np.ndarray, m1: np.ndarray) -> np.ndarray:
     # the rows would be n x s_2)
     raw = np.empty((k, k, k))
     for c in range(k):
-        raw[:, :, c] = (y * y[:, [c]]).T @ y / n
+        raw[:, :, c] = (y * y[:, c, None]).T @ y / n
     eye = np.eye(k)
     return raw - (
         eye[:, :, None] * m1 + eye[:, None, :] * m1[:, None] + eye[None, :, :] * m1[:, None, None]

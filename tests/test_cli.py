@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from momentgmm import SymmetricTensor, gmm, WaringDecomposition, reconstruct
+from momentgmm import NumericalError, SymmetricTensor, gmm, WaringDecomposition, reconstruct
 from momentgmm.cli import (
     INITIALIZERS,
     fit_once,
@@ -481,6 +481,57 @@ class TestBenchmark:
                    "--out-dir", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @staticmethod
+    def assert_same_row(got, want):
+        """Every key but time_s equal, NaN to NaN; params and hard labels
+        bit for bit."""
+        assert set(got) == set(want)
+        for key in set(got) - {"time_s", "params", "hard_labels"}:
+            assert got[key] == want[key] or got[key] != got[key] and want[key] != want[key], key
+        if got["failure"]:
+            return
+        for name in ("weights", "means", "variances"):
+            assert getattr(got["params"], name).tobytes() == getattr(want["params"], name).tobytes()
+        assert got["hard_labels"].dtype == want["hard_labels"].dtype
+        assert np.array_equal(got["hard_labels"], want["hard_labels"])
+
+    @pytest.mark.parametrize("example", ["example1_params", "example2_params"])
+    def test_rows_equal_fit_once_rows(self, request, example):
+        # the replicate's starts are fitted as one EM stack; each row is the
+        # row fit_once gives for its initializer alone
+        model = request.getfixturevalue(example)
+        for master_seed in (0, 11):
+            cfg = self.make_config(model, n=1000, replicates=2, seed=master_seed)
+            _, rows = run_benchmark(cfg)
+            assert len(rows) == 2 * len(INITIALIZERS)
+            for row in rows:
+                seed = master_seed + row["replicate"]
+                data, truth = gmm.sample(model, 1000, rng_seed=seed)
+                want = fit_once(data, model.n_components, row["initializer"], seed, truth=truth)
+                want.update(failure=False, repeat=0, replicate=row["replicate"])
+                self.assert_same_row(row, want)
+
+    def test_failed_initializer_leaves_the_stack(self, monkeypatch, example2_params):
+        cfg = self.make_config(example2_params, n=300, replicates=2)
+        _, whole = run_benchmark(cfg)
+
+        def failing(*args, **kwargs):
+            raise NumericalError("no start")
+
+        monkeypatch.setattr(gmm, "init_emem", failing)
+        _, rows = run_benchmark(cfg)
+        assert [row["initializer"] for row in rows] == [row["initializer"] for row in whole]
+        for row, want in zip(rows, whole):
+            if row["initializer"] == "emem":
+                nan = float("nan")
+                want = {
+                    "initializer": "emem", "loglik": nan, "bic": nan, "ari": nan,
+                    "error_rate": nan, "time_s": nan, "fallback": False, "failure": True,
+                    "message": "no start", "repeat": 0, "replicate": want["replicate"],
+                }
+                assert row["time_s"] != row["time_s"]
+            self.assert_same_row(row, want)
 
     def test_default_initializers(self, example2_params):
         cfg = self.make_config(example2_params, n=100, replicates=1)

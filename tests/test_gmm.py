@@ -16,6 +16,7 @@ from momentgmm import (
     ari,
     e_step,
     em_fit,
+    em_fits,
     init_emem,
     init_kmeans,
     init_moments,
@@ -28,10 +29,12 @@ from momentgmm.gmm import (
     DEFAULT_TOL,
     LOG_2PI,
     VARIANCE_FLOOR_FRACTION,
+    _e_kernel,
     _frame,
     _kmeans_pp_seeds,
     _lloyd,
     _log_normalize,
+    _m_kernel,
     pooled_variance,
 )
 
@@ -887,6 +890,19 @@ class TestKmeansStack:
                 blocked = init_kmeans(data, r, rng_seed=seed)
             assert_same_params(blocked, whole)
 
+    def test_final_m_step_is_m_step(self, example1_params):
+        # init_kmeans' hard-label M step runs on the frame it already holds;
+        # it equals the public m_step on the winning labels, bit for bit
+        cases = [(sample(example1_params, 1000, rng_seed=3)[0], 4), (two_points(), 2)]
+        cases += [(few_distinct_rows(seed), 5) for seed in range(4)]
+        cases += [(sample(example1_params, 500, rng_seed=4)[0] + 1e6, 4)]
+        for seed, (data, r) in enumerate(cases):
+            _, x, x_sq = _frame(data)
+            rngs = [np.random.default_rng(seed + run) for run in range(50)]
+            labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, x_sq, r, rngs))
+            want = m_step(data, np.eye(r)[labels[np.argmin(wcss)]])
+            assert_same_params(init_kmeans(data, r, rng_seed=seed), want)
+
     def test_memory_bounded_by_the_block(self):
         # at n = 1e5 and r = 5 a block holds 2 runs: 50 runs take no more
         # memory at once than 5 do
@@ -971,6 +987,121 @@ class TestEmem:
                 patch.setattr(gmm, "RESTART_BLOCK_ELEMENTS", runs_per_block * r * len(data))
                 blocked = init_emem(data, r, rng_seed=seed, **kw)
             assert_same_params(blocked, whole)
+
+
+def solo_em(data, r, init, max_iter=100, tol=DEFAULT_TOL, rng_seed=0):
+    """One EM run written out over the (runs, r, n) kernels, the loop each
+    run of em_fits must reproduce bit for bit: an E step, then M/E pairs
+    until the relative log-likelihood change is under tol."""
+    c, x, x_sq = _frame(data)
+    floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+    rngs = [np.random.default_rng(rng_seed)]
+    step = (init.weights[None], (init.means - c)[None], init.variances[None])
+    resp, loglik = _e_kernel(x, x_sq, step)
+    trace, converged = [float(loglik[0])], False
+    for _ in range(max_iter):
+        step = _m_kernel(x, x_sq, resp, floor, rngs)
+        resp, loglik = _e_kernel(x, x_sq, step)
+        trace.append(float(loglik[0]))
+        if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1.0):
+            converged = True
+            break
+    params = init if len(trace) == 1 else GmmParams(step[0][0], step[1][0] + c, step[2][0])
+    labels = np.argmax(resp[0], axis=0).astype(np.min_scalar_type(-r))
+    return EmResult(params, trace, len(trace) - 1, converged, labels)
+
+
+def assert_same_fit(got, want):
+    assert got.loglik_trace == want.loglik_trace
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert_same_params(got.params, want.params)
+    assert got.hard_labels.dtype == want.hard_labels.dtype
+    assert np.array_equal(got.hard_labels, want.hard_labels)
+
+
+def study_starts(data, r, seed):
+    """The starts of a study replicate: k-means, moments, emEM and random."""
+    return [
+        init_kmeans(data, r, rng_seed=seed),
+        init_moments(data, r, rng_seed=seed)[0],
+        init_emem(data, r, rng_seed=seed),
+        init_random(data, r, rng_seed=seed),
+    ]
+
+
+class TestEmFits:
+    """em_fits' stack, whose runs stop one by one, against em_fit and
+    solo_em on each start alone: the same trace, iterations, flag, params
+    and hard labels, bit for bit."""
+
+    @staticmethod
+    def check(data, r, starts, **kw):
+        fits = em_fits(data, r, starts, **kw)
+        assert len(fits) == len(starts)
+        for start, got in zip(starts, fits):
+            assert_same_fit(got, em_fit(data, r, start, **kw))
+            assert_same_fit(got, solo_em(data, r, start, **kw))
+        return fits
+
+    @pytest.mark.parametrize("example, r", [("example1_params", 4), ("example2_params", 3)])
+    def test_runs_stopping_apart_and_at_the_cap(self, request, example, r):
+        params = request.getfixturevalue(example)
+        apart = capped = False
+        for seed in range(3):
+            data, _ = sample(params, 1000, rng_seed=seed)
+            starts = study_starts(data, r, seed)
+            for max_iter in (100, 20):
+                fits = self.check(data, r, starts, max_iter=max_iter, rng_seed=seed)
+                stopped = {f.iterations for f in fits if f.converged}
+                apart |= len(stopped) > 1
+                capped |= any(not f.converged and f.iterations == max_iter for f in fits) and bool(stopped)
+        assert apart  # some stack has runs that stopped at different steps
+        assert capped  # and some stack ran a run to the cap after others stopped
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_no_or_one_iteration(self, example2_params, max_iter):
+        data, _ = sample(example2_params, 500, rng_seed=4)
+        starts = study_starts(data, 3, 4)
+        fits = self.check(data, 3, starts, max_iter=max_iter)
+        for start, fit in zip(starts, fits):
+            assert fit.iterations == max_iter and not fit.converged
+            assert (fit.params is start) == (max_iter == 0)
+
+    def test_reseeds_draw_on_each_run_own_generator(self, monkeypatch):
+        reseed, reseeding = gmm._reseed_empty, []
+
+        def counted(resp, counts, rng):
+            reseeding[-1].add(id(rng))
+            return reseed(resp, counts, rng)
+
+        for seed in range(8):
+            reseeding.append(set())
+            data = few_distinct_rows(seed)
+            starts = [init_random(data, 5, rng_seed=seed + k) for k in range(4)]
+            for k, start in enumerate(starts[1:]):
+                start.means[k] = 1e3  # a component far from every row starts empty
+            with monkeypatch.context() as patch:
+                patch.setattr(gmm, "_reseed_empty", counted)
+                fits = em_fits(data, 5, starts, rng_seed=seed)
+            for start, got in zip(starts, fits):
+                assert_same_fit(got, em_fit(data, 5, start, rng_seed=seed))
+                assert_same_fit(got, solo_em(data, 5, start, rng_seed=seed))
+        assert max(map(len, reseeding)) > 1  # several runs of one stack reseeded
+
+    def test_one_run_stack(self, example1_params):
+        data, _ = sample(example1_params, 1000, rng_seed=2)
+        for start in study_starts(data, 4, 2):
+            self.check(data, 4, [start], rng_seed=2)
+
+    def test_empty_stack(self, example2_params):
+        data, _ = sample(example2_params, 100, rng_seed=0)
+        assert em_fits(data, 3, []) == []
+
+    def test_mismatched_start_rejected(self, example2_params):
+        data, _ = sample(example2_params, 100, rng_seed=0)
+        starts = [init_random(data, 3, rng_seed=0), init_random(data, 2, rng_seed=0)]
+        with pytest.raises(InputError, match="components"):
+            em_fits(data, 3, starts)
 
 
 def three_blobs():
