@@ -1,6 +1,6 @@
 """Stage timings of momentgmm with quality numbers beside them, as one JSON file.
 
-    python bench/perf.py OUT.json [--repeats 5]
+    python bench/perf.py OUT.json [--repeats 5] [--compare PREV.json]
 
 Runs from the root of a source checkout and imports the library from `src`.
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_/MKL_NUM_THREADS)
@@ -11,7 +11,13 @@ mixtures, n = 1000, sample seeds 0-9) it times:
 - the final EM fits of a study replicate: the four starts fitted one by one
   with `em_fit`, and the same four as one `em_fits` stack, with a check that
   the two give the same results;
-- one `e_step` and one `m_step`, also at n = 100000 on Example 1.
+- one `e_step` and one `m_step`, also at n = 100000 on Example 1;
+- `cli.fit_once` with the moments start on the 6 samples of the benchmark's
+  `large-n` workload (n = 100000, m = 10, r = 5; workload seed 3, sample k
+  fitted with the seed of job k), end to end and by stage: the frame, the
+  second-order statistics, M3 in W, `decompose`, one E/M pair and the hard
+  labels. A stage runs sample after sample, so each call finds its 8 MB
+  sample out of cache; a call repeated on one sample runs faster.
 
 Each timing is the wall time per sample (or per call) of one repeat; the file
 gives the median and minimum over the repeats. The quality beside a timing is
@@ -19,6 +25,12 @@ that of the EM fit the timed work leads to, from the same start with the same
 seed as `cli.fit_once`: its final log-likelihood, ARI against the true labels
 and iteration count, per sample seed. Timings vary with the host; compare two
 files only when they come from the same machine.
+
+With --compare, the stages present in both files whose median is more than
+COMPARE_SLOWER slower than in PREV.json, and every quality list that differs,
+are printed and recorded under "compare"; nothing fails on them. A shared
+host's speed drifts by more than that over hours, so time PREV.json's commit
+again beside this one before reading a slower stage as a regression.
 """
 
 from __future__ import annotations
@@ -41,11 +53,17 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402  (after the thread pin)
 import scipy  # noqa: E402
 
-from momentgmm import cli, gmm, metrics  # noqa: E402
+from momentgmm import SymmetricTensor, cli, gmm, metrics, moments, waring  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's own sample generation)
 
 SEEDS = range(10)
 N = 1000
 LARGE_N = 100_000
+LARGE_N_WORKLOAD_SEED = 3
+COMPARE_SLOWER = 0.20
+QUALITY_KEYS = ("loglik", "ari", "iterations")
 
 
 def examples() -> dict[str, gmm.GmmParams]:
@@ -174,10 +192,87 @@ def bench_steps(sample, start: gmm.GmmParams, repeats: int) -> dict:
     }
 
 
+def bench_large_n(repeats: int) -> dict:
+    """fit_once with the moments start on the large-n workload's samples, end
+    to end and by stage; every entry carries the fits' quality."""
+    work = workloads.make("large-n", LARGE_N_WORKLOAD_SEED)
+    r, samples = work.r, work.samples
+    seeds = [workloads.job_seed(LARGE_N_WORKLOAD_SEED, k) for k in range(len(samples))]
+    rows = [cli.fit_once(data, r, "moments", seed, truth=labels)
+            for seed, (data, labels) in zip(seeds, samples)]
+    fit_quality = {
+        "loglik": [row["loglik"] for row in rows],
+        "ari": [row["ari"] for row in rows],
+        "iterations": [row["iterations"] for row in rows],
+    }
+    frames = [moments._frame(data) for data, _ in samples]
+    stats = [moments._sample_moments(frame) for frame in frames]
+    bases = [np.linalg.eigh(m2)[1][:, ::-1][:, :r] for _, _, m2, _, _, _ in stats]
+    m3s = [
+        SymmetricTensor(r, 3, moments._symmetric_array_coeffs(
+            moments._m3_array(frame.data @ w, m1 @ w)))
+        for frame, (_, m1, _, _, _, _), w in zip(frames, stats, bases)
+    ]
+    opts = waring.DecompositionOptions(rank=r, k=2, on_complex="warn")
+    starts = [gmm.init_moments(frame, r, rng_seed=seed)[0] for frame, seed in zip(frames, seeds)]
+    kind = np.min_scalar_type(-r).type
+
+    def em_pair(frame, start):
+        _, c, x, x_sq = frame
+        resp, _ = gmm._e_kernel(x, x_sq, gmm._as_step(start, c))
+        floor = gmm.VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+        return gmm._m_kernel(x, x_sq, resp, floor, [np.random.default_rng(0)])
+
+    resps = [gmm._e_kernel(f.x, f.x_sq, gmm._as_step(s, f.c))[0] for f, s in zip(frames, starts)]
+    stages = {
+        "fit_once": [lambda d=d, s=s, t=t: cli.fit_once(d, r, "moments", s, truth=t)
+                     for s, (d, t) in zip(seeds, samples)],
+        "frame": [lambda d=d: moments._frame(d) for d, _ in samples],
+        "second_order": [lambda f=f: moments._sample_moments(f) for f in frames],
+        "m3_in_w": [
+            lambda f=f, m1=st[1], w=w: moments._m3_array(f.data @ w, m1 @ w)
+            for f, st, w in zip(frames, stats, bases)
+        ],
+        "decompose": [lambda t=t: waring.decompose(t, opts) for t in m3s],
+        "em_pair": [lambda f=f, s=s: em_pair(f, s) for f, s in zip(frames, starts)],
+        "labels": [lambda p=p: gmm._first_best(p, kind, np.greater) for p in resps],
+    }
+    return {
+        "workload": "large-n",
+        "workload_seed": LARGE_N_WORKLOAD_SEED,
+        "n": work.n,
+        "r": r,
+        "sample_fit_seeds": seeds,
+        "stages": {
+            name: timings(lambda calls=calls: per_sample(calls), repeats) | fit_quality
+            for name, calls in stages.items()
+        },
+    }
+
+
+def compare(new: dict, old: dict, path: str = "") -> list[str]:
+    """Lines naming each stage of both reports whose median is more than
+    COMPARE_SLOWER slower in `new`, and each quality list that differs."""
+    lines = []
+    for key in new.keys() & old.keys():
+        a, b, where = new[key], old[key], f"{path}/{key}"
+        if isinstance(a, dict) and isinstance(b, dict):
+            if "median_s" in a and "median_s" in b and a["median_s"] > (1 + COMPARE_SLOWER) * b["median_s"]:
+                lines.append(f"slower {where}: median {b['median_s']:.6g} -> {a['median_s']:.6g} s")
+            lines += compare(a, b, where)
+        elif key in QUALITY_KEYS and a != b:
+            pairs = zip(b, a) if isinstance(a, list) else [(b, a)]
+            changed = (f"[{i}] {u!r} -> {v!r}" for i, (u, v) in enumerate(pairs) if u != v)
+            lines.append(f"quality {where}: " + ", ".join(changed))
+    return sorted(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="path of the JSON file to write")
     parser.add_argument("--repeats", type=int, default=5, help="timed repeats per stage")
+    parser.add_argument("--compare", metavar="PREV.json",
+                        help="report stages over 20%% slower and quality changes against PREV.json")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -190,6 +285,11 @@ def main(argv=None) -> int:
     large = gmm.sample(models["example1"], LARGE_N, rng_seed=0)
     start = gmm.init_random(large[0], models["example1"].n_components, rng_seed=0)
     report["large_n_steps"] = bench_steps(large, start, args.repeats)
+    report["large_n_fit"] = bench_large_n(args.repeats)
+    if args.compare:
+        report["compare"] = {"against": args.compare,
+                             "lines": compare(report, json.loads(Path(args.compare).read_text()))}
+        print("\n".join(report["compare"]["lines"]) or "no stage slower, no quality changed")
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -5,8 +5,9 @@ The benchmark harness runs its replicates one after another; each replicate
 draws its data and initializer streams from its own derived seed, so
 `summary.json` is identical across reruns.  A replicate runs its
 initializers one by one, then EM from all their starts as one stack
-(gmm.em_fits); its rows equal fit_once's, and a row's time_s is the
-initializer's wall time plus that of the replicate's whole EM stack.
+(gmm.em_fits), all on one frame of the data (moments.Frame); its rows equal
+fit_once's, and a row's time_s is the initializer's wall time plus that of
+framing the data and of the replicate's whole EM stack.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import gmm, metrics
 from .errors import InputError, NumericalError, json_int
-from .moments import empirical_moments
+from .moments import Frame, _frame, empirical_moments
 from .symtensor import SymmetricTensor
 from .waring import DecompositionOptions, decompose, relative_residual
 
@@ -101,7 +102,7 @@ def write_plot_data(path: str, data: np.ndarray, labels: np.ndarray) -> None:
 
 
 def run_initializer(
-    name: str, data: np.ndarray, r: int, seed: int
+    name: str, data: np.ndarray | Frame, r: int, seed: int
 ) -> tuple[gmm.GmmParams, bool]:
     """Dispatch to an initializer; returns (params, moments_fallback_flag)."""
     if name == "moments":
@@ -119,17 +120,18 @@ def fit_once(
     max_iter: int = 100,
     truth: np.ndarray | None = None,
 ) -> dict:
-    """Initialize + EM + metrics; wall time covers initializer and EM."""
+    """Frame + initialize + EM + metrics; wall time covers all but metrics."""
     t0 = time.perf_counter()
-    init_params, fallback = run_initializer(init_name, data, r, seed)
-    result = gmm.em_fit(data, r, init_params, max_iter=max_iter, rng_seed=seed)
-    return _fit_row(init_name, data, result, fallback, time.perf_counter() - t0, truth)
+    frame = _frame(data)
+    init_params, fallback = run_initializer(init_name, frame, r, seed)
+    result = gmm.em_fit(frame, r, init_params, max_iter=max_iter, rng_seed=seed)
+    return _fit_row(init_name, frame, result, fallback, time.perf_counter() - t0, truth)
 
 
-def _fit_row(name: str, data: np.ndarray, result: gmm.EmResult, fallback: bool,
+def _fit_row(name: str, frame: Frame, result: gmm.EmResult, fallback: bool,
              elapsed: float, truth: np.ndarray | None) -> dict:
     """The row of one fit, as fit_once and run_benchmark report it."""
-    (n, m), r = data.shape, result.params.n_components
+    (n, m), r = frame.x.shape, result.params.n_components
     row = {
         "initializer": name,
         "loglik": result.loglik_trace[-1],
@@ -186,11 +188,14 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
     def one_replicate(rep: int, idx: int) -> list[dict]:
         seed = master_seed + 100003 * rep + idx
         data, truth = gmm.sample(model, n, rng_seed=seed)
+        t0 = time.perf_counter()
+        frame = _frame(data)
+        shared_time = time.perf_counter() - t0
         rows, starts = {}, {}
         for name in initializers:
             t0 = time.perf_counter()
             try:
-                starts[name] = run_initializer(name, data, r, seed) + (time.perf_counter() - t0,)
+                starts[name] = run_initializer(name, frame, r, seed) + (time.perf_counter() - t0,)
             except (NumericalError, np.linalg.LinAlgError) as exc:
                 nan = float("nan")
                 rows[name] = {
@@ -199,10 +204,10 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
                 }
         inits = [start for start, _, _ in starts.values()]
         t0 = time.perf_counter()
-        fits = gmm.em_fits(data, r, inits, max_iter=max_iter, rng_seed=seed)
-        em_time = time.perf_counter() - t0
+        fits = gmm.em_fits(frame, r, inits, max_iter=max_iter, rng_seed=seed)
+        shared_time += time.perf_counter() - t0
         for (name, (_, fallback, init_time)), result in zip(starts.items(), fits):
-            row = _fit_row(name, data, result, fallback, init_time + em_time, truth)
+            row = _fit_row(name, frame, result, fallback, init_time + shared_time, truth)
             rows[name] = dict(row, failure=False)
         return [dict(rows[name], repeat=rep, replicate=idx) for name in initializers]
 

@@ -5,8 +5,9 @@ of squares), the method of moments (tensor decomposition of the empirical
 third moment), emEM (50 short 5-iteration EM bursts, keep the best
 log-likelihood) and plain random seeding.
 
-EM, emEM and k-means check their data and center them once (`_frame`), so
-that distances and sufficient statistics are taken about the data mean; one
+Every entry point checks and centers its data through `_frame`, or takes a
+`moments.Frame` in its place, so that a fit frames its data once for its
+initializer and EM; distances and statistics are about the data mean.  One
 helper, `_sq_dist`, gives the squared distances to a stack of centers for
 the E-kernel, Lloyd and k-means++.  One EM loop, `_em_loop`, runs a stack of
 runs laid out (runs, r, n), each leaving the stack once it meets its own
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .moments import recover_from_data
+from .moments import Frame, _frame, recover_from_data
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 DEFAULT_TOL = 1e-8
@@ -124,22 +125,6 @@ def sample(
     noise = rng.standard_normal((n, params.dim))
     data = params.means[labels] + np.sqrt(params.variances[labels])[:, None] * noise
     return data, labels
-
-
-def _frame(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, x, x_sq): the data mean c, the centered data x = data - c and its
-    row norms ||x_i||^2, all finite (a non-finite entry makes every row norm
-    non-finite).  The EM kernels and Lloyd take means as offsets from c, so
-    that a shift of the data costs their expanded forms no digits."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or not data.size:
-        raise InputError(f"data must be a nonempty n x m matrix, got shape {data.shape}")
-    c = data.mean(axis=0)
-    x = data - c
-    x_sq = np.einsum("ij,ij->i", x, x)
-    if not np.isfinite(x_sq).all():
-        raise InputError("data must be finite, with squared row norms below overflow")
-    return c, x, x_sq
 
 
 def _sq_dist(x: np.ndarray, x_sq: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -272,7 +257,7 @@ def _em_loop(x, x_sq, step, variance_floor, rngs, max_iter, tol):
 
 def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
     """Responsibilities, (n, r) and row-stochastic, and total log-likelihood."""
-    c, x, x_sq = _frame(data)
+    _, c, x, x_sq = _frame(data)
     resp, loglik = _e_kernel(x, x_sq, _as_step(params, c))
     return resp[0].T, float(loglik[0])
 
@@ -286,7 +271,7 @@ def m_step(
     """Weighted-statistics update from (n, r) responsibilities; empty
     components are reseeded at a random data row (_reseed_empty).  Needs at
     least as many rows as components."""
-    c, x, x_sq = _frame(data)
+    _, c, x, x_sq = _frame(data)
     if np.ndim(resp) != 2 or len(resp) != len(x):
         raise InputError(f"resp must be an n x r matrix with n = {len(x)}, got {np.shape(resp)}")
     if variance_floor is None:
@@ -297,15 +282,16 @@ def m_step(
 
 
 def em_fits(
-    data: np.ndarray, r: int, inits: list[GmmParams], max_iter: int = 100,
+    data: np.ndarray | Frame, r: int, inits: list[GmmParams], max_iter: int = 100,
     tol: float = DEFAULT_TOL, rng_seed: int | np.random.Generator = 0,
 ) -> list[EmResult]:
     """EM from each start in `inits`, stacked on one frame.  Each run reseeds
     on its own default_rng(rng_seed) (a Generator is shared by the runs) and
     stops on its own test, so it gives what `em_fit` gives from its start
-    alone, bit for bit.  Hard labels take the smallest signed integer type
-    that holds r."""
-    c, x, x_sq = _frame(data)
+    alone, bit for bit.  Hard labels, the argmax of the last responsibilities
+    (_log_normalize leaves a column NaN-free or all NaN, label 0 either way),
+    take the smallest signed integer type that holds r."""
+    _, c, x, x_sq = _frame(data)
     if any(init.n_components != r for init in inits):
         raise InputError(f"every start must have r={r} components")
     if not inits:
@@ -313,18 +299,19 @@ def em_fits(
     floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
     step = tuple(map(np.concatenate, zip(*[_as_step(init, c) for init in inits])))
     rngs = [np.random.default_rng(rng_seed) for _ in inits]
+    kind = np.min_scalar_type(-r).type
     fits = []
     for init, (run_step, resp, trace, converged) in zip(
         inits, _em_loop(x, x_sq, step, floor, rngs, max_iter, tol)
     ):
         params = init if len(trace) == 1 else _run_params(run_step, c)
-        labels = np.argmax(resp, axis=0).astype(np.min_scalar_type(-r))
-        fits.append(EmResult(params, trace, len(trace) - 1, converged, labels))
+        labels, _ = _first_best(resp[None], kind, np.greater)
+        fits.append(EmResult(params, trace, len(trace) - 1, converged, labels[0]))
     return fits
 
 
 def em_fit(
-    data: np.ndarray, r: int, init: GmmParams, max_iter: int = 100,
+    data: np.ndarray | Frame, r: int, init: GmmParams, max_iter: int = 100,
     tol: float = DEFAULT_TOL, rng_seed: int | np.random.Generator = 0,
 ) -> EmResult:
     """Standard EM loop, the one-run case of `em_fits`; stops on relative
@@ -358,20 +345,19 @@ def _kmeans_pp_seeds(x: np.ndarray, x_sq: np.ndarray, r: int, rngs) -> np.ndarra
     return centers
 
 
-def _nearest(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and value of the smallest of the r slices of d (runs, r, n), the
-    first on ties as argmin gives it, by a running comparison: argmin along
-    the short middle axis costs several times more.  The indices take the
-    smallest unsigned integer type that holds r - 1."""
-    kind = np.min_scalar_type(d.shape[1] - 1).type
+def _first_best(d: np.ndarray, kind, better=np.less) -> tuple[np.ndarray, np.ndarray]:
+    """Index, of integer type `kind`, and value of the smallest of the r
+    slices of d (runs, r, n), or the largest for better=np.greater, the first
+    on ties as argmin and argmax give it, by a running comparison: argmin or
+    argmax along the short middle axis costs several times more."""
+    keep = np.minimum if better is np.less else np.maximum
     labels = np.zeros((len(d), d.shape[2]), dtype=kind)
-    nearest = d[:, 0].copy()
+    best = d[:, 0].copy()
     for j in range(1, d.shape[1]):
-        closer = d[:, j] < nearest
-        # every label is below j here, so this sets j where closer
-        np.maximum(labels, closer * kind(j), out=labels)
-        np.minimum(nearest, d[:, j], out=nearest)
-    return labels, nearest
+        # every label is below j here, so this sets j where d[:, j] is better
+        np.maximum(labels, better(d[:, j], best) * kind(j), out=labels)
+        keep(best, d[:, j], out=best)
+    return labels, best
 
 
 def _lloyd(
@@ -384,15 +370,17 @@ def _lloyd(
     twice); n >= r leaves one to take.  A run stops once its labels do not
     change.  A run's arithmetic is that of the run alone, in the same order:
     each center sum is one bincount bin, filled in row order.  Returns
-    labels (runs, n), centers and within-cluster sums of squares (runs,)."""
+    labels (runs, n) of the smallest unsigned type that holds r - 1,
+    centers and within-cluster sums of squares (runs,)."""
     (n, m), (runs, r) = x.shape, centers.shape[:2]
+    kind = np.min_scalar_type(r - 1).type
     centers = centers.copy()
     labels = np.full((runs, n), -1)
     active = np.arange(runs)
     # column d of x repeated for every run, so a prefix serves any active set
     columns = np.tile(x.T, runs)
     for _ in range(max_iter):
-        new_labels, nearest = _nearest(_sq_dist(x, x_sq, centers[active]))
+        new_labels, nearest = _first_best(_sq_dist(x, x_sq, centers[active]), kind)
         cells = new_labels + (np.arange(len(active)) * r)[:, None]
         counts = np.bincount(cells.ravel(), minlength=len(active) * r).reshape(-1, r)
         for k in np.flatnonzero(np.any(counts == 0, axis=1)):
@@ -415,12 +403,12 @@ def _lloyd(
         active = active[moved]
         if not active.size:
             break
-    labels, nearest = _nearest(_sq_dist(x, x_sq, centers))
+    labels, nearest = _first_best(_sq_dist(x, x_sq, centers), kind)
     return labels, centers, nearest.sum(axis=1)
 
 
 def init_kmeans(
-    data: np.ndarray, r: int, runs: int = 50, rng_seed: int = 0
+    data: np.ndarray | Frame, r: int, runs: int = 50, rng_seed: int = 0
 ) -> GmmParams:
     """Best of `runs` k-means++ / Lloyd runs by WCSS, turned into mixture
     parameters through a hard-label M step.  Run `run` seeds on its own
@@ -428,7 +416,7 @@ def init_kmeans(
     WCSS wins.  Seeding and Lloyd run on the data centered once (`_frame`),
     stacked, RESTART_BLOCK_ELEMENTS entries of their largest array at a
     time."""
-    c, x, x_sq = _frame(data)
+    _, c, x, x_sq = _frame(data)
     n, m = x.shape
     if not 1 <= r <= n:
         raise InputError(f"r={r} must lie in [1, n={n}]")
@@ -449,23 +437,19 @@ def init_kmeans(
     return _run_params(step, c)
 
 
-def init_random(data: np.ndarray, r: int, rng_seed: int = 0) -> GmmParams:
+def init_random(data: np.ndarray | Frame, r: int, rng_seed: int = 0) -> GmmParams:
     """Uniform weights, means at r distinct data rows, pooled variance."""
-    _, x, _ = _frame(data)
+    data, _, x, _ = _frame(data)
     if not 1 <= r <= len(x):
         raise InputError(f"r={r} must lie in [1, n={len(x)}]")
     rng = np.random.default_rng(rng_seed)
     rows = rng.choice(len(x), size=r, replace=False)
     var = max(float(np.sum(x**2) / x.size), 1e-12)
-    return GmmParams(
-        weights=np.full(r, 1.0 / r),
-        means=np.asarray(data, dtype=float)[rows],
-        variances=np.full(r, var),
-    )
+    return GmmParams(weights=np.full(r, 1.0 / r), means=data[rows], variances=np.full(r, var))
 
 
 def init_emem(
-    data: np.ndarray,
+    data: np.ndarray | Frame,
     r: int,
     short_runs: int = 50,
     short_iters: int = 5,
@@ -479,7 +463,7 @@ def init_emem(
     E/M steps.  The first burst with the highest final log-likelihood wins.
     The bursts run stacked, RESTART_BLOCK_ELEMENTS responsibilities at a time.
     """
-    c, x, x_sq = _frame(data)
+    _, c, x, x_sq = _frame(data)
     n = len(x)
     if not 1 <= r <= n:
         raise InputError(f"r={r} must lie in [1, n={n}]")
@@ -503,7 +487,7 @@ def init_emem(
 
 
 def init_moments(
-    data: np.ndarray, r: int, rng_seed: int = 0
+    data: np.ndarray | Frame, r: int, rng_seed: int = 0
 ) -> tuple[GmmParams, bool]:
     """Method-of-moments initializer.
 
@@ -513,13 +497,13 @@ def init_moments(
     (`DecompositionOptions.rng_seed`), so every seed gives the same start on
     the same data.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or not 1 <= r <= data.shape[1]:
+    frame = _frame(data)
+    if not 1 <= r <= frame.x.shape[1]:
         raise InputError(f"moments initializer needs n x m data and 1 <= r <= m, got r={r}")
     try:
-        rec, sigma_bar_sq = recover_from_data(data, r)
+        rec, sigma_bar_sq = recover_from_data(frame, r)
     except (NumericalError, np.linalg.LinAlgError):
-        return init_random(data, r, rng_seed=rng_seed), True
+        return init_random(frame, r, rng_seed=rng_seed), True
     # near-zero starting variances freeze the E-step, so floor the initializer
     # variances at a twentieth of the mixture-average variance, which
     # recovery has already put in place of non-positive ones

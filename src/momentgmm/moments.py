@@ -11,12 +11,15 @@ where s_i^2 are the component variances.  Recovery Waring-decomposes M3 in
 the span W of M2's top r eigenvectors, then solves against M2 and M1.  The fit
 path forms only that r-variable M3, from the projected data y = data W;
 `recover_parameters` contracts a full M3 with W.
+A fit checks and centers its data once, into a `Frame` that the moments and
+`gmm` read; M3 sums the pairs a <= b in blocks of rows (MOMENT_BLOCK_ELEMENTS).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,8 @@ from .waring import DecompositionOptions, decompose
 EIGEN_GAP_TOL = 1e-10
 LAMBDA_TOL = 1e-10
 WEIGHT_CLAMP = 1e-6
+# entries of the (rows x s_2(k)) pair products _m3_array forms per block of rows
+MOMENT_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass
@@ -78,49 +83,75 @@ class RecoveredParams:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sample_moments(data: np.ndarray) -> tuple:
-    """(data as floats, M1, M2, sigma_bar_sq, v, v_ambiguous) of a checked sample."""
+class Frame(NamedTuple):
+    """A checked sample: the data as floats, their mean c, the centered rows
+    x = data - c and the squared row norms x_sq = ||x_i||^2."""
+
+    data: np.ndarray
+    c: np.ndarray
+    x: np.ndarray
+    x_sq: np.ndarray
+
+
+def _frame(data) -> Frame:
+    """The Frame of an n x m finite sample, or `data` itself if it is a Frame:
+    the one input check of moments and gmm.  The EM kernels and Lloyd take
+    means as offsets from c, so that a shift costs their expanded forms no digits."""
+    if isinstance(data, Frame):
+        return data
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise InputError("data must be an n x m matrix")
-    n, m = data.shape
+    if data.ndim != 2 or not data.size:
+        raise InputError(f"data must be a nonempty n x m matrix, got shape {data.shape}")
+    c = data.mean(axis=0)
+    x = data - c
+    x_sq = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(x_sq).all():
+        raise InputError("data must be finite, with squared row norms below overflow")
+    return Frame(data, c, x, x_sq)
+
+
+def _sample_moments(data) -> tuple:
+    """(data as floats, M1, M2, sigma_bar_sq, v, v_ambiguous) of a sample or
+    its Frame, of at least 2 rows; the covariance is that of the frame's x."""
+    data, _, x, _ = _frame(data)
+    n, m = x.shape
     if n < 2:
         raise InputError("data must have at least 2 rows")
-    if not np.all(np.isfinite(data)):
-        raise InputError("data contains non-finite entries")
 
-    xbar = data.mean(axis=0)
-    centered = data - xbar
-    cov = centered.T @ centered / n
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(x.T @ x / n)
     sigma_bar_sq = float(eigvals[0])
     v = eigvecs[:, 0]
     ambiguous = bool(
         m > 1 and eigvals[-1] > 0 and (eigvals[1] - eigvals[0]) < EIGEN_GAP_TOL * eigvals[-1]
     )
 
-    proj_sq = (centered @ v) ** 2
-    m1 = (data * proj_sq[:, None]).mean(axis=0)
+    proj_sq = (x @ v) ** 2
+    # one pass of numpy's own loop: a BLAS GEMV's bits change with its thread count
+    m1 = np.einsum("i,ij->j", proj_sq, data) / n
     m2 = data.T @ data / n - sigma_bar_sq * np.eye(m)
     return data, m1, m2, sigma_bar_sq, v, ambiguous
 
 
 def _m3_array(y: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Adjusted M3 of an n x k sample y with adjusted M1 m1: mean(y_a y_b y_c) - sym(m1 (x) I)."""
+    """Adjusted M3 of an n x k sample y with adjusted M1 m1: mean(y_a y_b y_c) - sym(m1 (x) I).
+    The raw moment sums the pairs a <= b, one GEMM per block of rows whose pair
+    products hold MOMENT_BLOCK_ELEMENTS entries, then is mirrored over (a, b)."""
     n, k = y.shape
-    # one GEMM per c, so that no temporary is larger than y (monomials of
-    # the rows would be n x s_2)
-    raw = np.empty((k, k, k))
-    for c in range(k):
-        raw[:, :, c] = (y * y[:, c, None]).T @ y / n
+    a, b = index_tuples(k, 2).T
+    step = max(1, MOMENT_BLOCK_ELEMENTS // len(a))
+    raw = 0.0
+    for i in range(0, n, step):
+        rows = y[i : i + step]
+        raw += (rows[:, a] * rows[:, b]).T @ rows
+    raw = raw[sum_index(k, 1, 1)] / n
     eye = np.eye(k)
     return raw - (
         eye[:, :, None] * m1 + eye[:, None, :] * m1[:, None] + eye[None, :, :] * m1[:, None, None]
     )
 
 
-def empirical_moments(data: np.ndarray) -> MomentSet:
-    """Plug-in moment estimates from an n x m sample matrix."""
+def empirical_moments(data: np.ndarray | Frame) -> MomentSet:
+    """Plug-in moment estimates from an n x m sample matrix or its Frame."""
     data, m1, m2, sigma_bar_sq, v, ambiguous = _sample_moments(data)
     m3 = SymmetricTensor(data.shape[1], 3, _symmetric_array_coeffs(_m3_array(data, m1)))
     return MomentSet(
@@ -152,7 +183,7 @@ def exact_moments(params) -> MomentSet:
     )
 
 
-def recover_from_data(data: np.ndarray, r: int) -> tuple[RecoveredParams, float]:
+def recover_from_data(data: np.ndarray | Frame, r: int) -> tuple[RecoveredParams, float]:
     """(recover_parameters(empirical_moments(data), r), sigma_bar_sq) up to
     rounding, with M3 in W formed as that of y = data W (W^t W = I)."""
     data, m1, m2, sigma_bar_sq, _, _ = _sample_moments(data)

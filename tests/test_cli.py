@@ -14,6 +14,7 @@ from momentgmm.cli import (
     write_csv,
     write_plot_data,
 )
+from momentgmm.moments import _frame
 from conftest import summaries_per_blas_thread_count
 
 
@@ -511,6 +512,13 @@ class TestBenchmark:
                 want = fit_once(data, model.n_components, row["initializer"], seed, truth=truth)
                 want.update(failure=False, repeat=0, replicate=row["replicate"])
                 self.assert_same_row(row, want)
+
+    @pytest.mark.parametrize("init", INITIALIZERS)
+    def test_fit_once_on_a_frame(self, example1_params, init):
+        data, truth = gmm.sample(example1_params, 800, rng_seed=5)
+        want = fit_once(data, 4, init, 5, truth=truth)
+        got = fit_once(_frame(data), 4, init, 5, truth=truth)
+        self.assert_same_row(dict(got, failure=False), dict(want, failure=False))
 
     def test_failed_initializer_leaves_the_stack(self, monkeypatch, example2_params):
         cfg = self.make_config(example2_params, n=300, replicates=2)

@@ -13,6 +13,7 @@ from momentgmm import (
     EmResult,
     GmmParams,
     InputError,
+    NumericalError,
     ari,
     e_step,
     em_fit,
@@ -30,6 +31,7 @@ from momentgmm.gmm import (
     LOG_2PI,
     VARIANCE_FLOOR_FRACTION,
     _e_kernel,
+    _first_best,
     _frame,
     _kmeans_pp_seeds,
     _lloyd,
@@ -725,19 +727,19 @@ class TestLloyd:
                 data = np.round(data)  # duplicated rows and exact ties
             if t % 3 == 2:
                 data = data[rng.integers(0, max(r, n // 10), size=n)]
-            x = _frame(data)[1]
+            x = _frame(data).x
             self.assert_matches_loop(x, stacked_seeds(x, r, range(3 * t, 3 * t + 3)))
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_empty_cluster_far_center(self, m):
-        x = _frame(np.random.default_rng(21).normal(size=(300, m)))[1]
+        x = _frame(np.random.default_rng(21).normal(size=(300, m))).x
         centers = stacked_seeds(x, 4, [21, 22, 23])
         centers[1, 2] = 1e6
         assert self.assert_matches_loop(x, centers)[1]
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_empty_cluster_coincident_centers(self, m):
-        x = _frame(np.random.default_rng(22).normal(size=(300, m)))[1]
+        x = _frame(np.random.default_rng(22).normal(size=(300, m))).x
         centers = stacked_seeds(x, 4, [22, 23, 24])
         centers[0, 3] = centers[0, 1]
         assert self.assert_matches_loop(x, centers)[0]
@@ -746,7 +748,7 @@ class TestLloyd:
     def test_two_empty_clusters_take_distinct_points(self, m):
         # both far centers of the last run are empty after the first
         # assignment, and the farthest point can fill only one of them
-        x = _frame(np.random.default_rng(21).normal(size=(300, m)))[1]
+        x = _frame(np.random.default_rng(21).normal(size=(300, m))).x
         centers = stacked_seeds(x, 4, [21, 22, 23])
         centers[2, 2], centers[2, 3] = 1e6, 2e6
         labels, got, _ = _lloyd(x, np.sum(x**2, axis=1), centers, max_iter=1)
@@ -757,7 +759,7 @@ class TestLloyd:
     def test_runs_stop_apart(self):
         # a stack whose runs converge after different numbers of iterations
         # keeps each run's own result
-        x = _frame(np.random.default_rng(5).normal(size=(400, 3)))[1]
+        x = _frame(np.random.default_rng(5).normal(size=(400, 3))).x
         centers = stacked_seeds(x, 5, range(4))
         x_sq = np.sum(x**2, axis=1)
         stacked = _lloyd(x, x_sq, centers)
@@ -815,7 +817,7 @@ def loop_kmeans(data, r, runs=50, rng_seed=0):
     seeding and Lloyd on default_rng(rng_seed + run); the first run with
     the least WCSS wins."""
     data = np.asarray(data, dtype=float)
-    _, x, x_sq = _frame(data)
+    _, _, x, x_sq = _frame(data)
     best = None
     for run in range(runs):
         centers = loop_kmeans_pp_seeds(x, r, np.random.default_rng(rng_seed + run))
@@ -897,7 +899,7 @@ class TestKmeansStack:
         cases += [(few_distinct_rows(seed), 5) for seed in range(4)]
         cases += [(sample(example1_params, 500, rng_seed=4)[0] + 1e6, 4)]
         for seed, (data, r) in enumerate(cases):
-            _, x, x_sq = _frame(data)
+            _, _, x, x_sq = _frame(data)
             rngs = [np.random.default_rng(seed + run) for run in range(50)]
             labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, x_sq, r, rngs))
             want = m_step(data, np.eye(r)[labels[np.argmin(wcss)]])
@@ -993,7 +995,7 @@ def solo_em(data, r, init, max_iter=100, tol=DEFAULT_TOL, rng_seed=0):
     """One EM run written out over the (runs, r, n) kernels, the loop each
     run of em_fits must reproduce bit for bit: an E step, then M/E pairs
     until the relative log-likelihood change is under tol."""
-    c, x, x_sq = _frame(data)
+    _, c, x, x_sq = _frame(data)
     floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
     rngs = [np.random.default_rng(rng_seed)]
     step = (init.weights[None], (init.means - c)[None], init.variances[None])
@@ -1102,6 +1104,86 @@ class TestEmFits:
         starts = [init_random(data, 3, rng_seed=0), init_random(data, 2, rng_seed=0)]
         with pytest.raises(InputError, match="components"):
             em_fits(data, 3, starts)
+
+
+class TestHardLabels:
+    """em_fits' hard labels come from a running comparison over the r rows
+    of the responsibilities; they must be argmax's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        r=st.integers(1, 9),
+        n=st.integers(1, 300),
+        levels=st.integers(1, 4),
+        nan_cols=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_running_comparison_is_argmax(self, r, n, levels, nan_cols, seed):
+        # few distinct log terms give exact ties; a -inf row an exact 0; a
+        # NaN term makes _log_normalize's whole column NaN
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, levels, size=(1, r, n)).astype(float)
+        a[0, rng.integers(r), :] = -np.inf
+        a[0, rng.integers(r, size=nan_cols), rng.integers(n, size=nan_cols)] = np.nan
+        with np.errstate(invalid="ignore"):
+            _log_normalize(a)
+        kind = np.min_scalar_type(-r).type
+        labels, _ = _first_best(a, kind, np.greater)
+        assert labels.dtype == kind
+        assert np.array_equal(labels[0], np.argmax(a[0], axis=0))
+        nearest, _ = _first_best(-a, kind)
+        assert np.array_equal(nearest[0], np.argmin(-a[0], axis=0))
+
+
+def frame_cases(example1_params, example2_params):
+    """(data, r): the examples, shifted data, repeated rows, integer and
+    Fortran-ordered arrays."""
+    rng = np.random.default_rng(40)
+    return [
+        (sample(example1_params, 1000, rng_seed=0)[0], 4),
+        (sample(example2_params, 600, rng_seed=1)[0] + 1e6, 3),
+        (few_distinct_rows(2), 2),
+        (rng.integers(-5, 5, size=(300, 4)), 2),
+        (np.asfortranarray(sample(example2_params, 400, rng_seed=3)[0]), 3),
+    ]
+
+
+class TestFrameRoute:
+    """Each public entry point takes a Frame in place of its data; the
+    result equals, bit for bit, the one on the array, which it frames."""
+
+    def test_a_frame_frames_to_itself(self):
+        frame = _frame(np.random.default_rng(0).normal(size=(5, 2)))
+        assert _frame(frame) is frame
+        assert frame.x.tobytes() == (frame.data - frame.data.mean(axis=0)).tobytes()
+
+    def test_initializers_and_em_fits(self, example1_params, example2_params):
+        for data, r in frame_cases(example1_params, example2_params):
+            frame = _frame(data)
+            for seed in (0, 7):
+                for init in (init_kmeans, init_emem, init_random):
+                    assert_same_params(init(frame, r, rng_seed=seed), init(data, r, rng_seed=seed))
+                (got, got_fallback), (want, want_fallback) = (
+                    init_moments(frame, r, rng_seed=seed), init_moments(data, r, rng_seed=seed))
+                assert got_fallback == want_fallback
+                assert_same_params(got, want)
+                starts = study_starts(data, r, seed)
+                for got, want in zip(em_fits(frame, r, starts, rng_seed=seed),
+                                     em_fits(data, r, starts, rng_seed=seed)):
+                    assert_same_fit(got, want)
+                assert_same_fit(em_fit(frame, r, starts[1], max_iter=5, rng_seed=seed),
+                                em_fit(data, r, starts[1], max_iter=5, rng_seed=seed))
+                assert np.array_equal(e_step(starts[0], frame)[0], e_step(starts[0], data)[0])
+
+    def test_moments_fallback_on_a_frame(self, monkeypatch):
+        def boom(data, r):
+            raise NumericalError("forced failure")
+
+        monkeypatch.setattr(gmm, "recover_from_data", boom)
+        data = np.random.default_rng(17).standard_normal((80, 3))
+        params, fallback = init_moments(_frame(data), 2, rng_seed=3)
+        assert fallback
+        assert_same_params(params, init_random(data, 2, rng_seed=3))
 
 
 def three_blobs():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import momentgmm
 from momentgmm import (
     GmmParams,
     InputError,
@@ -15,7 +20,7 @@ from momentgmm import (
     sample,
 )
 from momentgmm.gmm import e_step, em_fit, init_moments
-from momentgmm.moments import _m3_array
+from momentgmm.moments import MOMENT_BLOCK_ELEMENTS, _frame, _m3_array
 from momentgmm.symtensor import monomials, sum_index
 from conftest import random_independent_points
 
@@ -130,6 +135,24 @@ class TestEmpiricalMoments:
             empirical_moments(np.array([[1.0, 2.0]]))
         with pytest.raises(InputError):
             empirical_moments(np.array([[1.0], [np.nan]]))
+
+    def test_same_bits_across_blas_thread_counts(self):
+        # at n = 10^5 a BLAS GEMV or GEMM splits its sums by thread
+        code = (
+            "import hashlib, numpy as np; from momentgmm import empirical_moments; "
+            "data = np.random.default_rng(6).normal(size=(100_000, 10)) * 2.0 + 3.0; "
+            "print(hashlib.sha256(empirical_moments(data).to_json().encode()).hexdigest())"
+        )
+        src = str(Path(momentgmm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        hashes = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path), timeout=120,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert hashes[0] == hashes[1]
 
     def test_n_samples_recorded(self):
         rng = np.random.default_rng(5)
@@ -257,6 +280,52 @@ class TestProjectedMoments:
                 assert not fallback
                 for got, ref in zip((start.weights, start.means, start.variances), want):
                     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+class TestBlockedThirdMoment:
+    """_m3_array sums the raw third moment in row blocks over the pairs
+    a <= b; at and around the block boundaries it must equal the direct
+    sum less the M1 term."""
+
+    @staticmethod
+    def direct(y, m1):
+        k = y.shape[1]
+        eye = np.eye(k)
+        sym = np.einsum("ab,c->abc", eye, m1)
+        return (np.einsum("ia,ib,ic->abc", y, y, y) / len(y)
+                - sym - sym.transpose(0, 2, 1) - sym.transpose(2, 1, 0))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(1, 8),
+        where=st.sampled_from([None, (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)]),
+        shift=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_direct_sum(self, k, where, shift, seed):
+        # n = 2, or one below, at or above one or two blocks of rows
+        block = MOMENT_BLOCK_ELEMENTS // (k * (k + 1) // 2)
+        n = 2 if where is None else where[0] * block + where[1]
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((n, k)) * rng.uniform(0.1, 3.0, k) + shift
+        m1 = rng.standard_normal(k)
+        got, want = _m3_array(y, m1), self.direct(y, m1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got, got.transpose(1, 0, 2))
+
+    def test_one_row_rejected(self):
+        # the frame takes one row; the moments need two
+        for data in (np.array([[1.0, 2.0]]), _frame(np.array([[1.0, 2.0]]))):
+            with pytest.raises(InputError, match="at least 2 rows"):
+                empirical_moments(data)
+
+    def test_frame_route(self, example1_params):
+        data, _ = sample(example1_params, 500, 4)
+        got, want = empirical_moments(_frame(data)), empirical_moments(data)
+        for name in ("m1", "m2", "v"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.m3.coeffs.tobytes() == want.m3.coeffs.tobytes()
+        assert (got.sigma_bar_sq, got.n_samples) == (want.sigma_bar_sq, want.n_samples)
 
 
 class TestHighDimStartQuality:
