@@ -20,17 +20,26 @@ mixtures, n = 1000, sample seeds 0-9) it times:
   sample out of cache; a call repeated on one sample runs faster.
 
 Each timing is the wall time per sample (or per call) of one repeat; the file
-gives the median and minimum over the repeats. The quality beside a timing is
-that of the EM fit the timed work leads to, from the same start with the same
-seed as `cli.fit_once`: its final log-likelihood, ARI against the true labels
-and iteration count, per sample seed. Timings vary with the host; compare two
-files only when they come from the same machine.
+gives the median and minimum over the repeats. Before the first repeat of a
+stage and after each it times perfbench's own reference computation
+(reference.py, imported read-only) with the parts spec.json gives the
+matching workload: `study` for Examples 1 and 2, `large-n` for the
+n = 100000 stages. Those times are stored as `ref_s`, and `median_ref` is
+the median over the repeats of each one's time over the mean of the two
+reference times around it, in reference units as perfbench scores a job.
+The quality beside a timing is that of the EM fit the timed work leads to,
+from the same start with the same seed as `cli.fit_once`: its final
+log-likelihood, ARI against the true labels and iteration count, per sample
+seed. Timings vary with the host; compare two files only when they come from
+the same machine.
 
-With --compare, the stages present in both files whose median is more than
-COMPARE_SLOWER slower than in PREV.json, and every quality list that differs,
-are printed and recorded under "compare"; nothing fails on them. A shared
-host's speed drifts by more than that over hours, so time PREV.json's commit
-again beside this one before reading a slower stage as a regression.
+With --compare, the stages present in both files whose `median_ref` rose by
+more than COMPARE_SLOWER over PREV.json, each with both raw medians beside
+it, and every quality list that differs, are printed and recorded under
+"compare"; nothing fails on them. A shared host's speed drifts by more than
+that within minutes, and the reference drifts with it, so the ratio holds
+steadier than a raw time. Against a file without reference times (such as
+BENCH_19.json) the raw medians are compared, and the output says so.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from momentgmm import SymmetricTensor, cli, gmm, metrics, moments, waring  # noq
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's own sample generation)
+from reference import Reference  # noqa: E402  (the benchmark's host-speed reference)
 
 SEEDS = range(10)
 N = 1000
@@ -93,11 +103,25 @@ def environment() -> dict:
     }
 
 
-def timings(fn, repeats: int) -> dict:
+def reference(workload: str) -> Reference:
+    """perfbench's reference computation of `workload`, its inputs built."""
+    ref = Reference(workloads.SPEC["workloads"][workload]["reference"])
+    ref.time()
+    return ref
+
+
+def timings(fn, repeats: int, ref: Reference) -> dict:
     """Median and minimum over `repeats` calls of fn, which returns the
-    seconds it measured."""
-    times = [fn() for _ in range(repeats)]
-    return {"median_s": statistics.median(times), "min_s": min(times), "repeats": repeats}
+    seconds it measured; the seconds of `ref` before the first call and after
+    each; and the median over the calls of each one's seconds over the mean
+    of the two reference times around it, as perfbench scores a job."""
+    times, ref_s = [], [ref.time()]
+    for _ in range(repeats):
+        times.append(fn())
+        ref_s.append(ref.time())
+    ratios = [t / statistics.mean(pair) for t, pair in zip(times, zip(ref_s, ref_s[1:]))]
+    return {"median_s": statistics.median(times), "min_s": min(times), "repeats": repeats,
+            "ref_s": ref_s, "median_ref": statistics.median(ratios)}
 
 
 def quality(fits: list[gmm.EmResult], truths: list[np.ndarray]) -> dict:
@@ -127,7 +151,7 @@ def per_sample(calls) -> float:
     return (time.perf_counter() - t0) / len(calls)
 
 
-def bench_example(model: gmm.GmmParams, repeats: int) -> dict:
+def bench_example(model: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
     r = model.n_components
     samples = [gmm.sample(model, N, rng_seed=seed) for seed in SEEDS]
     truths = [labels for _, labels in samples]
@@ -138,7 +162,7 @@ def bench_example(model: gmm.GmmParams, repeats: int) -> dict:
             lambda name=name, data=data, seed=seed: cli.run_initializer(name, data, r, seed)
             for seed, (data, _) in zip(SEEDS, samples)
         ]
-        entry = timings(lambda: per_sample(calls), repeats)
+        entry = timings(lambda: per_sample(calls), repeats, ref)
         starts[name] = [call()[0] for call in calls]
         fits = [
             gmm.em_fit(data, r, start, rng_seed=seed)
@@ -162,21 +186,21 @@ def bench_example(model: gmm.GmmParams, repeats: int) -> dict:
         "runs": list(starts),
         "solo_em_fit": timings(
             lambda: per_sample([lambda s=s, d=d: solo(s, d) for s, (d, _) in zip(SEEDS, samples)]),
-            repeats,
+            repeats, ref,
         ),
         "em_fits_stack": timings(
             lambda: per_sample([lambda s=s, d=d: stack(s, d) for s, (d, _) in zip(SEEDS, samples)]),
-            repeats,
+            repeats, ref,
         ),
         "stack_equals_solo": same,
     } | {
         name: quality([fits[k] for fits in stacked], truths) for k, name in enumerate(starts)
     }
-    out["steps"] = bench_steps(samples[0], starts["kmeans"][0], repeats)
+    out["steps"] = bench_steps(samples[0], starts["kmeans"][0], repeats, ref)
     return out
 
 
-def bench_steps(sample, start: gmm.GmmParams, repeats: int) -> dict:
+def bench_steps(sample, start: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
     """One e_step and one m_step on `sample` from `start`, each with the
     log-likelihood and ARI of the mixture it yields or scores."""
     data, truth = sample
@@ -185,14 +209,14 @@ def bench_steps(sample, start: gmm.GmmParams, repeats: int) -> dict:
     e_resp, e_loglik = gmm.e_step(after, data)
     return {
         "n": len(data),
-        "e_step": timings(lambda: per_sample([lambda: gmm.e_step(start, data)]), repeats)
+        "e_step": timings(lambda: per_sample([lambda: gmm.e_step(start, data)]), repeats, ref)
         | {"loglik": loglik, "ari": metrics.ari(np.argmax(resp, axis=1), truth)},
-        "m_step": timings(lambda: per_sample([lambda: gmm.m_step(data, resp)]), repeats)
+        "m_step": timings(lambda: per_sample([lambda: gmm.m_step(data, resp)]), repeats, ref)
         | {"loglik": e_loglik, "ari": metrics.ari(np.argmax(e_resp, axis=1), truth)},
     }
 
 
-def bench_large_n(repeats: int) -> dict:
+def bench_large_n(repeats: int, ref: Reference) -> dict:
     """fit_once with the moments start on the large-n workload's samples, end
     to end and by stage; every entry carries the fits' quality."""
     work = workloads.make("large-n", LARGE_N_WORKLOAD_SEED)
@@ -220,7 +244,7 @@ def bench_large_n(repeats: int) -> dict:
     def em_pair(frame, start):
         _, c, x, x_sq = frame
         resp, _ = gmm._e_kernel(x, x_sq, gmm._as_step(start, c))
-        floor = gmm.VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+        floor = gmm._variance_floor(x, x_sq)
         return gmm._m_kernel(x, x_sq, resp, floor, [np.random.default_rng(0)])
 
     resps = [gmm._e_kernel(f.x, f.x_sq, gmm._as_step(s, f.c))[0] for f, s in zip(frames, starts)]
@@ -244,21 +268,29 @@ def bench_large_n(repeats: int) -> dict:
         "r": r,
         "sample_fit_seeds": seeds,
         "stages": {
-            name: timings(lambda calls=calls: per_sample(calls), repeats) | fit_quality
+            name: timings(lambda calls=calls: per_sample(calls), repeats, ref) | fit_quality
             for name, calls in stages.items()
         },
     }
 
 
 def compare(new: dict, old: dict, path: str = "") -> list[str]:
-    """Lines naming each stage of both reports whose median is more than
-    COMPARE_SLOWER slower in `new`, and each quality list that differs."""
+    """Lines naming each stage of both reports whose median over the host
+    reference (`median_ref`) rose by more than COMPARE_SLOWER in `new`, with
+    the raw medians beside it, or whose raw median did where either stage
+    lacks reference times; and each quality list that differs."""
     lines = []
     for key in new.keys() & old.keys():
         a, b, where = new[key], old[key], f"{path}/{key}"
         if isinstance(a, dict) and isinstance(b, dict):
-            if "median_s" in a and "median_s" in b and a["median_s"] > (1 + COMPARE_SLOWER) * b["median_s"]:
-                lines.append(f"slower {where}: median {b['median_s']:.6g} -> {a['median_s']:.6g} s")
+            if "median_s" in a and "median_s" in b:
+                raw = f"median {b['median_s']:.6g} -> {a['median_s']:.6g} s"
+                if "median_ref" in a and "median_ref" in b:
+                    if a["median_ref"] > (1 + COMPARE_SLOWER) * b["median_ref"]:
+                        lines.append(f"slower {where}: {b['median_ref']:.6g} -> "
+                                     f"{a['median_ref']:.6g} ref ({raw})")
+                elif a["median_s"] > (1 + COMPARE_SLOWER) * b["median_s"]:
+                    lines.append(f"slower {where}, raw, no reference times: {raw}")
             lines += compare(a, b, where)
         elif key in QUALITY_KEYS and a != b:
             pairs = zip(b, a) if isinstance(a, list) else [(b, a)]
@@ -272,24 +304,32 @@ def main(argv=None) -> int:
     parser.add_argument("out", help="path of the JSON file to write")
     parser.add_argument("--repeats", type=int, default=5, help="timed repeats per stage")
     parser.add_argument("--compare", metavar="PREV.json",
-                        help="report stages over 20%% slower and quality changes against PREV.json")
+                        help="report stages over 20%% slower, over the host reference, "
+                             "and quality changes against PREV.json")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     models = examples()
+    study, large_n = reference("study"), reference("large-n")
     report = {
         "environment": environment(),
         "settings": {"n": N, "sample_seeds": list(SEEDS), "repeats": args.repeats},
-        "examples": {name: bench_example(model, args.repeats) for name, model in models.items()},
+        "reference": {name: workloads.SPEC["workloads"][name]["reference"]
+                      for name in ("study", "large-n")},
+        "examples": {name: bench_example(model, args.repeats, study)
+                     for name, model in models.items()},
     }
     large = gmm.sample(models["example1"], LARGE_N, rng_seed=0)
     start = gmm.init_random(large[0], models["example1"].n_components, rng_seed=0)
-    report["large_n_steps"] = bench_steps(large, start, args.repeats)
-    report["large_n_fit"] = bench_large_n(args.repeats)
+    report["large_n_steps"] = bench_steps(large, start, args.repeats, large_n)
+    report["large_n_fit"] = bench_large_n(args.repeats, large_n)
     if args.compare:
-        report["compare"] = {"against": args.compare,
-                             "lines": compare(report, json.loads(Path(args.compare).read_text()))}
-        print("\n".join(report["compare"]["lines"]) or "no stage slower, no quality changed")
+        old = json.loads(Path(args.compare).read_text())
+        lines = compare(report, old)
+        if "reference" not in old:
+            lines.insert(0, f"{args.compare} has no reference times: stages compared by raw median")
+        report["compare"] = {"against": args.compare, "lines": lines}
+        print("\n".join(lines) or "no stage slower, no quality changed")
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -14,7 +14,8 @@ runs laid out (runs, r, n), each leaving the stack once it meets its own
 tolerance: `em_fits` is a stack of starts, `em_fit` one run, and emEM's
 bursts a stack run for `short_iters` steps at tol = 0.  k-means' restarts
 are stacked too.  A stacked run does the arithmetic it does alone, so its
-result is the same, bit for bit; restarts run in RESTART_BLOCK_ELEMENTS blocks.
+result is the same, bit for bit.  k-means and emEM draw their restarts from
+one loop, `_restarts`, in RESTART_BLOCK_ELEMENTS blocks; k-means ends on `m_step`.
 """
 
 from __future__ import annotations
@@ -138,10 +139,15 @@ def _sq_dist(x: np.ndarray, x_sq: np.ndarray, offsets: np.ndarray) -> np.ndarray
     return np.maximum(d, 0.0, out=d)
 
 
-def pooled_variance(data: np.ndarray) -> float:
-    """(1/(n m)) sum ||x_i - xbar||^2."""
-    centered = data - data.mean(axis=0)
-    return float(np.sum(centered**2) / centered.size)
+def pooled_variance(data: np.ndarray | Frame) -> float:
+    """(1/(n m)) sum ||x_i - xbar||^2 of a sample, checked by `_frame`, or a Frame."""
+    x = _frame(data).x
+    return float(np.sum(x**2) / x.size)
+
+
+def _variance_floor(x: np.ndarray, x_sq: np.ndarray) -> float:
+    """The default variance floor of a frame (x, x_sq), a fraction of its pooled variance."""
+    return VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
 
 
 def _log_normalize(a: np.ndarray) -> np.ndarray:
@@ -275,7 +281,7 @@ def m_step(
     if np.ndim(resp) != 2 or len(resp) != len(x):
         raise InputError(f"resp must be an n x r matrix with n = {len(x)}, got {np.shape(resp)}")
     if variance_floor is None:
-        variance_floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+        variance_floor = _variance_floor(x, x_sq)
     rng = rng if rng is not None else np.random.default_rng(0)
     step = _m_kernel(x, x_sq, np.array(resp.T, dtype=float)[None], variance_floor, [rng])
     return _run_params(step, c)
@@ -296,7 +302,7 @@ def em_fits(
         raise InputError(f"every start must have r={r} components")
     if not inits:
         return []
-    floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+    floor = _variance_floor(x, x_sq)
     step = tuple(map(np.concatenate, zip(*[_as_step(init, c) for init in inits])))
     rngs = [np.random.default_rng(rng_seed) for _ in inits]
     kind = np.min_scalar_type(-r).type
@@ -323,6 +329,20 @@ def em_fit(
 # ---------------------------------------------------------------------------
 # Initializers
 # ---------------------------------------------------------------------------
+
+
+def _restarts(r: int, n: int, runs: int, per_run: int, rng_seed: int, name: str):
+    """Checks 1 <= r <= n and runs >= 1 (the parameter `name`), then yields the
+    Generators default_rng(rng_seed + run) of restarts 0 .. runs-1 in blocks of
+    RESTART_BLOCK_ELEMENTS entries of their largest arrays, per_run a run."""
+    if not 1 <= r <= n:
+        raise InputError(f"r={r} must lie in [1, n={n}]")
+    if runs < 1:
+        raise InputError(f"{name}={runs} must be >= 1")
+    block = max(1, RESTART_BLOCK_ELEMENTS // per_run)
+    for first in range(0, runs, block):
+        stack = range(first, min(first + block, runs))
+        yield [np.random.default_rng(rng_seed + run) for run in stack]
 
 
 def _kmeans_pp_seeds(x: np.ndarray, x_sq: np.ndarray, r: int, rngs) -> np.ndarray:
@@ -411,41 +431,30 @@ def init_kmeans(
     data: np.ndarray | Frame, r: int, runs: int = 50, rng_seed: int = 0
 ) -> GmmParams:
     """Best of `runs` k-means++ / Lloyd runs by WCSS, turned into mixture
-    parameters through a hard-label M step.  Run `run` seeds on its own
-    Generator, default_rng(rng_seed + run), and the first run with the least
-    WCSS wins.  Seeding and Lloyd run on the data centered once (`_frame`),
-    stacked, RESTART_BLOCK_ELEMENTS entries of their largest array at a
-    time."""
-    _, c, x, x_sq = _frame(data)
-    n, m = x.shape
-    if not 1 <= r <= n:
-        raise InputError(f"r={r} must lie in [1, n={n}]")
-    if runs < 1:
-        raise InputError(f"runs={runs} must be >= 1")
-    block = max(1, RESTART_BLOCK_ELEMENTS // (max(r, m) * n))
+    parameters by `m_step` of its hard labels on the same frame.  Run `run`
+    seeds on its own Generator, default_rng(rng_seed + run), and the first
+    run with the least WCSS wins.  Seeding and Lloyd run on the data centered
+    once (`_frame`), stacked, in the blocks of `_restarts`."""
+    frame = _frame(data)
+    (n, m), x, x_sq = frame.x.shape, frame.x, frame.x_sq
     best_wcss, best = np.inf, None
-    for first in range(0, runs, block):
-        stack = range(first, min(first + block, runs))
-        rngs = [np.random.default_rng(rng_seed + run) for run in stack]
+    for rngs in _restarts(r, n, runs, max(r, m) * n, rng_seed, "runs"):
         labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, x_sq, r, rngs))
         for k, run_wcss in enumerate(wcss):
             if best is None or run_wcss < best_wcss:
                 best_wcss, best = run_wcss, labels[k]
-    # m_step(data, np.eye(r)[best]) on this frame, its one-hot laid out as there
-    floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
-    step = _m_kernel(x, x_sq, np.eye(r)[best].T[None], floor, [np.random.default_rng(0)])
-    return _run_params(step, c)
+    return m_step(frame, np.eye(r)[best])
 
 
 def init_random(data: np.ndarray | Frame, r: int, rng_seed: int = 0) -> GmmParams:
     """Uniform weights, means at r distinct data rows, pooled variance."""
-    data, _, x, _ = _frame(data)
-    if not 1 <= r <= len(x):
-        raise InputError(f"r={r} must lie in [1, n={len(x)}]")
+    frame = _frame(data)
+    if not 1 <= r <= len(frame.x):
+        raise InputError(f"r={r} must lie in [1, n={len(frame.x)}]")
     rng = np.random.default_rng(rng_seed)
-    rows = rng.choice(len(x), size=r, replace=False)
-    var = max(float(np.sum(x**2) / x.size), 1e-12)
-    return GmmParams(weights=np.full(r, 1.0 / r), means=data[rows], variances=np.full(r, var))
+    rows = rng.choice(len(frame.x), size=r, replace=False)
+    var = max(pooled_variance(frame), 1e-12)
+    return GmmParams(weights=np.full(r, 1.0 / r), means=frame.data[rows], variances=np.full(r, var))
 
 
 def init_emem(
@@ -465,16 +474,9 @@ def init_emem(
     """
     _, c, x, x_sq = _frame(data)
     n = len(x)
-    if not 1 <= r <= n:
-        raise InputError(f"r={r} must lie in [1, n={n}]")
-    if short_runs < 1:
-        raise InputError(f"short_runs={short_runs} must be >= 1")
-    floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
-    block = max(1, RESTART_BLOCK_ELEMENTS // (r * n))
+    floor = _variance_floor(x, x_sq)
     best_loglik, best = -np.inf, None
-    for first in range(0, short_runs, block):
-        runs = range(first, min(first + block, short_runs))
-        rngs = [np.random.default_rng(rng_seed + run) for run in runs]
+    for rngs in _restarts(r, n, short_runs, r * n, rng_seed, "short_runs"):
         resp = np.empty((len(rngs), r, n))
         for k, rng in enumerate(rngs):
             start = rng.uniform(size=(n, r))

@@ -210,7 +210,7 @@ def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
 
     eigvals, eigvecs = np.linalg.eigh(m2)
     basis = eigvecs[:, ::-1][:, :r]
-    opts = DecompositionOptions(rank=r, k=2, on_complex="error" if n_samples == "exact" else "warn")
+    opts = DecompositionOptions(rank=r, on_complex="error" if n_samples == "exact" else "warn")
     dec = decompose(SymmetricTensor(r, 3, _symmetric_array_coeffs(m3_in(basis))), opts)
     w_tilde, mu_tilde = dec.weights, dec.points @ basis.T
 

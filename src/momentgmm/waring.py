@@ -31,6 +31,7 @@ from .symtensor import (
 # MAX_PENCIL_DRAWS attempts
 MAX_PENCIL_RETRIES = 5
 MAX_PENCIL_DRAWS = 25
+REFINE_ITERATIONS = 5  # refine steps after a best draw whose residual exceeds 1e-14
 EIGENVALUE_GAP_TOL = 1e-10
 IMAG_LEAK_TOL = 1e-6
 
@@ -40,7 +41,6 @@ class DecompositionOptions:
     rank: int | None = None
     rank_tolerance: float = 1e-8
     k: int | None = None
-    refine_iterations: int = 5
     rng_seed: int = 0
     # "error": reject complex-leaking points (exact tensors); "warn": take
     # real parts and flag the result (empirical moment tensors).
@@ -50,8 +50,6 @@ class DecompositionOptions:
         # 1 or NaN would truncate the Hankel SVD to rank 0
         if not 0.0 <= self.rank_tolerance < 1.0:
             raise InputError("rank_tolerance must be in [0, 1)")
-        if self.refine_iterations < 0 or self.refine_iterations > 50:
-            raise InputError("refine_iterations must be in [0, 50]")
         if self.on_complex not in ("error", "warn"):
             raise InputError("on_complex must be 'error' or 'warn'")
 
@@ -207,7 +205,7 @@ def decompose(
         weights=weights, points=points, order=t.order, complex_leak=leak
     )
     if rel > 1e-14:
-        result = refine(t, result, opts.refine_iterations)
+        result = refine(t, result, REFINE_ITERATIONS)
     return result
 
 

@@ -1,0 +1,59 @@
+"""`compare` of bench/perf.py on synthetic reports: a stage is flagged by its
+time over the host reference, not by its raw time, and a changed quality
+list is reported."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+PERF = Path(__file__).resolve().parents[1] / "bench" / "perf.py"
+
+
+@pytest.fixture(scope="module")
+def perf():
+    """bench/perf.py as a module; loading it pins the BLAS thread variables
+    and extends sys.path, both restored here."""
+    environ, path = dict(os.environ), list(sys.path)
+    spec = importlib.util.spec_from_file_location("bench_perf", PERF)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.path[:] = path
+    return module
+
+
+def report(seconds: float, ref_seconds: float, loglik=(-10.0, -12.0)) -> dict:
+    """One stage timed at `seconds` between two reference runs of `ref_seconds`."""
+    stage = {"median_s": seconds, "min_s": seconds, "repeats": 5,
+             "ref_s": [ref_seconds, ref_seconds], "median_ref": seconds / ref_seconds}
+    return {"examples": {"example1": {"initializers": {"kmeans": stage | {"loglik": list(loglik)}}}}}
+
+
+def test_host_slowdown_is_not_flagged(perf):
+    assert perf.compare(report(0.013, 0.065), report(0.010, 0.050)) == []
+
+
+def test_slower_over_the_reference_is_flagged(perf):
+    lines = perf.compare(report(0.013, 0.050), report(0.010, 0.050))
+    assert len(lines) == 1
+    assert lines[0].startswith("slower /examples/example1/initializers/kmeans: 0.2 -> 0.26 ref")
+    assert "median 0.01 -> 0.013 s" in lines[0]
+
+
+def test_changed_quality_is_reported(perf):
+    lines = perf.compare(report(0.010, 0.050, (-10.0, -12.5)), report(0.010, 0.050))
+    assert lines == ["quality /examples/example1/initializers/kmeans/loglik: [1] -12.0 -> -12.5"]
+
+
+def test_file_without_reference_times_compares_raw(perf):
+    old = report(0.010, 0.050)
+    del old["examples"]["example1"]["initializers"]["kmeans"]["median_ref"]
+    lines = perf.compare(report(0.013, 0.065), old)
+    assert lines == ["slower /examples/example1/initializers/kmeans, raw, no reference times: "
+                     "median 0.01 -> 0.013 s"]

@@ -623,6 +623,7 @@ def malformed_calls():
         "em_fit": lambda data: em_fit(data, 2, start),
         "e_step": lambda data: e_step(start, data),
         "m_step": lambda data: m_step(data, np.full((len(data), 2), 0.5)),
+        "pooled_variance": lambda data: pooled_variance(data),
     }
     calls = [
         pytest.param(lambda entry=entry, data=data: entry(data), "data", id=f"{name}-{defect}")
@@ -1174,6 +1175,7 @@ class TestFrameRoute:
                 assert_same_fit(em_fit(frame, r, starts[1], max_iter=5, rng_seed=seed),
                                 em_fit(data, r, starts[1], max_iter=5, rng_seed=seed))
                 assert np.array_equal(e_step(starts[0], frame)[0], e_step(starts[0], data)[0])
+            assert pooled_variance(frame) == pooled_variance(data)
 
     def test_moments_fallback_on_a_frame(self, monkeypatch):
         def boom(data, r):

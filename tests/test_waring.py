@@ -208,10 +208,6 @@ class TestDecompose:
         with pytest.raises(InputError):
             decompose(t, DecompositionOptions(k=3))
 
-    def test_bad_refine_iterations(self):
-        with pytest.raises(InputError):
-            DecompositionOptions(refine_iterations=51)
-
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         t, _, _ = random_decomposable(rng, 4, 3, 3)
@@ -237,13 +233,14 @@ class TestRefine:
         assert after <= before
         assert after < 1e-8
 
-    def test_noisy_tensor_polish(self):
+    def test_noisy_tensor_polish(self, monkeypatch):
+        monkeypatch.setattr(waring, "REFINE_ITERATIONS", 10)
         rng = np.random.default_rng(12)
         t, tw, tp = random_decomposable(rng, 4, 3, 3)
         noisy = SymmetricTensor(
             4, 3, t.coeffs + 1e-4 * rng.standard_normal(len(t.coeffs))
         )
-        dec = decompose(noisy, DecompositionOptions(rank=3, k=2, refine_iterations=10))
+        dec = decompose(noisy, DecompositionOptions(rank=3, k=2))
         worst_pt, worst_w = match_error(dec, tw, tp)
         assert worst_pt < 1e-2 and worst_w < 1e-2
 
@@ -319,7 +316,7 @@ def nested_decompose(t, opts):
     _, weights, points, leak = best
     result = WaringDecomposition(weights, points, t.order, complex_leak=leak)
     if relative_residual(t, result) > 1e-14:
-        result = refine(t, result, opts.refine_iterations)
+        result = refine(t, result, waring.REFINE_ITERATIONS)
     return result
 
 
@@ -421,12 +418,13 @@ def gemm_refine(t, w, iters):
 class TestRefineMatchesGemm:
     @pytest.mark.parametrize("m, r", [(6, 4), (12, 6), (30, 15)])
     @pytest.mark.parametrize("seed", range(2))
-    def test_noisy_tensor(self, m, r, seed):
+    def test_noisy_tensor(self, m, r, seed, monkeypatch):
+        monkeypatch.setattr(waring, "REFINE_ITERATIONS", 0)
         rng = np.random.default_rng(2000 * m + seed)
         t, _, _ = random_decomposable(rng, m, r, 3)
         noise = 1e-2 * np.abs(t.coeffs).max() * rng.standard_normal(len(t.coeffs))
         noisy = SymmetricTensor(m, 3, t.coeffs + noise)
-        opts = DecompositionOptions(rank=r, refine_iterations=0, on_complex="warn")
+        opts = DecompositionOptions(rank=r, on_complex="warn")
         start = decompose(noisy, opts)
         got = refine(noisy, start, 5)
         want = gemm_refine(noisy, start, 5)
