@@ -19,8 +19,10 @@ mixtures, n = 1000, sample seeds 0-9) it times:
   labels. A stage runs sample after sample, so each call finds its 8 MB
   sample out of cache; a call repeated on one sample runs faster.
 
-Each timing is the wall time per sample (or per call) of one repeat; the file
-gives the median and minimum over the repeats. Before the first repeat of a
+A repeat makes `calls` back-to-back calls of the stage, enough that it lasts
+at least REPEAT_S, counted from one call before the first repeat. Each timing
+is the wall time per sample (or per call), averaged over one repeat's calls;
+the file gives the median and minimum over the repeats, and `calls`. Before the first repeat of a
 stage and after each it times perfbench's own reference computation
 (reference.py, imported read-only) with the parts spec.json gives the
 matching workload: `study` for Examples 1 and 2, `large-n` for the
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -73,6 +76,7 @@ N = 1000
 LARGE_N = 100_000
 LARGE_N_WORKLOAD_SEED = 3
 COMPARE_SLOWER = 0.20
+REPEAT_S = 0.02  # a shorter repeat is lost in the noise of the reference around it
 QUALITY_KEYS = ("loglik", "ari", "iterations")
 
 
@@ -111,17 +115,22 @@ def reference(workload: str) -> Reference:
 
 
 def timings(fn, repeats: int, ref: Reference) -> dict:
-    """Median and minimum over `repeats` calls of fn, which returns the
-    seconds it measured; the seconds of `ref` before the first call and after
-    each; and the median over the calls of each one's seconds over the mean
-    of the two reference times around it, as perfbench scores a job."""
+    """Median and minimum over `repeats` repeats of the mean of `calls`
+    back-to-back calls of fn, which returns the seconds it measured, with
+    `calls` set from one call before them so that a repeat lasts at least
+    REPEAT_S; the seconds of `ref` before the first repeat and after each;
+    and the median over the repeats of each one's seconds over the mean of
+    the two reference times around it, as perfbench scores a job."""
+    t0 = time.perf_counter()
+    fn()
+    calls = math.ceil(REPEAT_S / (time.perf_counter() - t0))
     times, ref_s = [], [ref.time()]
     for _ in range(repeats):
-        times.append(fn())
+        times.append(statistics.fmean(fn() for _ in range(calls)))
         ref_s.append(ref.time())
     ratios = [t / statistics.mean(pair) for t, pair in zip(times, zip(ref_s, ref_s[1:]))]
     return {"median_s": statistics.median(times), "min_s": min(times), "repeats": repeats,
-            "ref_s": ref_s, "median_ref": statistics.median(ratios)}
+            "calls": calls, "ref_s": ref_s, "median_ref": statistics.median(ratios)}
 
 
 def quality(fits: list[gmm.EmResult], truths: list[np.ndarray]) -> dict:
@@ -233,8 +242,7 @@ def bench_large_n(repeats: int, ref: Reference) -> dict:
     stats = [moments._sample_moments(frame) for frame in frames]
     bases = [np.linalg.eigh(m2)[1][:, ::-1][:, :r] for _, _, m2, _, _, _ in stats]
     m3s = [
-        SymmetricTensor(r, 3, moments._symmetric_array_coeffs(
-            moments._m3_array(frame.data @ w, m1 @ w)))
+        SymmetricTensor(r, 3, moments._m3_array(frame.data @ w, m1 @ w))
         for frame, (_, m1, _, _, _, _), w in zip(frames, stats, bases)
     ]
     opts = waring.DecompositionOptions(rank=r, k=2, on_complex="warn")

@@ -16,7 +16,7 @@ from .gmm import (
     pooled_variance,
     sample,
 )
-from .hankel import HankelMatrix, hankel
+from .hankel import hankel
 from .metrics import ari, bic, error_rate, nu_spherical
 from .moments import MomentSet, RecoveredParams, empirical_moments, exact_moments, recover_parameters
 from .symtensor import (
@@ -29,7 +29,6 @@ __all__ = [
     "DecompositionOptions",
     "EmResult",
     "GmmParams",
-    "HankelMatrix",
     "InputError",
     "MomentSet",
     "NumericalError",

@@ -159,7 +159,8 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
     """Run the simulate/fit/score loop; returns (summary, per-fit rows).
 
     Config keys: model (mixture JSON object), n, replicates, initializers,
-    master_seed, max_iter, repeats (optional outer repetitions).
+    master_seed, max_iter, repeats (optional outer repetitions), and outputs
+    (the directory `momentgmm benchmark` writes to), checked here.
     """
     try:
         model_json = json.dumps(config["model"])
@@ -183,6 +184,9 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
         raise InputError("replicates and repeats must be >= 1")
     if master_seed < 0 or max_iter < 0:
         raise InputError("master_seed and max_iter must be >= 0")
+    outputs = config.get("outputs", ".")
+    if not isinstance(outputs, str) or not outputs:
+        raise InputError(f"outputs must be a nonempty directory path, got {outputs!r}")
     r = model.n_components
 
     def one_replicate(rep: int, idx: int) -> list[dict]:

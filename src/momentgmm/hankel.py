@@ -2,29 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
 from .symtensor import SymmetricTensor, sum_index
 
 
-@dataclass
-class HankelMatrix:
-    """s_k x s_{d-k} matrix with entry (alpha, beta) = T_{alpha+beta}."""
-
-    k: int
-    dim: int
-    matrix: np.ndarray
-
-
-def hankel(t: SymmetricTensor, k: int) -> HankelMatrix:
-    """Catalecticant of T in row degree k, column degree d-k."""
+def hankel(t: SymmetricTensor, k: int) -> np.ndarray:
+    """Catalecticant of T in row degree k, column degree d-k: the
+    s_k x s_{d-k} matrix with entry (alpha, beta) = T_{alpha+beta}."""
     if not 1 <= k <= t.order - 1:
         raise InputError(f"k={k} out of range [1, {t.order - 1}]")
-    mat = t.coeffs[sum_index(t.dim, k, t.order - k)]
-    return HankelMatrix(k=k, dim=t.dim, matrix=mat)
+    return t.coeffs[sum_index(t.dim, k, t.order - k)]
 
 
 def numerical_rank(mat: np.ndarray) -> int:

@@ -133,9 +133,9 @@ def _sample_moments(data) -> tuple:
 
 
 def _m3_array(y: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Adjusted M3 of an n x k sample y with adjusted M1 m1: mean(y_a y_b y_c) - sym(m1 (x) I).
-    The raw moment sums the pairs a <= b, one GEMM per block of rows whose pair
-    products hold MOMENT_BLOCK_ELEMENTS entries, then is mirrored over (a, b)."""
+    """Coefficients of the adjusted M3 of an n x k sample y with adjusted M1 m1, mean(y_a y_b y_c)
+    - sym(m1 (x) I) at a <= b <= c: the pairs a <= b are summed, one GEMM per block of rows whose
+    pair products hold MOMENT_BLOCK_ELEMENTS entries, and read at each monomial's ((a, b), c)."""
     n, k = y.shape
     a, b = index_tuples(k, 2).T
     step = max(1, MOMENT_BLOCK_ELEMENTS // len(a))
@@ -143,17 +143,16 @@ def _m3_array(y: np.ndarray, m1: np.ndarray) -> np.ndarray:
     for i in range(0, n, step):
         rows = y[i : i + step]
         raw += (rows[:, a] * rows[:, b]).T @ rows
-    raw = raw[sum_index(k, 1, 1)] / n
-    eye = np.eye(k)
-    return raw - (
-        eye[:, :, None] * m1 + eye[:, None, :] * m1[:, None] + eye[None, :, :] * m1[:, None, None]
+    a, b, c = index_tuples(k, 3).T
+    return raw[sum_index(k, 1, 1)[a, b], c] / n - (
+        (a == b) * m1[c] + (a == c) * m1[b] + (b == c) * m1[a]
     )
 
 
 def empirical_moments(data: np.ndarray | Frame) -> MomentSet:
     """Plug-in moment estimates from an n x m sample matrix or its Frame."""
     data, m1, m2, sigma_bar_sq, v, ambiguous = _sample_moments(data)
-    m3 = SymmetricTensor(data.shape[1], 3, _symmetric_array_coeffs(_m3_array(data, m1)))
+    m3 = SymmetricTensor(data.shape[1], 3, _m3_array(data, m1))
     return MomentSet(
         m1=m1, m2=m2, m3=m3, sigma_bar_sq=sigma_bar_sq, v=v,
         n_samples=len(data), v_ambiguous=ambiguous,
@@ -198,12 +197,13 @@ def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
     # degree-3 "beta + e_i" tables
     dense = moments.m3.coeffs[sum_index(m, 2, 1)[sum_index(m, 1, 1)]]
     return _recover(moments.m1, moments.m2, moments.sigma_bar_sq, r, moments.n_samples,
-                    lambda w: np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w, optimize=True))
+                    lambda w: _symmetric_array_coeffs(
+                        np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w, optimize=True)))
 
 
 def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
-    """Waring-decompose m3_in(W), M3 in the span W of M2's top r eigenvectors, where the
-    means lie, map the points back, rescale against M2, then solve M1 for variances."""
+    """Waring-decompose m3_in(W), M3's coefficients in the span W of M2's top r eigenvectors,
+    where the means lie, map the points back, rescale against M2, then solve M1 for variances."""
     m = len(m1)
     if r > m:
         raise InputError(f"r={r} exceeds dimension m={m}; r <= m is required")
@@ -211,7 +211,7 @@ def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
     eigvals, eigvecs = np.linalg.eigh(m2)
     basis = eigvecs[:, ::-1][:, :r]
     opts = DecompositionOptions(rank=r, on_complex="error" if n_samples == "exact" else "warn")
-    dec = decompose(SymmetricTensor(r, 3, _symmetric_array_coeffs(m3_in(basis))), opts)
+    dec = decompose(SymmetricTensor(r, 3, m3_in(basis)), opts)
     w_tilde, mu_tilde = dec.weights, dec.points @ basis.T
 
     # scale system: sum_i lambda_i w~_i (mu~_i . X)^2 = M2(X), solved over the

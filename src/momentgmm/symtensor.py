@@ -12,6 +12,7 @@ coefficients, which makes powers of linear forms act as point evaluations.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,18 +24,25 @@ from .errors import InputError, json_int
 
 
 @lru_cache(maxsize=None)
-def monomials(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of total degree `degree` in `dim` variables,
-    in graded-lex order (lexicographically descending)."""
+def index_tuples(dim: int, degree: int) -> np.ndarray:
+    """s_d x d table, the one monomial enumeration: row a lists the variables
+    i_1 <= ... <= i_d of the a-th graded-lex monomial, so X1^2 X3 is (0, 0, 2).
+    Sorted tuples in lexicographic order are exponent vectors in descending
+    lexicographic order, which is graded-lex within one degree."""
     if dim < 1:
         raise InputError("dim must be >= 1")
-    if dim == 1:
-        return ((degree,),)
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in monomials(dim - 1, degree - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    rows = list(itertools.combinations_with_replacement(range(dim), degree))
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), degree)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def monomials(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent vectors of total degree `degree` in `dim` variables, in
+    the order of `index_tuples`: how often each variable occurs in a row."""
+    counts = (index_tuples(dim, degree)[:, :, None] == np.arange(dim)).sum(axis=1)
+    return tuple(map(tuple, counts.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -64,28 +72,20 @@ def multinomial_weights(dim: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def index_tuples(dim: int, degree: int) -> np.ndarray:
-    """s_d x d table; row a lists the variables i_1 <= ... <= i_d of the a-th
-    graded-lex monomial, so X1^2 X3 is (0, 0, 2)."""
-    expo = np.array(monomials(dim, degree), dtype=np.intp)
-    table = np.repeat(np.tile(np.arange(dim), len(expo)), expo.ravel())
-    table = table.reshape(len(expo), degree)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
 def sum_index(dim: int, k: int, l: int) -> np.ndarray:
     """s_k x s_l table: entry (a, b) is the position of alpha_a + beta_b among
-    the degree-(k+l) monomials.  The l = 1 table maps (beta, i) to beta + e_i."""
-    idx = monomial_index(dim, k + l)
-    table = np.array(
-        [
-            [idx[tuple(a + b for a, b in zip(alpha, beta))] for beta in monomials(dim, l)]
-            for alpha in monomials(dim, k)
-        ],
-        dtype=np.intp,
-    )
+    the degree-(k+l) monomials.  The l = 1 table maps (beta, i) to beta + e_i.
+    A sorted index tuple is found by its C-order position in the dim^(k+l)
+    array, which grows with the tuple's lexicographic rank."""
+    rows, cols = index_tuples(dim, k), index_tuples(dim, l)
+    sums = np.hstack([np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1))])
+    sums.sort(axis=1)
+
+    def position(tuples):
+        return np.atleast_1d(np.ravel_multi_index(tuples.T, (dim,) * (k + l)))
+
+    table = np.searchsorted(position(index_tuples(dim, k + l)), position(sums))
+    table = table.reshape(len(rows), len(cols))
     table.setflags(write=False)
     return table
 
@@ -146,10 +146,6 @@ class SymmetricTensor:
             return cls(dim, order, np.array(obj["coeffs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed tensor JSON: {exc}") from exc
-
-    @classmethod
-    def zero(cls, dim: int, order: int) -> "SymmetricTensor":
-        return cls(dim, order, np.zeros(num_coeffs(dim, order)))
 
 
 def evaluate(t: SymmetricTensor, x) -> float:

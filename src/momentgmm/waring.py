@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hankel import HankelMatrix, hankel
+from .hankel import hankel
 from .symtensor import (
     SymmetricTensor,
     WaringDecomposition,
@@ -60,20 +60,22 @@ def default_row_degree(order: int) -> int:
     return min(order - 1, (order + 1) // 2)
 
 
-def truncated_svd_basis(h: HankelMatrix, opts: DecompositionOptions) -> np.ndarray:
-    """Pencil slices of an orthonormal basis U of the Hankel column space: an
-    (m, s_(k-1), r) array whose slice i holds the rows of U at the degree-k
-    monomials divisible by X_i.  The detected or requested rank r is last."""
-    u_full, s, _ = np.linalg.svd(h.matrix, full_matrices=False)
+def truncated_svd_basis(t: SymmetricTensor, k: int, opts: DecompositionOptions) -> np.ndarray:
+    """Pencil slices of an orthonormal basis U of the column space of
+    hankel(t, k): an (m, s_(k-1), r) array whose slice i holds the rows of U at
+    the degree-k monomials divisible by X_i.  The detected or requested rank r
+    is last."""
+    mat = hankel(t, k)
+    u_full, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] <= np.finfo(float).tiny:
         raise NumericalError("zero tensor: all singular values vanish")
     if opts.rank is not None:
         r = opts.rank
-        if r < 1 or r > min(h.matrix.shape):
+        if r < 1 or r > min(mat.shape):
             raise InputError(f"requested rank {r} out of range for Hankel shape")
     else:
         r = int(np.sum(s > opts.rank_tolerance * s[0]))
-    return u_full[:, :r][sum_index(h.dim, h.k - 1, 1).T]
+    return u_full[:, :r][sum_index(t.dim, k - 1, 1).T]
 
 
 def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +170,7 @@ def decompose(
     """
     opts = opts if opts is not None else DecompositionOptions()
     k = opts.k if opts.k is not None else default_row_degree(t.order)
-    slices = truncated_svd_basis(hankel(t, k), opts)
+    slices = truncated_svd_basis(t, k, opts)
     r = slices.shape[-1]
     if r > num_coeffs(t.dim, k - 1):
         raise NumericalError(

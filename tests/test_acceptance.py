@@ -140,7 +140,7 @@ class TestCriterion2SumsOfCubes:
                     alpha[i] = 3
                     coeffs[idx[tuple(alpha)]] = 1.0
                 t = SymmetricTensor(m, 3, coeffs)
-                if numerical_rank(hankel(t, 1).matrix) != r:
+                if numerical_rank(hankel(t, 1)) != r:
                     ranks_ok = False
                 k = 1 if r == 1 else 2
                 dec = decompose(t, DecompositionOptions(rank=r, k=k))

@@ -1,6 +1,7 @@
 """`compare` of bench/perf.py on synthetic reports: a stage is flagged by its
 time over the host reference, not by its raw time, and a changed quality
-list is reported."""
+list is reported. `timings` on a stage whose clock is simulated: a short
+stage is repeated until one repeat lasts REPEAT_S."""
 
 import importlib.util
 import os
@@ -57,3 +58,38 @@ def test_file_without_reference_times_compares_raw(perf):
     lines = perf.compare(report(0.013, 0.065), old)
     assert lines == ["slower /examples/example1/initializers/kmeans, raw, no reference times: "
                      "median 0.01 -> 0.013 s"]
+
+
+class SimulatedStage:
+    """A stage that takes `seconds` on a clock that only it advances, with a
+    reference computation that takes 50 ms on the same clock."""
+
+    def __init__(self, seconds: float):
+        self.seconds, self.now, self.calls = seconds, 0.0, 0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def __call__(self) -> float:
+        self.calls += 1
+        self.now += self.seconds
+        return self.seconds
+
+    def time(self) -> float:
+        self.now += 0.05
+        return 0.05
+
+
+@pytest.mark.parametrize("seconds", [1e-4, 3e-3, 0.05])
+def test_short_stage_repeats_until_a_repeat_lasts_repeat_s(perf, monkeypatch, seconds):
+    stage = SimulatedStage(seconds)
+    monkeypatch.setattr(perf, "time", stage)
+    entry = perf.timings(stage, 3, stage)
+    calls = entry["calls"]
+    # the fewest back-to-back calls that last REPEAT_S, one when a call does
+    assert calls * seconds >= perf.REPEAT_S
+    assert calls == 1 or (calls - 1) * seconds < perf.REPEAT_S
+    assert (calls > 1) == (seconds < perf.REPEAT_S)
+    assert stage.calls == 1 + 3 * calls
+    assert entry["median_s"] == pytest.approx(seconds)
+    assert entry["median_ref"] == pytest.approx(seconds / 0.05)

@@ -257,7 +257,7 @@ class TestDecompose:
 
     def test_zero_tensor_numerical_failure(self, tmp_path):
         tensor_path = tmp_path / "z.json"
-        tensor_path.write_text(SymmetricTensor.zero(3, 3).to_json())
+        tensor_path.write_text(SymmetricTensor(3, 3, np.zeros(10)).to_json())
         assert main(["decompose", str(tensor_path)]) == 2
 
     def test_malformed_tensor_input_error(self, tmp_path):
@@ -436,11 +436,15 @@ class TestBenchmark:
             {"repeats": 1.5},
             {"master_seed": True},
             {"max_iter": 99.5},
+            {"outputs": 5},
+            {"outputs": ["a"]},
+            {"outputs": ""},
         ],
         ids=["no-model", "no-n", "no-replicates", "n-abc", "replicates-list",
              "max-iter-inf", "negative-master-seed", "negative-max-iter",
              "zero-repeats", "n-fraction", "replicates-bool", "repeats-fraction",
-             "master-seed-bool", "max-iter-fraction"],
+             "master-seed-bool", "max-iter-fraction", "outputs-number", "outputs-list",
+             "outputs-empty"],
     )
     def test_bad_config_value_rejected(self, tmp_path, capsys, example2_params, change):
         cfg_dict = self.make_config(example2_params)
@@ -482,6 +486,20 @@ class TestBenchmark:
                    "--out-dir", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_bad_outputs_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, example2_params
+    ):
+        # without --out-dir, the config's outputs names the directory
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before outputs was checked")
+
+        monkeypatch.setattr(gmm, "sample", no_sampling)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(self.make_config(example2_params), outputs=5)))
+        rc = main(["benchmark", "--config", str(cfg), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: outputs must be a nonempty directory")
 
     @staticmethod
     def assert_same_row(got, want):

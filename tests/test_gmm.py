@@ -1313,7 +1313,7 @@ class TestInitializers:
         from momentgmm import NumericalError, SymmetricTensor, decompose
 
         with pytest.raises(NumericalError):
-            decompose(SymmetricTensor.zero(3, 3))
+            decompose(SymmetricTensor(3, 3, np.zeros(10)))
 
     def test_kmeans_few_distinct_rows_no_nan(self):
         rng = np.random.default_rng(0)

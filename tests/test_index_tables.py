@@ -2,29 +2,34 @@
 
 Each `loop_*` function below is a straightforward per-monomial or per-point
 loop, kept as the reference the table-based library code must reproduce.
-Where the library only moves entries (Hankel, pencil slices, derivatives,
-the quadratic-form layout) the results must be equal. Where it reorders the
-floating-point arithmetic (monomial products, the third moment, the
-Gauss-Newton Jacobian) they must agree within RTOL, chosen as a few thousand
-float64 ulps; the third moment's entries are means that can cancel, so their
-tolerance is RTOL of the largest entry. The Jacobian is also checked against
-central finite differences.
+`loop_exponents` is the recursive graded-lex enumeration the library's one
+enumeration, `index_tuples`, replaced; the other references index through it,
+not through the library's tables. Where the library only moves entries
+(Hankel, pencil slices, derivatives, the quadratic-form layout) the results
+must be equal. Where it reorders the floating-point arithmetic (monomial
+products, the third moment, the Gauss-Newton Jacobian) they must agree within
+RTOL, chosen as a few thousand float64 ulps; the third moment's entries are
+means that can cancel, so their tolerance is RTOL of the largest entry. The
+Jacobian is also checked against central finite differences.
 
 `scatter_jacobian`, the Jacobian filled through the shift table, is in turn
 the reference for `refine`'s Gram-form normal equations, which never build it.
 `lift_evaluation_matrix` and `unique_symmetric_array_coeffs` are the earlier
-shift-table forms of the two `index_tuples` gathers; those gathers must match
-them bit for bit and in memory order, since BLAS rounding downstream depends
-on both.
+shift-table forms of the two `index_tuples` gathers, and `dense_m3_coeffs` the
+earlier third moment, mirrored into the k x k x k array and gathered back;
+the library must match them bit for bit and in memory order, since BLAS
+rounding downstream depends on both.
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from momentgmm import DecompositionOptions, SymmetricTensor, empirical_moments, hankel
-from momentgmm.moments import _symmetric_array_coeffs
+from momentgmm.moments import MOMENT_BLOCK_ELEMENTS, _m3_array, _symmetric_array_coeffs
 from momentgmm.symtensor import (
     evaluation_matrix,
     index_tuples,
@@ -40,6 +45,26 @@ from momentgmm.waring import _normal_equations, truncated_svd_basis
 RTOL = 1e-12
 DIMS = (1, 2, 3, 6, 30)
 DEGREES = (1, 2, 3, 4)
+# degree 0, one variable, a high degree in few variables and many variables
+EDGE_SHAPES = ((1, 0), (6, 0), (1, 7), (3, 12), (30, 3))
+
+
+@functools.cache
+def loop_exponents(dim, degree):
+    """Exponent vectors of total degree `degree` in `dim` variables,
+    lexicographically descending, built recursively on the first exponent."""
+    if dim == 1:
+        return ((degree,),)
+    return tuple(
+        (first,) + rest
+        for first in range(degree, -1, -1)
+        for rest in loop_exponents(dim - 1, degree - first)
+    )
+
+
+@functools.cache
+def loop_index(dim, degree):
+    return {alpha: i for i, alpha in enumerate(loop_exponents(dim, degree))}
 
 
 def _index_list(alpha):
@@ -52,7 +77,7 @@ def _index_list(alpha):
 
 def exponent_matrix(dim, degree):
     """s x m integer matrix whose rows are the graded-lex exponent vectors."""
-    return np.array(monomials(dim, degree), dtype=np.int64)
+    return np.array(loop_exponents(dim, degree), dtype=np.int64)
 
 
 def loop_monomials(points, k):
@@ -61,9 +86,9 @@ def loop_monomials(points, k):
 
 
 def loop_hankel(t, k):
-    rows = monomials(t.dim, k)
-    cols = monomials(t.dim, t.order - k)
-    idx = monomial_index(t.dim, t.order)
+    rows = loop_exponents(t.dim, k)
+    cols = loop_exponents(t.dim, t.order - k)
+    idx = loop_index(t.dim, t.order)
     mat = np.empty((len(rows), len(cols)), dtype=t.coeffs.dtype)
     for i, alpha in enumerate(rows):
         for j, beta in enumerate(cols):
@@ -73,8 +98,8 @@ def loop_hankel(t, k):
 
 
 def loop_pencil_slices(u, dim, k):
-    idx_k = monomial_index(dim, k)
-    rows_km1 = monomials(dim, k - 1)
+    idx_k = loop_index(dim, k)
+    rows_km1 = loop_exponents(dim, k - 1)
     slices = []
     for i in range(dim):
         sub = np.empty((len(rows_km1), u.shape[1]), dtype=u.dtype)
@@ -87,9 +112,9 @@ def loop_pencil_slices(u, dim, k):
 
 
 def loop_partial_derivative(t, i):
-    idx = monomial_index(t.dim, t.order)
+    idx = loop_index(t.dim, t.order)
     out = np.zeros(num_coeffs(t.dim, t.order - 1), dtype=t.coeffs.dtype)
-    for pos, beta in enumerate(monomials(t.dim, t.order - 1)):
+    for pos, beta in enumerate(loop_exponents(t.dim, t.order - 1)):
         alpha = list(beta)
         alpha[i] += 1
         out[pos] = t.order * t.coeffs[idx[tuple(alpha)]]
@@ -99,7 +124,7 @@ def loop_partial_derivative(t, i):
 def loop_m3(data, m1):
     m = data.shape[1]
     coeffs = np.empty(num_coeffs(m, 3))
-    for pos, alpha in enumerate(monomials(m, 3)):
+    for pos, alpha in enumerate(loop_exponents(m, 3)):
         a, b, c = _index_list(alpha)
         raw = float(np.mean(data[:, a] * data[:, b] * data[:, c]))
         corr = (a == b) * m1[c] + (a == c) * m1[b] + (b == c) * m1[a]
@@ -110,10 +135,18 @@ def loop_m3(data, m1):
 def loop_quadratic_coeffs(mat):
     m = mat.shape[0]
     out = np.empty(num_coeffs(m, 2))
-    for pos, alpha in enumerate(monomials(m, 2)):
+    for pos, alpha in enumerate(loop_exponents(m, 2)):
         j, k = _index_list(alpha)
         out[pos] = mat[j, k]
     return out
+
+
+def loop_multinomial_weights(dim, degree):
+    return np.array(
+        [math.factorial(degree) // math.prod(map(math.factorial, alpha))
+         for alpha in loop_exponents(dim, degree)],
+        dtype=float,
+    )
 
 
 def loop_jacobian(weights, points, d):
@@ -170,6 +203,25 @@ def unique_symmetric_array_coeffs(arr):
     return arr.ravel()[first]
 
 
+def dense_m3_coeffs(y, m1):
+    """The adjusted third moment as _m3_array formed it before it returned
+    coefficients: the blocked pair sums mirrored over (a, b) into the
+    k x k x k array, less sym(m1 (x) I), gathered at the sorted index tuples."""
+    n, k = y.shape
+    a, b = index_tuples(k, 2).T
+    step = max(1, MOMENT_BLOCK_ELEMENTS // len(a))
+    raw = 0.0
+    for i in range(0, n, step):
+        rows = y[i : i + step]
+        raw += (rows[:, a] * rows[:, b]).T @ rows
+    raw = raw[sum_index(k, 1, 1)] / n
+    eye = np.eye(k)
+    dense = raw - (
+        eye[:, :, None] * m1 + eye[:, None, :] * m1[:, None] + eye[None, :, :] * m1[:, None, None]
+    )
+    return _symmetric_array_coeffs(dense)
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape
     assert got.flags.f_contiguous == want.flags.f_contiguous
@@ -211,6 +263,56 @@ def test_index_tuples_list_exponents(m, d):
     assert np.array_equal(counts, exponent_matrix(m, d))
 
 
+@pytest.mark.parametrize(
+    "m, d", sorted({(m, d) for m in DIMS for d in (0,) + DEGREES} | set(EDGE_SHAPES))
+)
+def test_enumeration_equals_recursive_loop(m, d):
+    want = loop_exponents(m, d)
+    assert monomials(m, d) == want
+    assert monomial_index(m, d) == loop_index(m, d)
+    tuples = np.array([_index_list(alpha) for alpha in want], dtype=np.intp)
+    assert index_tuples(m, d).dtype == np.intp
+    assert np.array_equal(index_tuples(m, d), tuples.reshape(len(want), d))
+    assert np.array_equal(multinomial_weights(m, d), loop_multinomial_weights(m, d))
+
+
+@pytest.mark.parametrize("m, d", EDGE_SHAPES)
+def test_edge_shapes_equal_loops(m, d):
+    for k in range(d + 1):
+        got = exponent_matrix(m, d)[sum_index(m, k, d - k)]
+        want = exponent_matrix(m, k)[:, None, :] + exponent_matrix(m, d - k)[None, :, :]
+        assert np.array_equal(got, want)
+    points = np.random.default_rng(m + d).standard_normal((3, m))
+    np.testing.assert_allclose(
+        evaluation_matrix(points, d), loop_monomials(points, d), rtol=RTOL, atol=0
+    )
+    if d < 2:
+        return
+    t = random_tensor(np.random.default_rng(140 * m + d), m, d)
+    for i in range(m):
+        assert np.array_equal(partial_derivative(t, i).coeffs, loop_partial_derivative(t, i))
+    for k in range(1, d):
+        assert np.array_equal(hankel(t, k), loop_hankel(t, k))
+        slices = truncated_svd_basis(t, k, DecompositionOptions())
+        u = np.linalg.svd(hankel(t, k), full_matrices=False)[0][:, : slices.shape[-1]]
+        for got_i, want_i in zip(slices, loop_pencil_slices(u, m, k), strict=True):
+            assert np.array_equal(got_i, want_i)
+
+
+@pytest.mark.parametrize("m", DIMS)
+def test_m3_coeffs_bit_identical_to_dense_form(m):
+    rng = np.random.default_rng(130 + m)
+    block = MOMENT_BLOCK_ELEMENTS // num_coeffs(m, 2)
+    for n in (2, block, block + 1, 2 * block + 1):
+        y = rng.standard_normal((n, m)) * rng.uniform(0.1, 3.0, m) + rng.uniform(-1e3, 1e3)
+        m1 = rng.standard_normal(m)
+        assert_same_bits(_m3_array(y, m1), dense_m3_coeffs(y, m1))
+        # small integers and a signed-zero M1, so that exact zeros carry signs
+        y = rng.integers(-1, 2, size=(n, m)).astype(float)
+        m1 = np.where(rng.random(m) < 0.5, -0.0, 0.0)
+        assert_same_bits(_m3_array(y, m1), dense_m3_coeffs(y, m1))
+
+
 @pytest.mark.parametrize("layout", ("random", "axis"))
 @pytest.mark.parametrize("m", DIMS)
 @pytest.mark.parametrize("k", (0,) + DEGREES)
@@ -243,7 +345,7 @@ def test_symmetric_array_coeffs_bit_identical_to_unique_form(m, ndim):
 def test_hankel_equals_loop(m, d):
     t = random_tensor(np.random.default_rng(30 * m + d), m, d)
     for k in range(1, d):
-        assert np.array_equal(hankel(t, k).matrix, loop_hankel(t, k))
+        assert np.array_equal(hankel(t, k), loop_hankel(t, k))
 
 
 @pytest.mark.parametrize("m", DIMS)
@@ -253,10 +355,9 @@ def test_pencil_slices_equal_loop(m, d):
     for k in range(1, d):
         # k = 1 is decompose's rank-1 path: one slice row per variable
         rank = 1 if k == 1 else None
-        h = hankel(t, k)
-        slices = truncated_svd_basis(h, DecompositionOptions(rank=rank))
+        slices = truncated_svd_basis(t, k, DecompositionOptions(rank=rank))
         # the same LAPACK call on the same matrix, so U is exactly the library's
-        u = np.linalg.svd(h.matrix, full_matrices=False)[0][:, : slices.shape[-1]]
+        u = np.linalg.svd(hankel(t, k), full_matrices=False)[0][:, : slices.shape[-1]]
         want = loop_pencil_slices(u, m, k)
         assert len(slices) == m
         for got_i, want_i in zip(slices, want):

@@ -20,7 +20,7 @@ from momentgmm import (
     sample,
 )
 from momentgmm.gmm import e_step, em_fit, init_moments
-from momentgmm.moments import MOMENT_BLOCK_ELEMENTS, _frame, _m3_array
+from momentgmm.moments import MOMENT_BLOCK_ELEMENTS, _frame, _m3_array, _symmetric_array_coeffs
 from momentgmm.symtensor import monomials, sum_index
 from conftest import random_independent_points
 
@@ -262,7 +262,7 @@ class TestProjectedMoments:
         ms = empirical_moments(data)
         w = np.linalg.eigh(ms.m2)[1][:, ::-1][:, :r]
         dense = ms.m3.coeffs[sum_index(m, 2, 1)[sum_index(m, 1, 1)]]
-        want = np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w)
+        want = _symmetric_array_coeffs(np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w))
         got = _m3_array(data @ w, ms.m1 @ w)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(ms.m3.coeffs))
 
@@ -309,9 +309,8 @@ class TestBlockedThirdMoment:
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((n, k)) * rng.uniform(0.1, 3.0, k) + shift
         m1 = rng.standard_normal(k)
-        got, want = _m3_array(y, m1), self.direct(y, m1)
+        got, want = _m3_array(y, m1), _symmetric_array_coeffs(self.direct(y, m1))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(got, got.transpose(1, 0, 2))
 
     def test_one_row_rejected(self):
         # the frame takes one row; the moments need two

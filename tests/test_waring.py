@@ -80,24 +80,24 @@ class TestTruncatedSvdBasis:
     def test_detects_rank(self):
         rng = np.random.default_rng(0)
         t, _, _ = random_decomposable(rng, 5, 3, 3)
-        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
+        slices = truncated_svd_basis(t, 2, DecompositionOptions())
         assert slices.shape == (5, num_coeffs(5, 1), 3)
 
     def test_explicit_rank_override(self):
         rng = np.random.default_rng(1)
         t, _, _ = random_decomposable(rng, 5, 3, 3)
-        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
+        slices = truncated_svd_basis(t, 2, DecompositionOptions(rank=2))
         assert slices.shape[-1] == 2
 
     def test_zero_tensor_rejected(self):
-        t = SymmetricTensor.zero(3, 3)
+        t = SymmetricTensor(3, 3, np.zeros(10))
         with pytest.raises(NumericalError):
-            truncated_svd_basis(hankel(t, 1), DecompositionOptions())
+            truncated_svd_basis(t, 1, DecompositionOptions())
 
     def test_slice_row_counts(self):
         rng = np.random.default_rng(2)
         t, _, _ = random_decomposable(rng, 4, 2, 3)
-        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
+        slices = truncated_svd_basis(t, 2, DecompositionOptions())
         assert slices.shape == (4, 4, 2)  # 4 variables, s_1 = 4 rows, rank 2
 
 
@@ -105,7 +105,7 @@ class TestSimultaneousDiagonalize:
     def test_recovers_point_directions(self):
         rng = np.random.default_rng(3)
         t, _, tp = random_decomposable(rng, 4, 3, 3)
-        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions())
+        slices = truncated_svd_basis(t, 2, DecompositionOptions())
         points, leak = simultaneous_diagonalize(slices, rng_seed=0)
         assert not leak
         worst, _ = match_error(
@@ -117,13 +117,13 @@ class TestSimultaneousDiagonalize:
         # X1^3 - 3 X1 X2^2 = Re((X1 + i X2)^3) decomposes over C with points
         # (1, +-i), so real extraction must either fail or flag the leak
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
-        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
+        slices = truncated_svd_basis(t, 2, DecompositionOptions(rank=2))
         with pytest.raises(NumericalError):
             simultaneous_diagonalize(slices, rng_seed=0, on_complex="error")
 
     def test_complex_leak_warn_mode(self):
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
-        slices = truncated_svd_basis(hankel(t, 2), DecompositionOptions(rank=2))
+        slices = truncated_svd_basis(t, 2, DecompositionOptions(rank=2))
         points, leak = simultaneous_diagonalize(slices, rng_seed=0, on_complex="warn")
         assert leak
         assert points.shape == (2, 2)
@@ -299,7 +299,7 @@ def nested_diagonalize(slices, rng_seed, on_complex):
 def nested_decompose(t, opts):
     """Reference: the earlier decompose, MAX_PENCIL_RETRIES outer draws each
     running nested_diagonalize on its own seed, best residual kept."""
-    slices = truncated_svd_basis(hankel(t, opts.k), opts)
+    slices = truncated_svd_basis(t, opts.k, opts)
     best = None
     for attempt in range(waring.MAX_PENCIL_RETRIES):
         try:
