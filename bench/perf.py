@@ -7,7 +7,9 @@ BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_/MKL_NUM_THREADS)
 is set; the file records the value used. On Examples 1 and 2 (the published
 mixtures, n = 1000, sample seeds 0-9) it times:
 
-- each initializer, the call `cli.run_benchmark` makes;
+- each initializer, the call `cli.run_benchmark` makes, and `init_kmeans`'
+  two stages on their own: k-means++ seeding of its 50 runs and their Lloyd
+  iterations from those seeds;
 - the final EM fits of a study replicate: the four starts fitted one by one
   with `em_fit`, and the same four as one `em_fits` stack, with a check that
   the two give the same results;
@@ -75,6 +77,7 @@ SEEDS = range(10)
 N = 1000
 LARGE_N = 100_000
 LARGE_N_WORKLOAD_SEED = 3
+KMEANS_RUNS = 50  # init_kmeans' default, one block of restarts at n = N
 COMPARE_SLOWER = 0.20
 REPEAT_S = 0.02  # a shorter repeat is lost in the noise of the reference around it
 QUALITY_KEYS = ("loglik", "ari", "iterations")
@@ -178,6 +181,11 @@ def bench_example(model: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
             for seed, (data, _), start in zip(SEEDS, samples, starts[name])
         ]
         out["initializers"][name] = entry | quality(fits, truths)
+    kmeans_quality = {key: out["initializers"]["kmeans"][key] for key in QUALITY_KEYS}
+    out["kmeans_stages"] = {
+        stage: timings(lambda calls=calls: per_sample(calls), repeats, ref) | kmeans_quality
+        for stage, calls in kmeans_stages(samples, r).items()
+    }
 
     def solo(seed, data):
         return [gmm.em_fit(data, r, s[seed], rng_seed=seed) for s in starts.values()]
@@ -207,6 +215,23 @@ def bench_example(model: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
     }
     out["steps"] = bench_steps(samples[0], starts["kmeans"][0], repeats, ref)
     return out
+
+
+def kmeans_stages(samples, r: int) -> dict:
+    """init_kmeans' two stages as one call per sample, on the frame it makes:
+    k-means++ seeding of its KMEANS_RUNS runs, each on its own Generator, and
+    Lloyd from those seeds."""
+    frames = [moments._frame(data) for data, _ in samples]
+
+    def seeding(frame, seed):
+        rngs = [np.random.default_rng(seed + run) for run in range(KMEANS_RUNS)]
+        return gmm._kmeans_pp_seeds(frame.x, frame.x_sq, r, rngs)
+
+    seeds = [seeding(frame, seed) for frame, seed in zip(frames, SEEDS)]
+    return {
+        "seeding": [lambda f=f, s=s: seeding(f, s) for f, s in zip(frames, SEEDS)],
+        "lloyd": [lambda f=f, c=c: gmm._lloyd(f.x, f.x_sq, c) for f, c in zip(frames, seeds)],
+    }
 
 
 def bench_steps(sample, start: gmm.GmmParams, repeats: int, ref: Reference) -> dict:

@@ -9,13 +9,14 @@ Every entry point checks and centers its data through `_frame`, or takes a
 `moments.Frame` in its place, so that a fit frames its data once for its
 initializer and EM; distances and statistics are about the data mean.  One
 helper, `_sq_dist`, gives the squared distances to a stack of centers for
-the E-kernel, Lloyd and k-means++.  One EM loop, `_em_loop`, runs a stack of
-runs laid out (runs, r, n), each leaving the stack once it meets its own
-tolerance: `em_fits` is a stack of starts, `em_fit` one run, and emEM's
-bursts a stack run for `short_iters` steps at tol = 0.  k-means' restarts
-are stacked too.  A stacked run does the arithmetic it does alone, so its
-result is the same, bit for bit.  k-means and emEM draw their restarts from
-one loop, `_restarts`, in RESTART_BLOCK_ELEMENTS blocks; k-means ends on `m_step`.
+the E-kernel and k-means++; Lloyd is two products a run.  One EM loop,
+`_em_loop`, runs a stack of runs laid out (runs, r, n), each leaving the
+stack once it meets its own tolerance: `em_fits` is a stack of starts,
+`em_fit` one run, and emEM's bursts a stack run for `short_iters` steps at
+tol = 0.  k-means' restarts are stacked too.  A stacked run does the
+arithmetic it does alone, so its result is the same, bit for bit.  k-means
+and emEM draw their restarts from `_restarts`, in RESTART_BLOCK_ELEMENTS
+blocks; k-means ends on `m_step`.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ DEFAULT_TOL = 1e-8
 VARIANCE_FLOOR_FRACTION = 1e-8
 WEIGHT_SUM_SLACK = 1e-3
 # entries of the largest array that init_kmeans and init_emem stack in one
-# block of restarts: (runs x r x n) responsibilities or distances, and for
-# k-means also Lloyd's (m x runs n) center-sum weights
+# block of restarts: (runs x r x n) responsibilities, or Lloyd's ranks and
+# one-hot assignments
 RESTART_BLOCK_ELEMENTS = 2**20
 
 
@@ -348,9 +349,10 @@ def _restarts(r: int, n: int, runs: int, per_run: int, rng_seed: int, name: str)
 def _kmeans_pp_seeds(x: np.ndarray, x_sq: np.ndarray, r: int, rngs) -> np.ndarray:
     """k-means++ centers (runs, r, m) on a frame (x, x_sq), run k drawn on
     its Generator rngs[k], with the same calls in the same order as a run
-    seeded alone.  The distances to the nearest center so far, (runs, n),
-    come from _sq_dist.  In its expanded form a row's distance to itself is
-    not exactly 0 but up to about 1.2e-15 ||x_i||^2 (measured at m = 2-30;
+    seeded alone; a row is drawn as rng.choice(n, p=...) draws it, without
+    choice's checks of p.  The distances to the nearest center so far come
+    from _sq_dist.  In its expanded form a row's distance to itself is not
+    exactly 0 but up to about 1.2e-15 ||x_i||^2 (measured at m = 2-30;
     m = 1 is exact), so a chosen row keeps a weight at rounding level."""
     n = len(x)
     centers = np.empty((len(rngs), r, x.shape[1]))
@@ -358,8 +360,9 @@ def _kmeans_pp_seeds(x: np.ndarray, x_sq: np.ndarray, r: int, rngs) -> np.ndarra
     closest = _sq_dist(x, x_sq, centers[:, :1])[:, 0]
     for j in range(1, r):
         for k, rng in enumerate(rngs):
-            total = closest[k].sum()
-            row = rng.integers(n) if total <= 0 else rng.choice(n, p=closest[k] / total)
+            cdf = np.cumsum(closest[k])
+            row = (rng.integers(n) if cdf[-1] <= 0
+                   else np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
             centers[k, j] = x[row]
         np.minimum(closest, _sq_dist(x, x_sq, centers[:, j : j + 1])[:, 0], out=closest)
     return centers
@@ -388,43 +391,43 @@ def _lloyd(
     cluster, in index order, takes the point farthest from its own center
     among those whose move empties no other cluster (so no point is taken
     twice); n >= r leaves one to take.  A run stops once its labels do not
-    change.  A run's arithmetic is that of the run alone, in the same order:
-    each center sum is one bincount bin, filled in row order.  Returns
-    labels (runs, n) of the smallest unsigned type that holds r - 1,
+    change.  An iteration is two matrix products, each run its own: one
+    ranks the centers by ||c_j||^2 - 2 x_i.c_j (only the nearest takes
+    ||x_i||^2 and the clamp at 0), and the new centers are the C-ordered
+    float one-hot (runs, r, n) of the assignment times x, over its row sums.
+    Returns labels (runs, n) of the smallest unsigned type that holds r - 1,
     centers and within-cluster sums of squares (runs,)."""
-    (n, m), (runs, r) = x.shape, centers.shape[:2]
+    runs, r = centers.shape[:2]
     kind = np.min_scalar_type(r - 1).type
+    xt, clusters = np.ascontiguousarray(x.T), np.arange(r, dtype=kind)[:, None]
+
+    def nearest(offsets):
+        rank = (offsets * -2.0) @ xt
+        rank += np.sum(offsets**2, axis=-1)[..., None]
+        labels, best = _first_best(rank, kind)
+        best += x_sq
+        return labels, np.maximum(best, 0.0, out=best)
+
     centers = centers.copy()
-    labels = np.full((runs, n), -1)
-    active = np.arange(runs)
-    # column d of x repeated for every run, so a prefix serves any active set
-    columns = np.tile(x.T, runs)
+    active, labels = np.arange(runs), None
     for _ in range(max_iter):
-        new_labels, nearest = _first_best(_sq_dist(x, x_sq, centers[active]), kind)
-        cells = new_labels + (np.arange(len(active)) * r)[:, None]
-        counts = np.bincount(cells.ravel(), minlength=len(active) * r).reshape(-1, r)
+        new_labels, closest = nearest(centers[active])
+        onehot = (new_labels[:, None, :] == clusters).astype(float)
+        counts = onehot.sum(axis=2)
         for k in np.flatnonzero(np.any(counts == 0, axis=1)):
-            run_labels, run_counts = new_labels[k], counts[k]
-            for j in np.flatnonzero(run_counts == 0):
-                movable = run_counts[run_labels] > 1
-                far = int(np.argmax(np.where(movable, nearest[k], -1.0)))
-                run_counts[run_labels[far]] -= 1
-                run_counts[j] = 1
-                run_labels[far] = j
-                cells[k, far] = k * r + j
-        cells = cells.ravel()
-        sums = np.stack(
-            [np.bincount(cells, weights=col[: cells.size], minlength=counts.size) for col in columns],
-            axis=-1,
-        )
-        centers[active] = sums.reshape(-1, r, m) / counts[..., None]
-        moved = np.any(new_labels != labels[active], axis=1)
-        labels[active] = new_labels
-        active = active[moved]
+            for j in np.flatnonzero(counts[k] == 0):
+                movable = counts[k, new_labels[k]] > 1
+                far = int(np.argmax(np.where(movable, closest[k], -1.0)))
+                onehot[k, new_labels[k, far], far], onehot[k, j, far] = 0.0, 1.0
+                new_labels[k, far] = j
+                counts[k] = onehot[k].sum(axis=1)
+        centers[active] = (onehot @ x) / counts[..., None]
+        moved = np.any(new_labels != labels, axis=1) if labels is not None else slice(None)
+        labels, active = new_labels[moved], active[moved]
         if not active.size:
             break
-    labels, nearest = _first_best(_sq_dist(x, x_sq, centers), kind)
-    return labels, centers, nearest.sum(axis=1)
+    labels, closest = nearest(centers)
+    return labels, centers, closest.sum(axis=1)
 
 
 def init_kmeans(
@@ -436,9 +439,9 @@ def init_kmeans(
     run with the least WCSS wins.  Seeding and Lloyd run on the data centered
     once (`_frame`), stacked, in the blocks of `_restarts`."""
     frame = _frame(data)
-    (n, m), x, x_sq = frame.x.shape, frame.x, frame.x_sq
+    n, x, x_sq = len(frame.x), frame.x, frame.x_sq
     best_wcss, best = np.inf, None
-    for rngs in _restarts(r, n, runs, max(r, m) * n, rng_seed, "runs"):
+    for rngs in _restarts(r, n, runs, r * n, rng_seed, "runs"):
         labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, x_sq, r, rngs))
         for k, run_wcss in enumerate(wcss):
             if best is None or run_wcss < best_wcss:

@@ -52,20 +52,28 @@ def random_independent_points(rng, r, m, scale=1.0):
             return pts
 
 
-def summaries_per_blas_thread_count(cfg, tmp_path, counts=("1", "2")):
-    """summary.json bytes of `momentgmm benchmark` on the config file `cfg`,
-    one fresh process per OpenBLAS thread count, since OpenBLAS reads
-    OPENBLAS_NUM_THREADS once, when numpy is first imported."""
+def run_with_blas_threads(args, threads):
+    """Runs `python args` in a fresh process on `threads` OpenBLAS threads,
+    which OpenBLAS reads once, when numpy is first imported, and returns its
+    standard output."""
     src = str(Path(momentgmm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+        check=True, timeout=300,
+    ).stdout
+
+
+def summaries_per_blas_thread_count(cfg, tmp_path, counts=("1", "2")):
+    """summary.json bytes of `momentgmm benchmark` on the config file `cfg`,
+    one fresh process per OpenBLAS thread count."""
     blobs = []
     for threads in counts:
         out_dir = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "momentgmm.cli", "benchmark",
-             "--config", str(cfg), "--out-dir", str(out_dir), "--quiet"],
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
-            check=True, timeout=300,
+        run_with_blas_threads(
+            ["-m", "momentgmm.cli", "benchmark",
+             "--config", str(cfg), "--out-dir", str(out_dir), "--quiet"], threads,
         )
         blobs.append((out_dir / "summary.json").read_bytes())
     return blobs

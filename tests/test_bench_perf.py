@@ -1,14 +1,18 @@
 """`compare` of bench/perf.py on synthetic reports: a stage is flagged by its
 time over the host reference, not by its raw time, and a changed quality
 list is reported. `timings` on a stage whose clock is simulated: a short
-stage is repeated until one repeat lasts REPEAT_S."""
+stage is repeated until one repeat lasts REPEAT_S. The k-means stages are
+init_kmeans split in two."""
 
 import importlib.util
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from momentgmm import init_kmeans, m_step, sample
 
 PERF = Path(__file__).resolve().parents[1] / "bench" / "perf.py"
 
@@ -93,3 +97,20 @@ def test_short_stage_repeats_until_a_repeat_lasts_repeat_s(perf, monkeypatch, se
     assert stage.calls == 1 + 3 * calls
     assert entry["median_s"] == pytest.approx(seconds)
     assert entry["median_ref"] == pytest.approx(seconds / 0.05)
+
+
+def test_kmeans_stages_make_the_init_kmeans_start(perf, example2_params):
+    # seeding then Lloyd, with the least WCSS's labels through m_step, is the
+    # start init_kmeans returns for the sample's seed
+    samples = [sample(example2_params, 300, rng_seed=seed) for seed in perf.SEEDS[:2]]
+    stages = perf.kmeans_stages(samples, 3)
+    thunks = zip(samples, stages["seeding"], stages["lloyd"])
+    for seed, ((data, _), seeding, lloyd) in enumerate(thunks):
+        centers = seeding()
+        assert centers.shape == (perf.KMEANS_RUNS, 3, 5)
+        labels, got, wcss = lloyd()
+        assert got.shape == centers.shape
+        want = init_kmeans(data, 3, rng_seed=seed)
+        start = m_step(data, np.eye(3)[labels[np.argmin(wcss)]])
+        assert all(np.array_equal(getattr(start, k), getattr(want, k))
+                   for k in ("weights", "means", "variances"))

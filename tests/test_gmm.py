@@ -1,5 +1,6 @@
 import json
 import math
+import textwrap
 import tracemalloc
 import warnings
 
@@ -39,6 +40,7 @@ from momentgmm.gmm import (
     _m_kernel,
     pooled_variance,
 )
+from conftest import run_with_blas_threads
 
 
 def single_gaussian(mu, var):
@@ -718,7 +720,7 @@ class TestLloyd:
         raise AssertionError("_lloyd did not converge in 100 iterations")
 
     @pytest.mark.parametrize("m, r", [(1, 3), (2, 2), (6, 4), (5, 3), (12, 6), (30, 15)])
-    def test_bit_equal_to_loop(self, m, r):
+    def test_matches_loop_to_tolerance(self, m, r):
         """Lock step with loop_lloyd to tolerance."""
         rng = np.random.default_rng(100 * m + r)
         for t in range(6):
@@ -787,8 +789,43 @@ def loop_kmeans_pp_seeds(x, r, rng):
 
 
 def loop_lloyd_run(x, x_sq, centers, max_iter=100):
-    """Lloyd iterations of one run, with argmin assignments and a bincount
-    update.  Returns (labels, centers, WCSS)."""
+    """Lloyd iterations of one run, the arithmetic _lloyd must follow bit
+    for bit, each product a one-run stack: argmin assignments by
+    ||c_j||^2 - 2 x_i.c_j, a bincount of counts and a product of the C-ordered
+    one-hot assignment with x for the sums.  Returns (labels, centers, WCSS)."""
+    n, r = len(x), len(centers)
+    rows, xt = np.arange(n), np.ascontiguousarray(x.T)
+
+    def nearest(centers):
+        rank = ((centers * -2.0)[None] @ xt)[0] + np.sum(centers**2, axis=1)[:, None]
+        labels = np.argmin(rank, axis=0)
+        return labels, np.maximum(rank[labels, rows] + x_sq, 0.0)
+
+    labels = np.full(n, -1)
+    for _ in range(max_iter):
+        new_labels, closest = nearest(centers)
+        counts = np.bincount(new_labels, minlength=r)
+        for j in np.flatnonzero(counts == 0):
+            movable = counts[new_labels] > 1
+            far = int(np.argmax(np.where(movable, closest, -1.0)))
+            counts[new_labels[far]] -= 1
+            counts[j] = 1
+            new_labels[far] = j
+        onehot = np.zeros((1, r, n))
+        onehot[0, new_labels, rows] = 1.0
+        centers = (onehot @ x)[0] / counts[:, None]
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    labels, closest = nearest(centers)
+    return labels, centers, float(closest.sum())
+
+
+def sq_dist_lloyd_run(x, x_sq, centers, max_iter=100):
+    """Lloyd iterations of one run in a second arithmetic: argmin of
+    _sq_dist's expanded distances and one bincount per coordinate for the
+    sums, each in row order.  Without exact ties its labels are
+    loop_lloyd_run's.  Returns (labels, centers, WCSS)."""
     (n, m), r = x.shape, len(centers)
     rows = np.arange(n)
     labels = np.full(n, -1)
@@ -813,16 +850,16 @@ def loop_lloyd_run(x, x_sq, centers, max_iter=100):
     return labels, centers, float(dists[labels, rows].sum())
 
 
-def loop_kmeans(data, r, runs=50, rng_seed=0):
+def loop_kmeans(data, r, runs=50, rng_seed=0, lloyd_run=loop_lloyd_run):
     """The run-by-run loop init_kmeans must reproduce bit for bit: per run,
-    seeding and Lloyd on default_rng(rng_seed + run); the first run with
-    the least WCSS wins."""
+    seeding and Lloyd (`lloyd_run`) on default_rng(rng_seed + run); the
+    first run with the least WCSS wins."""
     data = np.asarray(data, dtype=float)
     _, _, x, x_sq = _frame(data)
     best = None
     for run in range(runs):
         centers = loop_kmeans_pp_seeds(x, r, np.random.default_rng(rng_seed + run))
-        labels, _, wcss = loop_lloyd_run(x, x_sq, centers)
+        labels, _, wcss = lloyd_run(x, x_sq, centers)
         if best is None or wcss < best[0]:
             best = (wcss, labels)
     return m_step(data, np.eye(r)[best[1]])
@@ -844,6 +881,17 @@ class TestKmeansStack:
             data, _ = sample(params, 1000, rng_seed=seed)
             got = init_kmeans(data, r, rng_seed=seed)
             assert_same_params(got, loop_kmeans(data, r, rng_seed=seed))
+
+    @pytest.mark.parametrize("example, r", [("example1_params", 4), ("example2_params", 3)])
+    def test_start_does_not_move_on_tie_free_data(self, request, example, r):
+        # ranking by ||c_j||^2 - 2 x_i.c_j and summing by a product differ
+        # from _sq_dist's argmin and row-order sums by rounding, which splits
+        # only ties: without them the winning labels, and the start, agree
+        params = request.getfixturevalue(example)
+        for seed in range(10):
+            data, _ = sample(params, 1000, rng_seed=seed)
+            want = loop_kmeans(data, r, rng_seed=seed, lloyd_run=sq_dist_lloyd_run)
+            assert_same_params(init_kmeans(data, r, rng_seed=seed), want)
 
     @pytest.mark.parametrize("m, r", [(1, 3), (2, 2), (5, 3), (12, 6), (30, 15)])
     def test_bit_equal_to_loop_on_rounded_and_duplicated_rows(self, m, r):
@@ -885,7 +933,7 @@ class TestKmeansStack:
         cases = [(sample(example2_params, 1000, rng_seed=1)[0], 3), (two_points(), 2)]
         cases += [(few_distinct_rows(seed), 5) for seed in range(8)]
         for seed, (data, r) in enumerate(cases):
-            per_run = max(r, data.shape[1]) * len(data)
+            per_run = r * len(data)
             assert 50 * per_run <= gmm.RESTART_BLOCK_ELEMENTS  # one block
             whole = init_kmeans(data, r, rng_seed=seed)
             with monkeypatch.context() as patch:
@@ -905,6 +953,23 @@ class TestKmeansStack:
             labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, x_sq, r, rngs))
             want = m_step(data, np.eye(r)[labels[np.argmin(wcss)]])
             assert_same_params(init_kmeans(data, r, rng_seed=seed), want)
+
+    def test_same_start_on_one_and_two_blas_threads(self):
+        # at n = 1e5 the rank and center-sum products are large enough for
+        # OpenBLAS to split them over threads
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from momentgmm import GmmParams, init_kmeans, sample
+            rng = np.random.default_rng(7)
+            params = GmmParams(np.full(5, 0.2), 4.0 * rng.standard_normal((5, 10)), np.ones(5))
+            data, _ = sample(params, 100_000, rng_seed=1)
+            start = init_kmeans(data, 5, runs=10)
+            parts = (start.weights, start.means, start.variances)
+            print(hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
+        """)
+        one, two = (run_with_blas_threads(["-c", code], threads) for threads in ("1", "2"))
+        assert len(one.strip()) == 64 and one == two
 
     def test_memory_bounded_by_the_block(self):
         # at n = 1e5 and r = 5 a block holds 2 runs: 50 runs take no more
