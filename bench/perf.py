@@ -14,28 +14,31 @@ mixtures, n = 1000, sample seeds 0-9) it times:
   with `em_fit`, and the same four as one `em_fits` stack, with a check that
   the two give the same results;
 - one `e_step` and one `m_step`, also at n = 100000 on Example 1;
-- `cli.fit_once` with the moments start on the 6 samples of the benchmark's
-  `large-n` workload (n = 100000, m = 10, r = 5; workload seed 3, sample k
-  fitted with the seed of job k), end to end and by stage: the frame, the
-  second-order statistics, M3 in W, `decompose`, one E/M pair and the hard
-  labels. A stage runs sample after sample, so each call finds its 8 MB
-  sample out of cache; a call repeated on one sample runs faster.
+- `cli.fit_once` with the moments start on the samples of the benchmark's
+  `large-n` workload (6 samples, n = 100000, m = 10, r = 5; workload seed 3)
+  and `recover-hidim` workload (8 samples, n = 5000, m = 30, r = 15; workload
+  seed 1), sample k fitted with the seed of job k, end to end and by stage:
+  the frame, the second-order statistics, M3 in W, the `decompose` call that
+  `moments._recover` makes, one E/M pair and the hard labels. A stage runs
+  sample after sample, so each call finds its sample (8 MB at large-n) out
+  of cache; a call repeated on one sample runs faster.
 
 A repeat makes `calls` back-to-back calls of the stage, enough that it lasts
 at least REPEAT_S, counted from one call before the first repeat. Each timing
 is the wall time per sample (or per call), averaged over one repeat's calls;
-the file gives the median and minimum over the repeats, and `calls`. Before the first repeat of a
-stage and after each it times perfbench's own reference computation
-(reference.py, imported read-only) with the parts spec.json gives the
-matching workload: `study` for Examples 1 and 2, `large-n` for the
-n = 100000 stages. Those times are stored as `ref_s`, and `median_ref` is
-the median over the repeats of each one's time over the mean of the two
-reference times around it, in reference units as perfbench scores a job.
-The quality beside a timing is that of the EM fit the timed work leads to,
-from the same start with the same seed as `cli.fit_once`: its final
-log-likelihood, ARI against the true labels and iteration count, per sample
-seed. Timings vary with the host; compare two files only when they come from
-the same machine.
+the file gives the median and minimum over the repeats, and `calls`. Before
+the first repeat of a stage and after each it times perfbench's own
+reference computation (reference.py, imported read-only) with the parts
+spec.json gives the matching workload: `study` for Examples 1 and 2,
+`large-n` for the n = 100000 stages and `recover-hidim` for its own. Those
+times are stored as `ref_s`, and `median_ref` is the median over the repeats
+of each one's time over the mean of the two reference times around it, in
+reference units as perfbench scores a job. The quality beside a timing is
+that of the EM fit the timed work leads to, from the same start with the
+same seed as `cli.fit_once`: its final log-likelihood, ARI against the true
+labels and iteration count, per sample seed; the workload stages also carry
+the recovery error of the start (`workloads.recovery_error`). Timings vary
+with the host; compare two files only when they come from the same machine.
 
 With --compare, the stages present in both files whose `median_ref` rose by
 more than COMPARE_SLOWER over PREV.json, each with both raw medians beside
@@ -57,6 +60,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -67,7 +71,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402  (after the thread pin)
 import scipy  # noqa: E402
 
-from momentgmm import SymmetricTensor, cli, gmm, metrics, moments, waring  # noqa: E402
+from momentgmm import NumericalError, SymmetricTensor, cli, gmm, metrics, moments, waring  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's own sample generation)
@@ -76,11 +80,11 @@ from reference import Reference  # noqa: E402  (the benchmark's host-speed refer
 SEEDS = range(10)
 N = 1000
 LARGE_N = 100_000
-LARGE_N_WORKLOAD_SEED = 3
+FIT_WORKLOAD_SEEDS = {"large-n": 3, "recover-hidim": 1}
 KMEANS_RUNS = 50  # init_kmeans' default, one block of restarts at n = N
 COMPARE_SLOWER = 0.20
 REPEAT_S = 0.02  # a shorter repeat is lost in the noise of the reference around it
-QUALITY_KEYS = ("loglik", "ari", "iterations")
+QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error")
 
 
 def examples() -> dict[str, gmm.GmmParams]:
@@ -181,7 +185,7 @@ def bench_example(model: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
             for seed, (data, _), start in zip(SEEDS, samples, starts[name])
         ]
         out["initializers"][name] = entry | quality(fits, truths)
-    kmeans_quality = {key: out["initializers"]["kmeans"][key] for key in QUALITY_KEYS}
+    kmeans_quality = {k: v for k, v in out["initializers"]["kmeans"].items() if k in QUALITY_KEYS}
     out["kmeans_stages"] = {
         stage: timings(lambda calls=calls: per_sample(calls), repeats, ref) | kmeans_quality
         for stage, calls in kmeans_stages(samples, r).items()
@@ -250,27 +254,27 @@ def bench_steps(sample, start: gmm.GmmParams, repeats: int, ref: Reference) -> d
     }
 
 
-def bench_large_n(repeats: int, ref: Reference) -> dict:
-    """fit_once with the moments start on the large-n workload's samples, end
-    to end and by stage; every entry carries the fits' quality."""
-    work = workloads.make("large-n", LARGE_N_WORKLOAD_SEED)
-    r, samples = work.r, work.samples
-    seeds = [workloads.job_seed(LARGE_N_WORKLOAD_SEED, k) for k in range(len(samples))]
-    rows = [cli.fit_once(data, r, "moments", seed, truth=labels)
-            for seed, (data, labels) in zip(seeds, samples)]
-    fit_quality = {
-        "loglik": [row["loglik"] for row in rows],
-        "ari": [row["ari"] for row in rows],
-        "iterations": [row["iterations"] for row in rows],
-    }
+def decompose_call(frame: moments.Frame, r: int) -> tuple[SymmetricTensor, dict]:
+    """The tensor and keywords of the `decompose` call that `moments._recover`
+    makes for the moments start on `frame`, recorded from one run."""
+    with mock.patch.object(moments, "decompose", wraps=moments.decompose) as spy:
+        try:
+            moments.recover_from_data(frame, r)
+        except NumericalError:
+            pass  # recovery failed in or after decompose; the call is recorded
+    (tensor,), kwargs = spy.call_args
+    return tensor, kwargs
+
+
+def fit_stages(r: int, samples, seeds) -> dict:
+    """fit_once with the moments start, sample k with seeds[k], as one call per
+    sample of each stage: the whole fit, the frame, the second-order
+    statistics, M3 in W, the `decompose` call `moments._recover` makes, one
+    E/M pair from the start and the hard labels."""
     frames = [moments._frame(data) for data, _ in samples]
-    stats = [moments._sample_moments(frame) for frame in frames]
-    bases = [np.linalg.eigh(m2)[1][:, ::-1][:, :r] for _, _, m2, _, _, _ in stats]
-    m3s = [
-        SymmetricTensor(r, 3, moments._m3_array(frame.data @ w, m1 @ w))
-        for frame, (_, m1, _, _, _, _), w in zip(frames, stats, bases)
-    ]
-    opts = waring.DecompositionOptions(rank=r, k=2, on_complex="warn")
+    sets = [moments.empirical_moments(frame) for frame in frames]
+    bases = [np.linalg.eigh(ms.m2)[1][:, ::-1][:, :r] for ms in sets]
+    calls = [decompose_call(frame, r) for frame in frames]
     starts = [gmm.init_moments(frame, r, rng_seed=seed)[0] for frame, seed in zip(frames, seeds)]
     kind = np.min_scalar_type(-r).type
 
@@ -281,28 +285,45 @@ def bench_large_n(repeats: int, ref: Reference) -> dict:
         return gmm._m_kernel(x, x_sq, resp, floor, [np.random.default_rng(0)])
 
     resps = [gmm._e_kernel(f.x, f.x_sq, gmm._as_step(s, f.c))[0] for f, s in zip(frames, starts)]
-    stages = {
+    return {
         "fit_once": [lambda d=d, s=s, t=t: cli.fit_once(d, r, "moments", s, truth=t)
                      for s, (d, t) in zip(seeds, samples)],
         "frame": [lambda d=d: moments._frame(d) for d, _ in samples],
         "second_order": [lambda f=f: moments._sample_moments(f) for f in frames],
         "m3_in_w": [
-            lambda f=f, m1=st[1], w=w: moments._m3_array(f.data @ w, m1 @ w)
-            for f, st, w in zip(frames, stats, bases)
+            lambda f=f, m1=ms.m1, w=w: moments._m3_array(f.data @ w, m1 @ w)
+            for f, ms, w in zip(frames, sets, bases)
         ],
-        "decompose": [lambda t=t: waring.decompose(t, opts) for t in m3s],
+        "decompose": [lambda t=t, kw=kw: waring.decompose(t, **kw) for t, kw in calls],
         "em_pair": [lambda f=f, s=s: em_pair(f, s) for f, s in zip(frames, starts)],
         "labels": [lambda p=p: gmm._first_best(p, kind, np.greater) for p in resps],
     }
+
+
+def bench_fit(workload: str, repeats: int, ref: Reference) -> dict:
+    """fit_once with the moments start on the samples of `workload` at its
+    FIT_WORKLOAD_SEEDS seed, sample k fitted with the seed of job k, end to
+    end and by stage (fit_stages).  Every entry carries the fits' quality and
+    the recovery error of their starts, as the benchmark computes it."""
+    seed = FIT_WORKLOAD_SEEDS[workload]
+    work = workloads.make(workload, seed)
+    r, samples = work.r, work.samples
+    seeds = [workloads.job_seed(seed, k) for k in range(len(samples))]
+    rows = [cli.fit_once(data, r, "moments", job, truth=labels)
+            for job, (data, labels) in zip(seeds, samples)]
+    fit_quality = {key: [row[key] for row in rows] for key in ("loglik", "ari", "iterations")}
+    fit_quality["recovery_error"] = [
+        workloads.recovery_error(*work.recovery(k, [row])) for k, row in enumerate(rows)
+    ]
     return {
-        "workload": "large-n",
-        "workload_seed": LARGE_N_WORKLOAD_SEED,
+        "workload": workload,
+        "workload_seed": seed,
         "n": work.n,
         "r": r,
         "sample_fit_seeds": seeds,
         "stages": {
             name: timings(lambda calls=calls: per_sample(calls), repeats, ref) | fit_quality
-            for name, calls in stages.items()
+            for name, calls in fit_stages(r, samples, seeds).items()
         },
     }
 
@@ -343,19 +364,19 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     models = examples()
-    study, large_n = reference("study"), reference("large-n")
+    refs = {name: reference(name) for name in ("study", "large-n", "recover-hidim")}
     report = {
         "environment": environment(),
         "settings": {"n": N, "sample_seeds": list(SEEDS), "repeats": args.repeats},
-        "reference": {name: workloads.SPEC["workloads"][name]["reference"]
-                      for name in ("study", "large-n")},
-        "examples": {name: bench_example(model, args.repeats, study)
+        "reference": {name: workloads.SPEC["workloads"][name]["reference"] for name in refs},
+        "examples": {name: bench_example(model, args.repeats, refs["study"])
                      for name, model in models.items()},
     }
     large = gmm.sample(models["example1"], LARGE_N, rng_seed=0)
     start = gmm.init_random(large[0], models["example1"].n_components, rng_seed=0)
-    report["large_n_steps"] = bench_steps(large, start, args.repeats, large_n)
-    report["large_n_fit"] = bench_large_n(args.repeats, large_n)
+    report["large_n_steps"] = bench_steps(large, start, args.repeats, refs["large-n"])
+    for name in FIT_WORKLOAD_SEEDS:
+        report[f"{name.replace('-', '_')}_fit"] = bench_fit(name, args.repeats, refs[name])
     if args.compare:
         old = json.loads(Path(args.compare).read_text())
         lines = compare(report, old)

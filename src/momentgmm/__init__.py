@@ -23,10 +23,9 @@ from .symtensor import (
     SymmetricTensor, WaringDecomposition, apolar, apolar_norm, evaluate, evaluation_matrix,
     pow_linear, reconstruct,
 )
-from .waring import DecompositionOptions, decompose, refine, relative_residual
+from .waring import decompose, refine, relative_residual
 
 __all__ = [
-    "DecompositionOptions",
     "EmResult",
     "GmmParams",
     "InputError",

@@ -24,7 +24,7 @@ from . import gmm, metrics
 from .errors import InputError, NumericalError, json_int
 from .moments import Frame, _frame, empirical_moments
 from .symtensor import SymmetricTensor
-from .waring import DecompositionOptions, decompose, relative_residual
+from .waring import RANK_TOLERANCE, decompose, relative_residual
 
 BIC_TIE_TOL = 1e-9
 INITIALIZERS = ("kmeans", "moments", "emem", "random")
@@ -334,13 +334,7 @@ def cmd_fit(args) -> int:
 def cmd_decompose(args) -> int:
     with open(args.tensor) as fh:
         tensor = SymmetricTensor.from_json(fh.read())
-    opts = DecompositionOptions(
-        rank=args.rank,
-        rank_tolerance=args.tol,
-        k=args.k,
-        rng_seed=args.seed,
-    )
-    dec = decompose(tensor, opts)
+    dec = decompose(tensor, rank=args.rank, k=args.k, rank_tolerance=args.tol, rng_seed=args.seed)
     _emit(dec.to_json(residual=relative_residual(tensor, dec)), args.out)
     return 0
 
@@ -473,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="Waring-decompose a tensor JSON file")
     p.add_argument("tensor")
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=RANK_TOLERANCE)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

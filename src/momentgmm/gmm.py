@@ -12,8 +12,8 @@ helper, `_sq_dist`, gives the squared distances to a stack of centers for
 the E-kernel and k-means++; Lloyd is two products a run.  One EM loop,
 `_em_loop`, runs a stack of runs laid out (runs, r, n), each leaving the
 stack once it meets its own tolerance: `em_fits` is a stack of starts,
-`em_fit` one run, and emEM's bursts a stack run for `short_iters` steps at
-tol = 0.  k-means' restarts are stacked too.  A stacked run does the
+`em_fit` one run, and emEM's bursts a stack run for EMEM_BURST_ITERS steps
+at tol = 0.  k-means' restarts are stacked too.  A stacked run does the
 arithmetic it does alone, so its result is the same, bit for bit.  k-means
 and emEM draw their restarts from `_restarts`, in RESTART_BLOCK_ELEMENTS
 blocks; k-means ends on `m_step`.
@@ -31,7 +31,8 @@ from .errors import InputError, NumericalError
 from .moments import Frame, _frame, recover_from_data
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-8  # EM stops on a relative log-likelihood change below this
+EMEM_BURST_ITERS = 5  # E/M steps of each short emEM burst
 VARIANCE_FLOOR_FRACTION = 1e-8
 WEIGHT_SUM_SLACK = 1e-3
 # entries of the largest array that init_kmeans and init_emem stack in one
@@ -289,15 +290,14 @@ def m_step(
 
 
 def em_fits(
-    data: np.ndarray | Frame, r: int, inits: list[GmmParams], max_iter: int = 100,
-    tol: float = DEFAULT_TOL, rng_seed: int | np.random.Generator = 0,
+    data: np.ndarray | Frame, r: int, inits: list[GmmParams], max_iter: int = 100, rng_seed: int = 0
 ) -> list[EmResult]:
     """EM from each start in `inits`, stacked on one frame.  Each run reseeds
-    on its own default_rng(rng_seed) (a Generator is shared by the runs) and
-    stops on its own test, so it gives what `em_fit` gives from its start
-    alone, bit for bit.  Hard labels, the argmax of the last responsibilities
-    (_log_normalize leaves a column NaN-free or all NaN, label 0 either way),
-    take the smallest signed integer type that holds r."""
+    on its own default_rng(rng_seed) and stops on its own test, so it gives
+    what `em_fit` gives from its start alone, bit for bit.  Hard labels, the
+    argmax of the last responsibilities (_log_normalize leaves a column
+    NaN-free or all NaN, label 0 either way), take the smallest signed
+    integer type that holds r."""
     _, c, x, x_sq = _frame(data)
     if any(init.n_components != r for init in inits):
         raise InputError(f"every start must have r={r} components")
@@ -309,7 +309,7 @@ def em_fits(
     kind = np.min_scalar_type(-r).type
     fits = []
     for init, (run_step, resp, trace, converged) in zip(
-        inits, _em_loop(x, x_sq, step, floor, rngs, max_iter, tol)
+        inits, _em_loop(x, x_sq, step, floor, rngs, max_iter, DEFAULT_TOL)
     ):
         params = init if len(trace) == 1 else _run_params(run_step, c)
         labels, _ = _first_best(resp[None], kind, np.greater)
@@ -318,13 +318,12 @@ def em_fits(
 
 
 def em_fit(
-    data: np.ndarray | Frame, r: int, init: GmmParams, max_iter: int = 100,
-    tol: float = DEFAULT_TOL, rng_seed: int | np.random.Generator = 0,
+    data: np.ndarray | Frame, r: int, init: GmmParams, max_iter: int = 100, rng_seed: int = 0
 ) -> EmResult:
     """Standard EM loop, the one-run case of `em_fits`; stops on relative
-    log-likelihood improvement < tol.  `rng_seed`, a seed or a Generator,
-    draws the empty-component reseeds."""
-    return em_fits(data, r, [init], max_iter, tol, rng_seed)[0]
+    log-likelihood improvement < DEFAULT_TOL.  `rng_seed` draws the
+    empty-component reseeds."""
+    return em_fits(data, r, [init], max_iter, rng_seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +460,13 @@ def init_random(data: np.ndarray | Frame, r: int, rng_seed: int = 0) -> GmmParam
 
 
 def init_emem(
-    data: np.ndarray | Frame,
-    r: int,
-    short_runs: int = 50,
-    short_iters: int = 5,
-    rng_seed: int = 0,
+    data: np.ndarray | Frame, r: int, short_runs: int = 50, rng_seed: int = 0
 ) -> GmmParams:
     """emEM: short EM bursts from random starts; keep the best log-likelihood.
 
     Burst `run` draws on its own Generator, default_rng(rng_seed + run), a
     uniformly random row-stochastic responsibility matrix (the classical
-    random soft partition) and any reseeds of its M step and `short_iters`
+    random soft partition) and any reseeds of its M step and EMEM_BURST_ITERS
     E/M steps.  The first burst with the highest final log-likelihood wins.
     The bursts run stacked, RESTART_BLOCK_ELEMENTS responsibilities at a time.
     """
@@ -485,7 +480,7 @@ def init_emem(
             start = rng.uniform(size=(n, r))
             resp[k] = (start / start.sum(axis=1, keepdims=True)).T
         step = _m_kernel(x, x_sq, resp, floor, rngs)
-        for run_step, _, trace, _ in _em_loop(x, x_sq, step, floor, rngs, short_iters, tol=0.0):
+        for run_step, _, trace, _ in _em_loop(x, x_sq, step, floor, rngs, EMEM_BURST_ITERS, tol=0.0):
             if trace[-1] > best_loglik:
                 best_loglik, best = trace[-1], run_step
     return _run_params(best, c)
@@ -498,9 +493,8 @@ def init_moments(
 
     Returns (params, fallback); fallback is True when moment recovery failed
     and random seeding was substituted.  `rng_seed` seeds only that random
-    fallback: the pencil draws of the decomposition always use seed 0
-    (`DecompositionOptions.rng_seed`), so every seed gives the same start on
-    the same data.
+    fallback: the pencil draws of the decomposition always use `decompose`'s
+    default rng_seed, 0, so every seed gives the same start on the same data.
     """
     frame = _frame(data)
     if not 1 <= r <= frame.x.shape[1]:

@@ -7,6 +7,9 @@ import numpy as np
 from .errors import InputError
 from .symtensor import SymmetricTensor, sum_index
 
+# the numerical rank counts singular values above RANK_TOLERANCE * sigma_max
+RANK_TOLERANCE = 1e-8
+
 
 def hankel(t: SymmetricTensor, k: int) -> np.ndarray:
     """Catalecticant of T in row degree k, column degree d-k: the
@@ -17,8 +20,8 @@ def hankel(t: SymmetricTensor, k: int) -> np.ndarray:
 
 
 def numerical_rank(mat: np.ndarray) -> int:
-    """Count of singular values above 1e-8 * sigma_max."""
+    """Count of singular values above RANK_TOLERANCE * sigma_max."""
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > 1e-8 * s[0]))
+    return int(np.sum(s > RANK_TOLERANCE * s[0]))

@@ -33,7 +33,7 @@ from .symtensor import (
     reconstruct,
     sum_index,
 )
-from .waring import DecompositionOptions, decompose
+from .waring import decompose
 
 EIGEN_GAP_TOL = 1e-10
 LAMBDA_TOL = 1e-10
@@ -210,8 +210,8 @@ def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
 
     eigvals, eigvecs = np.linalg.eigh(m2)
     basis = eigvecs[:, ::-1][:, :r]
-    opts = DecompositionOptions(rank=r, on_complex="error" if n_samples == "exact" else "warn")
-    dec = decompose(SymmetricTensor(r, 3, m3_in(basis)), opts)
+    on_complex = "error" if n_samples == "exact" else "warn"
+    dec = decompose(SymmetricTensor(r, 3, m3_in(basis)), rank=r, on_complex=on_complex)
     w_tilde, mu_tilde = dec.weights, dec.points @ basis.T
 
     # scale system: sum_i lambda_i w~_i (mu~_i . X)^2 = M2(X), solved over the

@@ -140,12 +140,19 @@ class SymmetricTensor:
 
     @classmethod
     def from_json(cls, text: str) -> "SymmetricTensor":
+        """Parse a tensor JSON object, rejecting non-finite coefficients (JSON
+        NaN or Infinity).  The constructor accepts them: on data near overflow
+        init_moments forms a non-finite M3 and falls back on decompose's
+        LinAlgError."""
         try:
             obj = json.loads(text)
             dim, order = (json_int(obj[key], key) for key in ("dim", "order"))
-            return cls(dim, order, np.array(obj["coeffs"]))
+            t = cls(dim, order, np.array(obj["coeffs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed tensor JSON: {exc}") from exc
+        if not np.isfinite(t.coeffs).all():
+            raise InputError("tensor coefficients must be finite")
+        return t
 
 
 def evaluate(t: SymmetricTensor, x) -> float:

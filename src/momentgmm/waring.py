@@ -9,12 +9,10 @@ optional damped Gauss-Newton pass polishes noisy decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .hankel import hankel
+from .hankel import RANK_TOLERANCE, hankel
 from .symtensor import (
     SymmetricTensor,
     WaringDecomposition,
@@ -36,46 +34,31 @@ EIGENVALUE_GAP_TOL = 1e-10
 IMAG_LEAK_TOL = 1e-6
 
 
-@dataclass
-class DecompositionOptions:
-    rank: int | None = None
-    rank_tolerance: float = 1e-8
-    k: int | None = None
-    rng_seed: int = 0
-    # "error": reject complex-leaking points (exact tensors); "warn": take
-    # real parts and flag the result (empirical moment tensors).
-    on_complex: str = "error"
-
-    def __post_init__(self):
-        # 1 or NaN would truncate the Hankel SVD to rank 0
-        if not 0.0 <= self.rank_tolerance < 1.0:
-            raise InputError("rank_tolerance must be in [0, 1)")
-        if self.on_complex not in ("error", "warn"):
-            raise InputError("on_complex must be 'error' or 'warn'")
-
-
 def default_row_degree(order: int) -> int:
     """Row degree used when the caller gives none: (d+1)//2, so that for the
     GMM case d=3 it is 2, matching linearly independent points (iota=1)."""
     return min(order - 1, (order + 1) // 2)
 
 
-def truncated_svd_basis(t: SymmetricTensor, k: int, opts: DecompositionOptions) -> np.ndarray:
+def truncated_svd_basis(
+    t: SymmetricTensor, k: int, rank: int | None = None, rank_tolerance: float = RANK_TOLERANCE
+) -> np.ndarray:
     """Pencil slices of an orthonormal basis U of the column space of
     hankel(t, k): an (m, s_(k-1), r) array whose slice i holds the rows of U at
-    the degree-k monomials divisible by X_i.  The detected or requested rank r
-    is last."""
+    the degree-k monomials divisible by X_i.  The rank r, `rank` or else the
+    count of singular values above rank_tolerance * sigma_max, is last."""
+    # 1 or NaN would truncate the Hankel SVD to rank 0
+    if not 0.0 <= rank_tolerance < 1.0:
+        raise InputError("rank_tolerance must be in [0, 1)")
     mat = hankel(t, k)
     u_full, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] <= np.finfo(float).tiny:
         raise NumericalError("zero tensor: all singular values vanish")
-    if opts.rank is not None:
-        r = opts.rank
-        if r < 1 or r > min(mat.shape):
-            raise InputError(f"requested rank {r} out of range for Hankel shape")
-    else:
-        r = int(np.sum(s > opts.rank_tolerance * s[0]))
-    return u_full[:, :r][sum_index(t.dim, k - 1, 1).T]
+    if rank is None:
+        rank = int(np.sum(s > rank_tolerance * s[0]))
+    elif rank < 1 or rank > min(mat.shape):
+        raise InputError(f"requested rank {rank} out of range for Hankel shape")
+    return u_full[:, :rank][sum_index(t.dim, k - 1, 1).T]
 
 
 def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,16 +144,21 @@ def relative_residual(t: SymmetricTensor, w: WaringDecomposition) -> float:
 
 
 def decompose(
-    t: SymmetricTensor, opts: DecompositionOptions | None = None
+    t: SymmetricTensor, *, rank: int | None = None, k: int | None = None,
+    rank_tolerance: float = RANK_TOLERANCE, rng_seed: int = 0, on_complex: str = "error",
 ) -> WaringDecomposition:
-    """Full decomposition: Hankel SVD, pencil diagonalization, weight solve,
-    optional Gauss-Newton refinement.
+    """Full decomposition: Hankel SVD in row degree k (default_row_degree when
+    None) truncated by `truncated_svd_basis`, pencil diagonalization on draws
+    from rng_seed, weight solve, optional Gauss-Newton refinement.
+    on_complex "error" rejects complex-leaking points (exact tensors); "warn"
+    takes their real parts and flags the result (empirical moment tensors).
 
     Points come back unit-normalized with scale absorbed into the weights.
     """
-    opts = opts if opts is not None else DecompositionOptions()
-    k = opts.k if opts.k is not None else default_row_degree(t.order)
-    slices = truncated_svd_basis(t, k, opts)
+    if on_complex not in ("error", "warn"):
+        raise InputError("on_complex must be 'error' or 'warn'")
+    k = k if k is not None else default_row_degree(t.order)
+    slices = truncated_svd_basis(t, k, rank, rank_tolerance)
     r = slices.shape[-1]
     if r > num_coeffs(t.dim, k - 1):
         raise NumericalError(
@@ -185,9 +173,7 @@ def decompose(
     last_error = None
     for draw in range(MAX_PENCIL_DRAWS):
         try:
-            points, leak = simultaneous_diagonalize(
-                slices, opts.rng_seed + 7919 * draw, opts.on_complex
-            )
+            points, leak = simultaneous_diagonalize(slices, rng_seed + 7919 * draw, on_complex)
             weights, rel = solve_weights(t, points)
         except NumericalError as exc:
             last_error = exc

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from momentgmm import (
-    DecompositionOptions,
     GmmParams,
     SymmetricTensor,
     apolar,
@@ -104,7 +103,7 @@ class TestCriterion1ExactRecovery:
             wts = rng.uniform(0.1, 2.0, r)
             t = reconstruct(WaringDecomposition(weights=wts, points=pts, order=d))
             t0 = time.perf_counter()
-            dec = decompose(t, DecompositionOptions(rank=r, k=2, rng_seed=trial))
+            dec = decompose(t, rank=r, k=2, rng_seed=trial)
             elapsed = time.perf_counter() - t0
             tw, tp = canonical(wts, pts, d)
             a, w = match_errors(dec, tw, tp)
@@ -143,7 +142,7 @@ class TestCriterion2SumsOfCubes:
                 if numerical_rank(hankel(t, 1)) != r:
                     ranks_ok = False
                 k = 1 if r == 1 else 2
-                dec = decompose(t, DecompositionOptions(rank=r, k=k))
+                dec = decompose(t, rank=r, k=k)
                 tw, tp = canonical(np.ones(r), np.eye(m)[:r], 3)
                 for i in range(r):
                     chords = [

@@ -2,7 +2,8 @@
 time over the host reference, not by its raw time, and a changed quality
 list is reported. `timings` on a stage whose clock is simulated: a short
 stage is repeated until one repeat lasts REPEAT_S. The k-means stages are
-init_kmeans split in two."""
+init_kmeans split in two, and the workload fit stages M3 in W and decompose
+are the moments start's own."""
 
 import importlib.util
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentgmm import init_kmeans, m_step, sample
+from momentgmm import init_kmeans, init_moments, m_step, moments, sample
 
 PERF = Path(__file__).resolve().parents[1] / "bench" / "perf.py"
 
@@ -54,6 +55,14 @@ def test_slower_over_the_reference_is_flagged(perf):
 def test_changed_quality_is_reported(perf):
     lines = perf.compare(report(0.010, 0.050, (-10.0, -12.5)), report(0.010, 0.050))
     assert lines == ["quality /examples/example1/initializers/kmeans/loglik: [1] -12.0 -> -12.5"]
+
+
+def test_changed_recovery_error_is_reported(perf):
+    def fit(errors):
+        return {"recover_hidim_fit": {"stages": {"decompose": {"recovery_error": errors}}}}
+
+    lines = perf.compare(fit([0.1, 0.3]), fit([0.1, 0.2]))
+    assert lines == ["quality /recover_hidim_fit/stages/decompose/recovery_error: [1] 0.2 -> 0.3"]
 
 
 def test_file_without_reference_times_compares_raw(perf):
@@ -114,3 +123,25 @@ def test_kmeans_stages_make_the_init_kmeans_start(perf, example2_params):
         start = m_step(data, np.eye(3)[labels[np.argmin(wcss)]])
         assert all(np.array_equal(getattr(start, k), getattr(want, k))
                    for k in ("weights", "means", "variances"))
+
+
+def test_fit_stages_make_the_moments_start(perf, monkeypatch, example2_params):
+    # M3 in W is the tensor init_moments decomposes, and the decompose stage
+    # returns the decomposition init_moments gets, bit for bit
+    samples = [sample(example2_params, 1000, rng_seed=seed) for seed in range(2)]
+    stages = perf.fit_stages(3, samples, [5, 6])
+    made, inner = [], moments.decompose
+
+    def recording(t, **kwargs):
+        made.append((t, inner(t, **kwargs)))
+        return made[-1][1]
+
+    monkeypatch.setattr(moments, "decompose", recording)
+    for (data, _), m3_in_w, decompose in zip(samples, stages["m3_in_w"], stages["decompose"]):
+        made.clear()
+        init_moments(data, 3)
+        [(tensor, want)] = made
+        assert np.array_equal(m3_in_w(), tensor.coeffs)
+        got = decompose()
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.points, want.points)

@@ -270,6 +270,14 @@ class TestDecompose:
         tensor_path.write_text('{"dim": 2, "order": 3,')
         assert main(["decompose", str(tensor_path)]) == 1
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, capsys, value):
+        # such a coefficient would reach the Hankel SVD, which does not converge on it
+        tensor_path = tmp_path / "t.json"
+        tensor_path.write_text(f'{{"dim": 2, "order": 3, "coeffs": [1.0, {value}, 0.5, 2.0]}}')
+        assert main(["decompose", str(tensor_path)]) == 1
+        assert capsys.readouterr().err == "error: tensor coefficients must be finite\n"
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         tensor_path = tmp_path / "t.json"
         tensor_path.write_text(SymmetricTensor(2, 3, [1.0, 0.0, 0.0, 1.0]).to_json())

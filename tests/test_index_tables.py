@@ -28,7 +28,7 @@ import math
 import numpy as np
 import pytest
 
-from momentgmm import DecompositionOptions, SymmetricTensor, empirical_moments, hankel
+from momentgmm import SymmetricTensor, empirical_moments, hankel
 from momentgmm.moments import MOMENT_BLOCK_ELEMENTS, _m3_array, _symmetric_array_coeffs
 from momentgmm.symtensor import (
     evaluation_matrix,
@@ -293,7 +293,7 @@ def test_edge_shapes_equal_loops(m, d):
         assert np.array_equal(partial_derivative(t, i).coeffs, loop_partial_derivative(t, i))
     for k in range(1, d):
         assert np.array_equal(hankel(t, k), loop_hankel(t, k))
-        slices = truncated_svd_basis(t, k, DecompositionOptions())
+        slices = truncated_svd_basis(t, k)
         u = np.linalg.svd(hankel(t, k), full_matrices=False)[0][:, : slices.shape[-1]]
         for got_i, want_i in zip(slices, loop_pencil_slices(u, m, k), strict=True):
             assert np.array_equal(got_i, want_i)
@@ -355,7 +355,7 @@ def test_pencil_slices_equal_loop(m, d):
     for k in range(1, d):
         # k = 1 is decompose's rank-1 path: one slice row per variable
         rank = 1 if k == 1 else None
-        slices = truncated_svd_basis(t, k, DecompositionOptions(rank=rank))
+        slices = truncated_svd_basis(t, k, rank=rank)
         # the same LAPACK call on the same matrix, so U is exactly the library's
         u = np.linalg.svd(hankel(t, k), full_matrices=False)[0][:, : slices.shape[-1]]
         want = loop_pencil_slices(u, m, k)

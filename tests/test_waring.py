@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentgmm import (
-    DecompositionOptions,
     InputError,
     NumericalError,
     SymmetricTensor,
@@ -80,24 +79,24 @@ class TestTruncatedSvdBasis:
     def test_detects_rank(self):
         rng = np.random.default_rng(0)
         t, _, _ = random_decomposable(rng, 5, 3, 3)
-        slices = truncated_svd_basis(t, 2, DecompositionOptions())
+        slices = truncated_svd_basis(t, 2)
         assert slices.shape == (5, num_coeffs(5, 1), 3)
 
     def test_explicit_rank_override(self):
         rng = np.random.default_rng(1)
         t, _, _ = random_decomposable(rng, 5, 3, 3)
-        slices = truncated_svd_basis(t, 2, DecompositionOptions(rank=2))
+        slices = truncated_svd_basis(t, 2, rank=2)
         assert slices.shape[-1] == 2
 
     def test_zero_tensor_rejected(self):
         t = SymmetricTensor(3, 3, np.zeros(10))
         with pytest.raises(NumericalError):
-            truncated_svd_basis(t, 1, DecompositionOptions())
+            truncated_svd_basis(t, 1)
 
     def test_slice_row_counts(self):
         rng = np.random.default_rng(2)
         t, _, _ = random_decomposable(rng, 4, 2, 3)
-        slices = truncated_svd_basis(t, 2, DecompositionOptions())
+        slices = truncated_svd_basis(t, 2)
         assert slices.shape == (4, 4, 2)  # 4 variables, s_1 = 4 rows, rank 2
 
 
@@ -105,7 +104,7 @@ class TestSimultaneousDiagonalize:
     def test_recovers_point_directions(self):
         rng = np.random.default_rng(3)
         t, _, tp = random_decomposable(rng, 4, 3, 3)
-        slices = truncated_svd_basis(t, 2, DecompositionOptions())
+        slices = truncated_svd_basis(t, 2)
         points, leak = simultaneous_diagonalize(slices, rng_seed=0)
         assert not leak
         worst, _ = match_error(
@@ -117,13 +116,13 @@ class TestSimultaneousDiagonalize:
         # X1^3 - 3 X1 X2^2 = Re((X1 + i X2)^3) decomposes over C with points
         # (1, +-i), so real extraction must either fail or flag the leak
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
-        slices = truncated_svd_basis(t, 2, DecompositionOptions(rank=2))
+        slices = truncated_svd_basis(t, 2, rank=2)
         with pytest.raises(NumericalError):
             simultaneous_diagonalize(slices, rng_seed=0, on_complex="error")
 
     def test_complex_leak_warn_mode(self):
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
-        slices = truncated_svd_basis(t, 2, DecompositionOptions(rank=2))
+        slices = truncated_svd_basis(t, 2, rank=2)
         points, leak = simultaneous_diagonalize(slices, rng_seed=0, on_complex="warn")
         assert leak
         assert points.shape == (2, 2)
@@ -151,7 +150,7 @@ class TestSolveWeights:
 class TestDecompose:
     def test_two_cubes(self):
         t = SymmetricTensor(2, 3, [1.0, 0.0, 0.0, 1.0])  # X1^3 + X2^3
-        dec = decompose(t, DecompositionOptions(k=2))
+        dec = decompose(t, k=2)
         assert dec.rank == 2
         tw, tp = normalized_ground_truth([1.0, 1.0], np.eye(2), 3)
         worst_pt, worst_w = match_error(dec, tw, tp)
@@ -161,7 +160,7 @@ class TestDecompose:
         rng = np.random.default_rng(6)
         v = rng.standard_normal(4)
         t = pow_linear(v, 3)
-        dec = decompose(t, DecompositionOptions(k=1))
+        dec = decompose(t, k=1)
         tw, tp = normalized_ground_truth([1.0], v[None, :], 3)
         worst_pt, worst_w = match_error(dec, tw, tp)
         assert worst_pt < 1e-12 and worst_w < 1e-10
@@ -172,7 +171,7 @@ class TestDecompose:
         m = int(rng.integers(3, 7))
         r = int(rng.integers(2, m + 1))
         t, tw, tp = random_decomposable(rng, m, r, 3)
-        dec = decompose(t, DecompositionOptions(rank=r, k=2, rng_seed=seed))
+        dec = decompose(t, rank=r, k=2, rng_seed=seed)
         worst_pt, worst_w = match_error(dec, tw, tp)
         assert worst_pt < 1e-9
         assert worst_w < 1e-9
@@ -183,7 +182,7 @@ class TestDecompose:
         pts = random_independent_points(rng, 2, 3)
         wts = np.array([1.5, -0.75])
         t = reconstruct(WaringDecomposition(weights=wts, points=pts, order=3))
-        dec = decompose(t, DecompositionOptions(rank=2, k=2))
+        dec = decompose(t, rank=2, k=2)
         tw, tp = normalized_ground_truth(wts, pts, 3)
         worst_pt, worst_w = match_error(dec, tw, tp)
         assert worst_pt < 1e-10 and worst_w < 1e-10
@@ -191,14 +190,14 @@ class TestDecompose:
     def test_order_four(self):
         rng = np.random.default_rng(8)
         t, tw, tp = random_decomposable(rng, 4, 3, 4)
-        dec = decompose(t, DecompositionOptions(rank=3, k=2))
+        dec = decompose(t, rank=3, k=2)
         worst_pt, worst_w = match_error(dec, tw, tp)
         assert worst_pt < 1e-9 and worst_w < 1e-9
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(9)
         t, _, _ = random_decomposable(rng, 5, 4, 3)
-        dec = decompose(t, DecompositionOptions(rank=4, k=2))
+        dec = decompose(t, rank=4, k=2)
         assert apolar_norm(
             SymmetricTensor(5, 3, reconstruct(dec).coeffs - t.coeffs)
         ) <= 1e-11 * apolar_norm(t)
@@ -206,13 +205,24 @@ class TestDecompose:
     def test_bad_k_rejected(self):
         t = SymmetricTensor(2, 3, [1.0, 0.0, 0.0, 1.0])
         with pytest.raises(InputError):
-            decompose(t, DecompositionOptions(k=3))
+            decompose(t, k=3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"on_complex": "bogus"}, "on_complex must be 'error' or 'warn'"),
+        ({"rank_tolerance": float("nan")}, r"rank_tolerance must be in \[0, 1\)"),
+        ({"rank_tolerance": -0.1}, r"rank_tolerance must be in \[0, 1\)"),
+        ({"rank_tolerance": 1.0}, r"rank_tolerance must be in \[0, 1\)"),
+    ], ids=["on_complex-bogus", "tolerance-nan", "tolerance-negative", "tolerance-one"])
+    def test_bad_argument_rejected(self, kwargs, message):
+        t = SymmetricTensor(2, 3, [1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(InputError, match=message):
+            decompose(t, **kwargs)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         t, _, _ = random_decomposable(rng, 4, 3, 3)
-        d1 = decompose(t, DecompositionOptions(rank=3, k=2, rng_seed=42))
-        d2 = decompose(t, DecompositionOptions(rank=3, k=2, rng_seed=42))
+        d1 = decompose(t, rank=3, k=2, rng_seed=42)
+        d2 = decompose(t, rank=3, k=2, rng_seed=42)
         assert np.array_equal(d1.weights, d2.weights)
         assert np.array_equal(d1.points, d2.points)
 
@@ -240,7 +250,7 @@ class TestRefine:
         noisy = SymmetricTensor(
             4, 3, t.coeffs + 1e-4 * rng.standard_normal(len(t.coeffs))
         )
-        dec = decompose(noisy, DecompositionOptions(rank=3, k=2))
+        dec = decompose(noisy, rank=3, k=2)
         worst_pt, worst_w = match_error(dec, tw, tp)
         assert worst_pt < 1e-2 and worst_w < 1e-2
 
@@ -296,15 +306,15 @@ def nested_diagonalize(slices, rng_seed, on_complex):
     raise NumericalError("simultaneous diagonalization failed")
 
 
-def nested_decompose(t, opts):
+def nested_decompose(t, rank, k, rng_seed, on_complex):
     """Reference: the earlier decompose, MAX_PENCIL_RETRIES outer draws each
     running nested_diagonalize on its own seed, best residual kept."""
-    slices = truncated_svd_basis(t, opts.k, opts)
+    slices = truncated_svd_basis(t, k, rank)
     best = None
     for attempt in range(waring.MAX_PENCIL_RETRIES):
         try:
             points, leak = nested_diagonalize(
-                slices, opts.rng_seed + 7919 * attempt, opts.on_complex
+                slices, rng_seed + 7919 * attempt, on_complex
             )
             weights, rel = solve_weights(t, points)
         except NumericalError:
@@ -342,9 +352,9 @@ class TestPencilDrawLoop:
         noisy = SymmetricTensor(
             m, 3, t.coeffs + 1e-3 * rng.standard_normal(len(t.coeffs))
         )
-        opts = DecompositionOptions(rank=r, k=2, rng_seed=seed, on_complex="warn")
-        got = decompose(noisy, opts)
-        want = nested_decompose(noisy, opts)
+        args = dict(rank=r, k=2, rng_seed=seed, on_complex="warn")
+        got = decompose(noisy, **args)
+        want = nested_decompose(noisy, **args)
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.points, want.points)
         assert got.complex_leak is want.complex_leak
@@ -356,7 +366,7 @@ class TestPencilDrawLoop:
             5, 3, t.coeffs + 1e-3 * rng.standard_normal(len(t.coeffs))
         )
         seeds = record_draw_seeds(monkeypatch)
-        decompose(noisy, DecompositionOptions(rank=3, k=2, rng_seed=4, on_complex="warn"))
+        decompose(noisy, rank=3, k=2, rng_seed=4, on_complex="warn")
         assert seeds == [4 + 7919 * j for j in range(waring.MAX_PENCIL_RETRIES)]
 
     def test_complex_points_exhaust_draw_budget(self, monkeypatch):
@@ -364,7 +374,7 @@ class TestPencilDrawLoop:
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
         seeds = record_draw_seeds(monkeypatch)
         with pytest.raises(NumericalError, match="pencil draws failed"):
-            decompose(t, DecompositionOptions(rank=2, k=2, on_complex="error"))
+            decompose(t, rank=2, k=2, on_complex="error")
         assert seeds == [7919 * j for j in range(waring.MAX_PENCIL_DRAWS)]
 
 
@@ -424,8 +434,7 @@ class TestRefineMatchesGemm:
         t, _, _ = random_decomposable(rng, m, r, 3)
         noise = 1e-2 * np.abs(t.coeffs).max() * rng.standard_normal(len(t.coeffs))
         noisy = SymmetricTensor(m, 3, t.coeffs + noise)
-        opts = DecompositionOptions(rank=r, on_complex="warn")
-        start = decompose(noisy, opts)
+        start = decompose(noisy, rank=r, on_complex="warn")
         got = refine(noisy, start, 5)
         want = gemm_refine(noisy, start, 5)
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9, atol=0)
