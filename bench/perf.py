@@ -19,9 +19,16 @@ mixtures, n = 1000, sample seeds 0-9) it times:
   and `recover-hidim` workload (8 samples, n = 5000, m = 30, r = 15; workload
   seed 1), sample k fitted with the seed of job k, end to end and by stage:
   the frame, the second-order statistics, M3 in W, the `decompose` call that
-  `moments._recover` makes, one E/M pair and the hard labels. A stage runs
-  sample after sample, so each call finds its sample (8 MB at large-n) out
-  of cache; a call repeated on one sample runs faster.
+  `moments._recover` makes, its two `solve_weights` calls for the M2 scales
+  and the M1 variances (`recover_solves`), one E/M pair and the hard labels.
+  The `decompose` call is also split (`decompose_<part>`, DECOMPOSE_PARTS):
+  the seconds per call spent inside `truncated_svd_basis`, inside the pencil
+  draws (`simultaneous_diagonalize` and `solve_weights`) and inside `refine`,
+  each measured by wrapping those names while the recorded call replays; the
+  `decompose` stage carries each call's pencil draws and `refine`'s
+  `np.linalg.solve` count. A stage runs sample after sample, so each call
+  finds its sample (8 MB at large-n) out of cache; a call repeated on one
+  sample runs faster.
 
 A repeat makes `calls` back-to-back calls of the stage, enough that it lasts
 at least REPEAT_S, counted from one call before the first repeat. Each timing
@@ -42,7 +49,7 @@ with the host; compare two files only when they come from the same machine.
 
 With --compare, the stages present in both files whose `median_ref` rose by
 more than COMPARE_SLOWER over PREV.json, each with both raw medians beside
-it, and every quality list that differs, are printed and recorded under
+it, and every quality or count list that differs, are printed and recorded under
 "compare"; nothing fails on them. A shared host's speed drifts by more than
 that within minutes, and the reference drifts with it, so the ratio holds
 steadier than a raw time. Against a file without reference times (such as
@@ -52,6 +59,7 @@ BENCH_19.json) the raw medians are compared, and the output says so.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -71,7 +79,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402  (after the thread pin)
 import scipy  # noqa: E402
 
-from momentgmm import NumericalError, SymmetricTensor, cli, gmm, metrics, moments, waring  # noqa: E402
+from momentgmm import NumericalError, cli, gmm, metrics, moments, waring  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's own sample generation)
@@ -84,7 +92,14 @@ FIT_WORKLOAD_SEEDS = {"large-n": 3, "recover-hidim": 1}
 KMEANS_RUNS = 50  # init_kmeans' default, one block of restarts at n = N
 COMPARE_SLOWER = 0.20
 REPEAT_S = 0.02  # a shorter repeat is lost in the noise of the reference around it
-QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error")
+QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error", "pencil_draws", "refine_solves")
+# the parts of `decompose` timed on their own: the Hankel SVD basis, the pencil
+# draws with their weight solves, and the Gauss-Newton refinement
+DECOMPOSE_PARTS = {
+    "svd_basis": ("truncated_svd_basis",),
+    "pencil_draws": ("simultaneous_diagonalize", "solve_weights"),
+    "refine": ("refine",),
+}
 
 
 def examples() -> dict[str, gmm.GmmParams]:
@@ -254,27 +269,68 @@ def bench_steps(sample, start: gmm.GmmParams, repeats: int, ref: Reference) -> d
     }
 
 
-def decompose_call(frame: moments.Frame, r: int) -> tuple[SymmetricTensor, dict]:
-    """The tensor and keywords of the `decompose` call that `moments._recover`
-    makes for the moments start on `frame`, recorded from one run."""
-    with mock.patch.object(moments, "decompose", wraps=moments.decompose) as spy:
+def recover_calls(frame: moments.Frame, r: int) -> tuple[tuple, list[tuple]]:
+    """The arguments of the `decompose` call, as (tensor, keywords), and of the
+    two `solve_weights` calls that `moments._recover` makes for the moments
+    start on `frame`, recorded from one run."""
+    with mock.patch.object(moments, "decompose", wraps=moments.decompose) as spy, \
+            mock.patch.object(moments, "solve_weights", wraps=moments.solve_weights) as solves:
         try:
             moments.recover_from_data(frame, r)
         except NumericalError:
-            pass  # recovery failed in or after decompose; the call is recorded
+            pass  # recovery failed in or after decompose; the calls made are recorded
     (tensor,), kwargs = spy.call_args
-    return tensor, kwargs
+    return (tensor, kwargs), [args for args, _ in solves.call_args_list]
+
+
+def part_seconds(calls, names: tuple[str, ...]) -> float:
+    """Seconds per call of `calls` spent inside the `waring` functions `names`,
+    each wrapped by name while the calls run."""
+    spent = 0.0
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal spent
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent += time.perf_counter() - t0
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(waring, name, timed(getattr(waring, name))))
+        for call in calls:
+            call()
+    return spent / len(calls)
+
+
+def decompose_counts(calls) -> dict:
+    """Per `decompose` call: its pencil draws and its np.linalg.solve calls,
+    all of which are refine's damping solves."""
+    counts = {"pencil_draws": [], "refine_solves": []}
+    for call in calls:
+        with mock.patch.object(waring, "simultaneous_diagonalize",
+                               wraps=waring.simultaneous_diagonalize) as draws, \
+                mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solves:
+            call()
+        counts["pencil_draws"].append(draws.call_count)
+        counts["refine_solves"].append(solves.call_count)
+    return counts
 
 
 def fit_stages(r: int, samples, seeds) -> dict:
     """fit_once with the moments start, sample k with seeds[k], as one call per
     sample of each stage: the whole fit, the frame, the second-order
     statistics, M3 in W, the `decompose` call `moments._recover` makes, one
-    E/M pair from the start and the hard labels."""
+    E/M pair from the start and the hard labels; and the two `solve_weights`
+    calls `moments._recover` makes after `decompose`, for the M2 scales and
+    the M1 variances."""
     frames = [moments._frame(data) for data, _ in samples]
     sets = [moments.empirical_moments(frame) for frame in frames]
     bases = [np.linalg.eigh(ms.m2)[1][:, ::-1][:, :r] for ms in sets]
-    calls = [decompose_call(frame, r) for frame in frames]
+    calls, solves = zip(*(recover_calls(frame, r) for frame in frames))
     starts = [gmm.init_moments(frame, r, rng_seed=seed)[0] for frame, seed in zip(frames, seeds)]
     kind = np.min_scalar_type(-r).type
 
@@ -295,6 +351,8 @@ def fit_stages(r: int, samples, seeds) -> dict:
             for f, ms, w in zip(frames, sets, bases)
         ],
         "decompose": [lambda t=t, kw=kw: waring.decompose(t, **kw) for t, kw in calls],
+        "recover_solves": [lambda s=s: [waring.solve_weights(*args) for args in s]
+                           for s in solves],
         "em_pair": [lambda f=f, s=s: em_pair(f, s) for f, s in zip(frames, starts)],
         "labels": [lambda p=p: gmm._first_best(p, kind, np.greater) for p in resps],
     }
@@ -315,16 +373,19 @@ def bench_fit(workload: str, repeats: int, ref: Reference) -> dict:
     fit_quality["recovery_error"] = [
         workloads.recovery_error(*work.recovery(k, [row])) for k, row in enumerate(rows)
     ]
+    stages = fit_stages(r, samples, seeds)
+    timed = {name: lambda calls=calls: per_sample(calls) for name, calls in stages.items()}
+    timed |= {f"decompose_{part}": lambda names=names: part_seconds(stages["decompose"], names)
+              for part, names in DECOMPOSE_PARTS.items()}
+    report = {name: timings(fn, repeats, ref) | fit_quality for name, fn in timed.items()}
+    report["decompose"] |= decompose_counts(stages["decompose"])
     return {
         "workload": workload,
         "workload_seed": seed,
         "n": work.n,
         "r": r,
         "sample_fit_seeds": seeds,
-        "stages": {
-            name: timings(lambda calls=calls: per_sample(calls), repeats, ref) | fit_quality
-            for name, calls in fit_stages(r, samples, seeds).items()
-        },
+        "stages": report,
     }
 
 

@@ -215,18 +215,9 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
             rows[name] = dict(row, failure=False)
         return [dict(rows[name], repeat=rep, replicate=idx) for name in initializers]
 
-    all_rows = [
-        row
-        for rep in range(repeats)
-        for idx in range(replicates)
-        for row in one_replicate(rep, idx)
-    ]
-    per_repeat = [
-        _summarize(
-            [r_ for r_ in all_rows if r_["repeat"] == rep], initializers, replicates
-        )
-        for rep in range(repeats)
-    ]
+    # groups[rep][idx]: the rows of replicate idx in repeat rep
+    groups = [[one_replicate(rep, idx) for idx in range(replicates)] for rep in range(repeats)]
+    per_repeat = [_summarize(repeat, initializers) for repeat in groups]
     summary = {
         "replicates": replicates,
         "repeats": repeats,
@@ -244,33 +235,35 @@ def run_benchmark(config: dict) -> tuple[dict, list[dict]]:
         summary["aggregate"] = agg
     else:
         summary["shares"] = per_repeat[0]
-    return summary, all_rows
+    return summary, [row for repeat in groups for group in repeat for row in group]
 
 
-def _summarize(rows: list[dict], initializers: list[str], replicates: int) -> dict:
+def _summarize(groups: list[list[dict]], initializers: list[str]) -> dict:
+    """Shares of one repeat, from the rows of each of its replicates."""
     counts = {
         name: {"best_bic": 0, "best_ari": 0, "ari_ge_099": 0, "best_err": 0,
                "fits": 0}
         for name in initializers
     }
-    for idx in range(replicates):
-        group = [r_ for r_ in rows if r_["replicate"] == idx and not r_["failure"]]
+    for rows in groups:
+        group = [r_ for r_ in rows if not r_["failure"]]
         if not group:
             continue
         best_bic = max(r_["bic"] for r_ in group)
-        best_ari = max(r_.get("ari", float("nan")) for r_ in group)
-        best_err = min(r_.get("error_rate", float("nan")) for r_ in group)
+        best_ari = max(r_["ari"] for r_ in group)
+        best_err = min(r_["error_rate"] for r_ in group)
         for r_ in group:
             c = counts[r_["initializer"]]
             c["fits"] += 1
             if r_["bic"] >= best_bic - BIC_TIE_TOL:
                 c["best_bic"] += 1
-            if r_.get("ari") == best_ari:
+            if r_["ari"] == best_ari:
                 c["best_ari"] += 1
-            if r_.get("ari", 0.0) >= 0.99:
+            if r_["ari"] >= 0.99:
                 c["ari_ge_099"] += 1
-            if r_.get("error_rate") == best_err:
+            if r_["error_rate"] == best_err:
                 c["best_err"] += 1
+    replicates = len(groups)
     out = {}
     for name in initializers:
         c = counts[name]
@@ -387,8 +380,7 @@ def cmd_benchmark(args) -> int:
             fh.write(
                 f"{r_['repeat']},{r_['replicate']},{r_['initializer']},"
                 f"{_fmt(r_['loglik'])},{_fmt(r_['bic'])},"
-                f"{_fmt(r_.get('ari', float('nan')))},"
-                f"{_fmt(r_.get('error_rate', float('nan')))},"
+                f"{_fmt(r_['ari'])},{_fmt(r_['error_rate'])},"
                 f"{_fmt(r_['time_s'])},"
                 f"{int(r_['fallback'])},{int(r_['failure'])}\n"
             )
@@ -406,7 +398,7 @@ def cmd_benchmark(args) -> int:
 def _summary_table(summary: dict, rows: list[dict]) -> str:
     """Shares of the first repeat, with each initializer's mean fit time
     over that repeat's successful fits."""
-    shares = summary.get("shares") or summary["per_repeat"][0]
+    shares = summary["per_repeat"][0]
     lines = [
         f"{'initializer':<12}{'bestBIC%':>10}{'bestARI%':>10}"
         f"{'ARI>=.99%':>11}{'bestErr%':>10}{'time(s)':>10}"

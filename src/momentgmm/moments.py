@@ -28,12 +28,11 @@ from .symtensor import (
     SymmetricTensor,
     WaringDecomposition,
     index_tuples,
-    multinomial_weights,
     pow_linear,
     reconstruct,
     sum_index,
 )
-from .waring import decompose
+from .waring import decompose, solve_weights
 
 EIGEN_GAP_TOL = 1e-10
 LAMBDA_TOL = 1e-10
@@ -73,8 +72,8 @@ class MomentSet:
 
 @dataclass
 class RecoveredParams:
-    """Mixture parameters read off the moment tensors, with the least-squares
-    residuals of the two linear solves, the decomposition dimension and M2's
+    """Mixture parameters read off the moment tensors, with the relative apolar
+    residuals of the M2 and M1 solves, the decomposition dimension and M2's
     eigenvalues lambda_r, lambda_(r+1) as diagnostics."""
 
     weights: np.ndarray
@@ -203,7 +202,8 @@ def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
 
 def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
     """Waring-decompose m3_in(W), M3's coefficients in the span W of M2's top r eigenvectors,
-    where the means lie, map the points back, rescale against M2, then solve M1 for variances."""
+    where the means lie, map the points back, rescale against M2, then solve M1 for variances;
+    both solves are `solve_weights`, which rejects linearly dependent means."""
     m = len(m1)
     if r > m:
         raise InputError(f"r={r} exceeds dimension m={m}; r <= m is required")
@@ -214,17 +214,11 @@ def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
     dec = decompose(SymmetricTensor(r, 3, m3_in(basis)), rank=r, on_complex=on_complex)
     w_tilde, mu_tilde = dec.weights, dec.points @ basis.T
 
-    # scale system: sum_i lambda_i w~_i (mu~_i . X)^2 = M2(X), solved over the
-    # degree-2 coefficients under the apolar weighting
-    sqrt_w2 = np.sqrt(multinomial_weights(m, 2))
-    design = np.column_stack(
-        [w_tilde[i] * pow_linear(mu_tilde[i], 2).coeffs for i in range(r)]
-    ) * sqrt_w2[:, None]
-    target = _symmetric_array_coeffs(m2) * sqrt_w2
-    lam, _, rank2, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank2 < r:
-        raise NumericalError("scale system is rank deficient")
-    resid_m2 = float(np.linalg.norm(design @ lam - target))
+    # scale system: sum_i lambda_i w~_i (mu~_i . X)^2 = M2(X)
+    lam, resid_m2 = solve_weights(
+        SymmetricTensor(m, 2, _symmetric_array_coeffs(m2)),
+        [w * pow_linear(mu, 2).coeffs for w, mu in zip(w_tilde, mu_tilde)],
+    )
     if np.any(np.abs(lam) < LAMBDA_TOL):
         raise NumericalError("degenerate scale: some lambda_i is near zero")
 
@@ -235,10 +229,8 @@ def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
     weights = np.maximum(weights, WEIGHT_CLAMP)
     weights = weights / weights.sum()
 
-    # variance system: sum_i w_i s_i^2 (mu_i . X) = M1(X)
-    design1 = (weights[:, None] * means).T
-    variances, _, _, _ = np.linalg.lstsq(design1, m1, rcond=None)
-    resid_m1 = float(np.linalg.norm(design1 @ variances - m1))
+    # variance system: sum_i w_i s_i^2 (mu_i . X) = M1(X); its apolar weights are all 1
+    variances, resid_m1 = solve_weights(SymmetricTensor(m, 1, m1), weights[:, None] * means)
     # non-positive variance estimates (possible on noisy moments) are replaced
     # by the mixture-average variance, a neutral value EM can adjust from
     fallback_var = max(WEIGHT_CLAMP, sigma_bar_sq)

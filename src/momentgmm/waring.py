@@ -117,22 +117,20 @@ def simultaneous_diagonalize(
     return unit, leak
 
 
-def solve_weights(
-    t: SymmetricTensor, points: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Least-squares weights for T = sum w_i (p_i . X)^d under the apolar
-    inner product.  Returns (weights, relative apolar residual)."""
-    points = np.asarray(points, dtype=float)
+def solve_weights(t: SymmetricTensor, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares x for T = sum_i x_i rows_i under the apolar inner product,
+    each row holding coefficients in t's layout; `decompose` passes
+    evaluation_matrix(points, d), the rows of (p_i . X)^d.  Returns (x,
+    relative apolar residual); linearly dependent rows raise NumericalError."""
     sqrt_w = np.sqrt(multinomial_weights(t.dim, t.order))
-    design = evaluation_matrix(points, t.order).T * sqrt_w[:, None]
+    design = np.asarray(rows, dtype=float).T * sqrt_w[:, None]
     target = t.coeffs * sqrt_w
-    weights, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < len(points):
-        raise NumericalError("collinear points: weight system is rank deficient")
-    resid = np.linalg.norm(design @ weights - target)
+    x, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
+        raise NumericalError("linearly dependent rows: the least-squares system is rank deficient")
+    resid = np.linalg.norm(design @ x - target)
     norm_t = np.linalg.norm(target)
-    rel = resid / norm_t if norm_t > 0 else resid
-    return weights, float(rel)
+    return x, float(resid / norm_t if norm_t > 0 else resid)
 
 
 def relative_residual(t: SymmetricTensor, w: WaringDecomposition) -> float:
@@ -166,28 +164,25 @@ def decompose(
         )
 
     # the random combination quality varies on noisy tensors, so draw a few
-    # pencils and keep the candidate with the smallest residual; unlucky
-    # draws are skipped, within a budget of MAX_PENCIL_DRAWS
-    best = None
-    successes = 0
+    # pencils and keep the candidate with the smallest residual (the first,
+    # on a tie); unlucky draws are skipped, within a budget of MAX_PENCIL_DRAWS
+    found = []
     last_error = None
     for draw in range(MAX_PENCIL_DRAWS):
         try:
             points, leak = simultaneous_diagonalize(slices, rng_seed + 7919 * draw, on_complex)
-            weights, rel = solve_weights(t, points)
+            weights, rel = solve_weights(t, evaluation_matrix(points, t.order))
         except NumericalError as exc:
             last_error = exc
             continue
-        if best is None or rel < best[0]:
-            best = (rel, weights, points, leak)
-        successes += 1
-        if rel < 1e-10 or successes == MAX_PENCIL_RETRIES:
+        found.append((rel, weights, points, leak))
+        if rel < 1e-10 or len(found) == MAX_PENCIL_RETRIES:
             break
-    if best is None:
+    if not found:
         raise NumericalError(
             f"all {MAX_PENCIL_DRAWS} pencil draws failed: {last_error}"
         )
-    rel, weights, points, leak = best
+    rel, weights, points, leak = min(found, key=lambda candidate: candidate[0])
 
     result = WaringDecomposition(
         weights=weights, points=points, order=t.order, complex_leak=leak

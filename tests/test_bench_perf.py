@@ -2,8 +2,9 @@
 time over the host reference, not by its raw time, and a changed quality
 list is reported. `timings` on a stage whose clock is simulated: a short
 stage is repeated until one repeat lasts REPEAT_S. The k-means stages are
-init_kmeans split in two, and the workload fit stages M3 in W and decompose
-are the moments start's own."""
+init_kmeans split in two, and the workload fit stages M3 in W, decompose and
+the scale and variance solves are the moments start's own; the decompose
+split wraps every call of its parts, and its solve count is refine's."""
 
 import importlib.util
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentgmm import init_kmeans, init_moments, m_step, moments, sample
+from momentgmm import init_kmeans, init_moments, m_step, moments, sample, waring
 
 PERF = Path(__file__).resolve().parents[1] / "bench" / "perf.py"
 
@@ -145,3 +146,60 @@ def test_fit_stages_make_the_moments_start(perf, monkeypatch, example2_params):
         got = decompose()
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.points, want.points)
+
+
+@pytest.fixture(scope="module")
+def fit_stages(perf, example2_params):
+    samples = [sample(example2_params, 1000, rng_seed=seed) for seed in range(2)]
+    return samples, perf.fit_stages(3, samples, [5, 6])
+
+
+def test_recover_solves_are_the_moments_starts(fit_stages, monkeypatch):
+    # the stage's two solve_weights calls, for the M2 scales and the M1
+    # variances, return what they return inside init_moments, bit for bit
+    samples, stages = fit_stages
+    made, inner = [], moments.solve_weights
+
+    def recording(t, rows):
+        made.append(inner(t, rows))
+        return made[-1]
+
+    monkeypatch.setattr(moments, "solve_weights", recording)
+    for (data, _), solves in zip(samples, stages["recover_solves"]):
+        made.clear()
+        init_moments(data, 3)
+        got = solves()
+        assert len(got) == len(made) == 2
+        for (x, rel), (want_x, want_rel) in zip(got, made):
+            assert np.array_equal(x, want_x) and rel == want_rel
+
+
+class Clock:
+    """A clock that advances one second per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def test_decompose_split_wraps_every_call(perf, fit_stages, monkeypatch):
+    # with one second per clock reading, each wrapped call adds one second,
+    # so a part's seconds per decompose call count the calls it wrapped
+    calls = fit_stages[1]["decompose"]
+    counts = perf.decompose_counts(calls)
+    monkeypatch.setattr(perf, "time", Clock())
+    draws = perf.part_seconds(calls, ("simultaneous_diagonalize",)) * len(calls)
+    assert draws == sum(counts["pencil_draws"]) >= len(calls)
+    assert perf.part_seconds(calls, perf.DECOMPOSE_PARTS["svd_basis"]) == 1.0
+    # the empirical tensors are not fitted to 1e-14, so each call refines once
+    assert perf.part_seconds(calls, perf.DECOMPOSE_PARTS["refine"]) == 1.0
+    assert all(n >= 1 for n in counts["refine_solves"])
+
+
+def test_decompose_solves_are_refines(perf, fit_stages, monkeypatch):
+    monkeypatch.setattr(waring, "refine", lambda t, w, iters: w)
+    counts = perf.decompose_counts(fit_stages[1]["decompose"])
+    assert counts["refine_solves"] == [0, 0]

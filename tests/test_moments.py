@@ -14,13 +14,18 @@ import momentgmm
 from momentgmm import (
     GmmParams,
     InputError,
+    NumericalError,
+    WaringDecomposition,
     empirical_moments,
     exact_moments,
+    moments,
     recover_parameters,
     sample,
 )
 from momentgmm.gmm import e_step, em_fit, init_moments
-from momentgmm.moments import MOMENT_BLOCK_ELEMENTS, _frame, _m3_array, _symmetric_array_coeffs
+from momentgmm.moments import (
+    MOMENT_BLOCK_ELEMENTS, _frame, _m3_array, _symmetric_array_coeffs, recover_from_data,
+)
 from momentgmm.symtensor import monomials, sum_index
 from conftest import random_independent_points
 
@@ -210,6 +215,41 @@ class TestRecoverParameters:
         assert rec.diagnostics["residual_m2"] < 1e-8
         assert rec.diagnostics["residual_m1"] < 1e-8
         assert rec.diagnostics["complex_leak"] is False
+
+    def test_residuals_are_relative(self, example2_params):
+        # each residual is divided by the norm of its target: for M1, the
+        # misfit of sum_i w_i s_i^2 mu_i over ||M1||; a least-squares residual
+        # so divided lies in [0, 1], since x = 0 leaves the whole target
+        ms = empirical_moments(sample(example2_params, 2000, 3)[0])
+        rec = recover_parameters(ms, 3)
+        misfit = rec.means.T @ (rec.weights * rec.variances) - ms.m1
+        assert rec.diagnostics["residual_m1"] == pytest.approx(
+            np.linalg.norm(misfit) / np.linalg.norm(ms.m1), rel=1e-9)
+        for key in ("residual_m2", "residual_m1"):
+            assert 0.0 < rec.diagnostics[key] < 1.0
+
+    def test_dependent_means_fall_back(self, monkeypatch):
+        # means in a plane break identifiability (iota = 1 < d/2); M1 cannot
+        # then fix the variances, and the start falls back instead of
+        # returning a minimum-norm answer
+        params = GmmParams(
+            weights=[0.3, 0.3, 0.4],
+            means=[[4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [3.0, 3.0, 0.5]],
+            variances=[1.0, 1.0, 1.0],
+        )
+        data, _ = sample(params, 2000, 0)
+        inner = moments.decompose
+
+        def dependent(t, **kwargs):
+            dec = inner(t, **kwargs)
+            points = dec.points.copy()
+            points[2] = (points[0] + points[1]) / np.linalg.norm(points[0] + points[1])
+            return WaringDecomposition(dec.weights, points, dec.order, dec.complex_leak)
+
+        monkeypatch.setattr(moments, "decompose", dependent)
+        with pytest.raises(NumericalError, match="linearly dependent"):
+            recover_from_data(data, 3)
+        assert init_moments(data, 3)[1]
 
     @pytest.mark.parametrize("m, r", [(30, 15), (6, 6), (5, 1)])
     def test_exact_recovery_through_projection(self, m, r):

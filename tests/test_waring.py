@@ -136,7 +136,7 @@ class TestSolveWeights:
         unit = pts / np.linalg.norm(pts, axis=1)[:, None]
         wts = rng.uniform(0.5, 2.0, 3)
         t = reconstruct(WaringDecomposition(weights=wts, points=unit, order=3))
-        got, rel = solve_weights(t, unit)
+        got, rel = solve_weights(t, evaluation_matrix(unit, 3))
         assert np.allclose(got, wts, rtol=1e-10)
         assert rel < 1e-12
 
@@ -144,7 +144,12 @@ class TestSolveWeights:
         t = pow_linear([1.0, 1.0, 0.0], 3)
         pts = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(NumericalError):
-            solve_weights(t, pts)
+            solve_weights(t, evaluation_matrix(pts, 3))
+        # degree 1, where the rows are the points themselves
+        t1 = SymmetricTensor(3, 1, [1.0, 2.0, 3.0])
+        rows = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
+        with pytest.raises(NumericalError):
+            solve_weights(t1, rows)
 
 
 class TestDecompose:
@@ -316,7 +321,7 @@ def nested_decompose(t, rank, k, rng_seed, on_complex):
             points, leak = nested_diagonalize(
                 slices, rng_seed + 7919 * attempt, on_complex
             )
-            weights, rel = solve_weights(t, points)
+            weights, rel = solve_weights(t, evaluation_matrix(points, t.order))
         except NumericalError:
             continue
         if best is None or rel < best[0]:
