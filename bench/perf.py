@@ -25,10 +25,10 @@ mixtures, n = 1000, sample seeds 0-9) it times:
   the seconds per call spent inside `truncated_svd_basis`, inside the pencil
   draws (`simultaneous_diagonalize` and `solve_weights`) and inside `refine`,
   each measured by wrapping those names while the recorded call replays; the
-  `decompose` stage carries each call's pencil draws and `refine`'s
-  `np.linalg.solve` count. A stage runs sample after sample, so each call
-  finds its sample (8 MB at large-n) out of cache; a call repeated on one
-  sample runs faster.
+  `decompose` stage carries each call's pencil draws and `refine`'s damping
+  factorizations (`cho_factor` calls, failed ones included). A stage runs
+  sample after sample, so each call finds its sample (8 MB at large-n) out of
+  cache; a call repeated on one sample runs faster.
 
 A repeat makes `calls` back-to-back calls of the stage, enough that it lasts
 at least REPEAT_S, counted from one call before the first repeat. Each timing
@@ -307,13 +307,13 @@ def part_seconds(calls, names: tuple[str, ...]) -> float:
 
 
 def decompose_counts(calls) -> dict:
-    """Per `decompose` call: its pencil draws and its np.linalg.solve calls,
-    all of which are refine's damping solves."""
+    """Per `decompose` call: its pencil draws and refine's damping
+    factorizations, one per retry, including those that fail."""
     counts = {"pencil_draws": [], "refine_solves": []}
     for call in calls:
         with mock.patch.object(waring, "simultaneous_diagonalize",
                                wraps=waring.simultaneous_diagonalize) as draws, \
-                mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solves:
+                mock.patch.object(waring, "cho_factor", wraps=waring.cho_factor) as solves:
             call()
         counts["pencil_draws"].append(draws.call_count)
         counts["refine_solves"].append(solves.call_count)

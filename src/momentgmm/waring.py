@@ -10,6 +10,7 @@ optional damped Gauss-Newton pass polishes noisy decompositions.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, NumericalError
 from .hankel import RANK_TOLERANCE, hankel
@@ -242,9 +243,11 @@ def refine(
 ) -> WaringDecomposition:
     """Damped Gauss-Newton descent on the squared apolar residual over all
     weights and points.  Each iteration forms the normal equations once, in
-    Gram form (`_normal_equations`), and each damping retry solves them with
-    the diagonal shifted.  Non-improving steps are rejected, so the residual
-    never increases; returns the best decomposition found."""
+    Gram form (`_normal_equations`); each damping retry adds lam to their
+    diagonal and solves by Cholesky.  lam starts at 1e-6 times the diagonal's
+    mean: rotation-invariant, and positive if a point is nonzero, since the
+    weight block's diagonal holds |p_i|^(2d).  Failed factorizations and
+    non-improving steps multiply lam by 10; returns the best decomposition."""
     if iters <= 0:
         return w
     d = t.order
@@ -261,16 +264,21 @@ def refine(
     weights = w.weights.copy()
     points = w.points.copy()
     res, cost = residual(weights, points)
-    lam = 1e-6
+    lam = None
     for _ in range(iters):
         if cost == 0.0:
             break
         # one normal system per iteration; damping retries shift its diagonal
         jtj, grad = _normal_equations(weights, points, d, res)
         diag = jtj.diagonal().copy()
+        lam = 1e-6 * diag.sum() / len(diag) if lam is None else lam
         for _ in range(20):
             np.fill_diagonal(jtj, diag + lam)
-            step = np.linalg.solve(jtj, -grad)
+            try:  # a non-finite system fails to factor or gives a rejected step
+                step = cho_solve(cho_factor(jtj, check_finite=False), -grad, check_finite=False)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
             new_weights = weights + step[:r]
             new_points = points + step[r:].reshape(r, m)
             if np.all(np.linalg.norm(new_points, axis=1) > 0.0):

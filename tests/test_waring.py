@@ -259,6 +259,52 @@ class TestRefine:
         worst_pt, worst_w = match_error(dec, tw, tp)
         assert worst_pt < 1e-2 and worst_w < 1e-2
 
+    @pytest.mark.parametrize("degeneracy", ("zero_weight", "coincident_points", "overflow"))
+    def test_degenerate_start(self, degeneracy):
+        """A zero weight zeroes its point's Jacobian columns and coincident
+        points repeat a weight column, so J^T J is singular; the damped system
+        still factors.  A huge point overflows the system to inf and NaN, and
+        its steps are rejected.  Each time refine returns a finite, no-worse fit."""
+        rng = np.random.default_rng(14)
+        t, tw, tp = random_decomposable(rng, 4, 3, 3)
+        weights = tw + 0.05 * rng.standard_normal(3)
+        points = tp + 0.05 * rng.standard_normal(tp.shape)
+        if degeneracy == "zero_weight":
+            weights[0] = 0.0
+        elif degeneracy == "coincident_points":
+            points[1] = points[0]
+        else:
+            points[0] *= 1e100
+        start = WaringDecomposition(weights=weights, points=points, order=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = refine(t, start, 5)
+            assert relative_residual(t, out) <= relative_residual(t, start)
+        assert np.all(np.isfinite(out.weights)) and np.all(np.isfinite(out.points))
+
+    def test_failed_factorization_is_a_rejected_step(self, monkeypatch):
+        # a system that is not positive definite at rounding level raises the
+        # damping tenfold and retries, like a step that does not improve
+        shifted, inner = [], waring.cho_factor
+
+        def failing_twice(a, **kwargs):
+            shifted.append(a.diagonal().copy())
+            if len(shifted) <= 2:
+                raise np.linalg.LinAlgError("not positive definite")
+            return inner(a, **kwargs)
+
+        monkeypatch.setattr(waring, "cho_factor", failing_twice)
+        rng = np.random.default_rng(15)
+        t, tw, tp = random_decomposable(rng, 4, 3, 3)
+        start = WaringDecomposition(
+            weights=tw + 0.05 * rng.standard_normal(3),
+            points=tp + 0.05 * rng.standard_normal(tp.shape),
+            order=3,
+        )
+        out = refine(t, start, 5)
+        assert len(shifted) > 3
+        np.testing.assert_allclose(shifted[2] - shifted[1], 10 * (shifted[1] - shifted[0]))
+        assert relative_residual(t, out) < relative_residual(t, start)
+
     def test_zero_iterations_identity(self):
         rng = np.random.default_rng(13)
         t, tw, tp = random_decomposable(rng, 3, 2, 3)
@@ -403,7 +449,7 @@ def gemm_refine(t, w, iters):
     points = w.points.copy()
     res = residual_vec(weights, points)
     cost = float(res @ res)
-    lam = 1e-6
+    lam = None
     for _ in range(iters):
         if cost == 0.0:
             break
@@ -411,6 +457,7 @@ def gemm_refine(t, w, iters):
         jac *= sqrt_wts[:, None]
         jtj = jac.T @ jac
         grad = jac.T @ res
+        lam = 1e-6 * np.trace(jtj) / len(jtj) if lam is None else lam
         for _ in range(20):
             step = np.linalg.solve(jtj + lam * np.eye(jtj.shape[0]), -grad)
             new_weights = weights + step[:r]
