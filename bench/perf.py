@@ -47,13 +47,24 @@ labels and iteration count, per sample seed; the workload stages also carry
 the recovery error of the start (`workloads.recovery_error`). Timings vary
 with the host; compare two files only when they come from the same machine.
 
-With --compare, the stages present in both files whose `median_ref` rose by
-more than COMPARE_SLOWER over PREV.json, each with both raw medians beside
-it, and every quality or count list that differs, are printed and recorded under
-"compare"; nothing fails on them. A shared host's speed drifts by more than
-that within minutes, and the reference drifts with it, so the ratio holds
-steadier than a raw time. Against a file without reference times (such as
-BENCH_19.json) the raw medians are compared, and the output says so.
+It also evaluates the moments start on the 32 `recover-hidim` samples of
+workload seeds HIDIM_SEEDS (8 each), sample k fitted with seed k by
+`init_moments`, then `em_fit` (`recover_hidim_32`): per sample the start's
+recovery error, `refine`'s damping factorizations, the EM iterations, whether
+the fit reaches the truth log-likelihood (within 1e-6 relative of EM run from
+the true parameters) and whether it is one-point (a component with under two
+points of total responsibility), and their row: the median error and the
+count under 0.1, the two fit counts, the mean damping solves and the summed
+iterations.
+
+With --compare, the stages present in both files whose `median_ref` rose or
+fell by more than a factor 1 + COMPARE_CHANGE against PREV.json, slower or
+faster, each with both raw medians beside it, and every quality or count
+list that differs, are printed and recorded under "compare"; nothing fails
+on them. A shared host's speed drifts by more than that within minutes, and
+the reference drifts with it, so the ratio holds steadier than a raw time.
+Against a file without reference times (such as BENCH_19.json) the raw
+medians are compared, and the output says so.
 """
 
 from __future__ import annotations
@@ -90,9 +101,12 @@ N = 1000
 LARGE_N = 100_000
 FIT_WORKLOAD_SEEDS = {"large-n": 3, "recover-hidim": 1}
 KMEANS_RUNS = 50  # init_kmeans' default, one block of restarts at n = N
-COMPARE_SLOWER = 0.20
+COMPARE_CHANGE = 0.20
+HIDIM_SEEDS = (1, 5, 12, 13)
 REPEAT_S = 0.02  # a shorter repeat is lost in the noise of the reference around it
-QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error", "pencil_draws", "refine_solves")
+QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error", "pencil_draws", "refine_solves",
+                "reaches_truth", "one_point", "recovery_error_median",
+                "recovery_error_under_0_1", "refine_solves_per_fit")
 # the parts of `decompose` timed on their own: the Hankel SVD basis, the pencil
 # draws with their weight solves, and the Gauss-Newton refinement
 DECOMPOSE_PARTS = {
@@ -244,12 +258,12 @@ def kmeans_stages(samples, r: int) -> dict:
 
     def seeding(frame, seed):
         rngs = [np.random.default_rng(seed + run) for run in range(KMEANS_RUNS)]
-        return gmm._kmeans_pp_seeds(frame.x, frame.x_sq, r, rngs)
+        return gmm._kmeans_pp_seeds(frame.z, r, rngs)
 
     seeds = [seeding(frame, seed) for frame, seed in zip(frames, SEEDS)]
     return {
         "seeding": [lambda f=f, s=s: seeding(f, s) for f, s in zip(frames, SEEDS)],
-        "lloyd": [lambda f=f, c=c: gmm._lloyd(f.x, f.x_sq, c) for f, c in zip(frames, seeds)],
+        "lloyd": [lambda f=f, c=c: gmm._lloyd(f.z, c) for f, c in zip(frames, seeds)],
     }
 
 
@@ -335,12 +349,11 @@ def fit_stages(r: int, samples, seeds) -> dict:
     kind = np.min_scalar_type(-r).type
 
     def em_pair(frame, start):
-        _, c, x, x_sq = frame
-        resp, _ = gmm._e_kernel(x, x_sq, gmm._as_step(start, c))
-        floor = gmm._variance_floor(x, x_sq)
-        return gmm._m_kernel(x, x_sq, resp, floor, [np.random.default_rng(0)])
+        _, c, z = frame
+        resp, _ = gmm._e_kernel(z, gmm._as_step(start, c))
+        return gmm._m_kernel(z, resp, gmm._variance_floor(z), [np.random.default_rng(0)])
 
-    resps = [gmm._e_kernel(f.x, f.x_sq, gmm._as_step(s, f.c))[0] for f, s in zip(frames, starts)]
+    resps = [gmm._e_kernel(f.z, gmm._as_step(s, f.c))[0] for f, s in zip(frames, starts)]
     return {
         "fit_once": [lambda d=d, s=s, t=t: cli.fit_once(d, r, "moments", s, truth=t)
                      for s, (d, t) in zip(seeds, samples)],
@@ -389,11 +402,51 @@ def bench_fit(workload: str, repeats: int, ref: Reference) -> dict:
     }
 
 
+def moved(new: float, old: float) -> str | None:
+    """"slower" or "faster" when new and old differ by more than a factor
+    1 + COMPARE_CHANGE, else None."""
+    if new > (1 + COMPARE_CHANGE) * old:
+        return "slower"
+    return "faster" if old > (1 + COMPARE_CHANGE) * new else None
+
+
+def hidim_quality(seeds=HIDIM_SEEDS) -> dict:
+    """The moments start and its EM fit on the `recover-hidim` samples of
+    each workload seed in `seeds`, sample k fitted with seed k: per sample
+    the recovery error of the start, refine's damping factorizations, the EM
+    iterations, whether the fit reaches the truth log-likelihood and whether
+    it is one-point; and their row."""
+    out = {key: [] for key in ("recovery_error", "refine_solves", "iterations",
+                               "reaches_truth", "one_point")}
+    for seed in seeds:
+        work = workloads.make("recover-hidim", seed)
+        for k, (data, _) in enumerate(work.samples):
+            with mock.patch.object(waring, "cho_factor", wraps=waring.cho_factor) as solves:
+                start, _ = gmm.init_moments(data, work.r, rng_seed=k)
+            fit = gmm.em_fit(data, work.r, start, rng_seed=k)
+            best = gmm.em_fit(data, work.r, work.model, rng_seed=k).loglik_trace[-1]
+            out["recovery_error"].append(workloads.recovery_error(start.means, work.model.means))
+            out["refine_solves"].append(solves.call_count)
+            out["iterations"].append(fit.iterations)
+            out["reaches_truth"].append(bool(fit.loglik_trace[-1] >= best - 1e-6 * abs(best)))
+            out["one_point"].append(bool(gmm.e_step(fit.params, data)[0].sum(axis=0).min() < 2.0))
+    errors = out["recovery_error"]
+    return {"workload_seeds": list(seeds)} | out | {"row": {
+        "recovery_error_median": statistics.median(errors),
+        "recovery_error_under_0_1": sum(e < 0.1 for e in errors),
+        "reaches_truth": sum(out["reaches_truth"]),
+        "one_point": sum(out["one_point"]),
+        "refine_solves_per_fit": statistics.fmean(out["refine_solves"]),
+        "iterations": sum(out["iterations"]),
+    }}
+
+
 def compare(new: dict, old: dict, path: str = "") -> list[str]:
     """Lines naming each stage of both reports whose median over the host
-    reference (`median_ref`) rose by more than COMPARE_SLOWER in `new`, with
-    the raw medians beside it, or whose raw median did where either stage
-    lacks reference times; and each quality list that differs."""
+    reference (`median_ref`) moved by more than a factor 1 + COMPARE_CHANGE
+    in `new`, slower or faster, with the raw medians beside it, or whose raw
+    median did where either stage lacks reference times; and each quality
+    list that differs."""
     lines = []
     for key in new.keys() & old.keys():
         a, b, where = new[key], old[key], f"{path}/{key}"
@@ -401,11 +454,11 @@ def compare(new: dict, old: dict, path: str = "") -> list[str]:
             if "median_s" in a and "median_s" in b:
                 raw = f"median {b['median_s']:.6g} -> {a['median_s']:.6g} s"
                 if "median_ref" in a and "median_ref" in b:
-                    if a["median_ref"] > (1 + COMPARE_SLOWER) * b["median_ref"]:
-                        lines.append(f"slower {where}: {b['median_ref']:.6g} -> "
+                    if change := moved(a["median_ref"], b["median_ref"]):
+                        lines.append(f"{change} {where}: {b['median_ref']:.6g} -> "
                                      f"{a['median_ref']:.6g} ref ({raw})")
-                elif a["median_s"] > (1 + COMPARE_SLOWER) * b["median_s"]:
-                    lines.append(f"slower {where}, raw, no reference times: {raw}")
+                elif change := moved(a["median_s"], b["median_s"]):
+                    lines.append(f"{change} {where}, raw, no reference times: {raw}")
             lines += compare(a, b, where)
         elif key in QUALITY_KEYS and a != b:
             pairs = zip(b, a) if isinstance(a, list) else [(b, a)]
@@ -419,8 +472,8 @@ def main(argv=None) -> int:
     parser.add_argument("out", help="path of the JSON file to write")
     parser.add_argument("--repeats", type=int, default=5, help="timed repeats per stage")
     parser.add_argument("--compare", metavar="PREV.json",
-                        help="report stages over 20%% slower, over the host reference, "
-                             "and quality changes against PREV.json")
+                        help="report stages over 20%% slower or faster, over the host "
+                             "reference, and quality changes against PREV.json")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -438,13 +491,15 @@ def main(argv=None) -> int:
     report["large_n_steps"] = bench_steps(large, start, args.repeats, refs["large-n"])
     for name in FIT_WORKLOAD_SEEDS:
         report[f"{name.replace('-', '_')}_fit"] = bench_fit(name, args.repeats, refs[name])
+    report["recover_hidim_32"] = hidim_quality()
+    print("recover_hidim_32:", json.dumps(report["recover_hidim_32"]["row"]))
     if args.compare:
         old = json.loads(Path(args.compare).read_text())
         lines = compare(report, old)
         if "reference" not in old:
             lines.insert(0, f"{args.compare} has no reference times: stages compared by raw median")
         report["compare"] = {"against": args.compare, "lines": lines}
-        print("\n".join(lines) or "no stage slower, no quality changed")
+        print("\n".join(lines) or "no stage slower or faster, no quality changed")
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -7,16 +7,15 @@ log-likelihood) and plain random seeding.
 
 Every entry point checks and centers its data through `_frame`, or takes a
 `moments.Frame` in its place, so that a fit frames its data once for its
-initializer and EM; distances and statistics are about the data mean.  One
-helper, `_sq_dist`, gives the squared distances to a stack of centers for
-the E-kernel and k-means++; Lloyd is two products a run.  One EM loop,
-`_em_loop`, runs a stack of runs laid out (runs, r, n), each leaving the
-stack once it meets its own tolerance: `em_fits` is a stack of starts,
-`em_fit` one run, and emEM's bursts a stack run for EMEM_BURST_ITERS steps
-at tol = 0.  k-means' restarts are stacked too.  A stacked run does the
-arithmetic it does alone, so its result is the same, bit for bit.  k-means
-and emEM draw their restarts from `_restarts`, in RESTART_BLOCK_ELEMENTS
-blocks; k-means ends on `m_step`.
+initializer and EM; distances and statistics are about the data mean.
+`_affine` maps (x_i, ||x_i||^2, 1) by one product a run with the frame's z:
+the E-kernel's log terms and k-means++' squared distances (`_sq_dist`); the
+M-kernel is one product with z^T, Lloyd two.  `_em_loop` runs a stack of EM
+runs laid out (runs, r, n), each leaving it at its own tolerance: `em_fits`
+stacks starts, `em_fit` is one run, emEM's bursts run EMEM_BURST_ITERS steps
+at tol = 0.  A stacked run, as k-means' restarts, does the arithmetic it does
+alone, bit for bit.  k-means and emEM draw restarts from `_restarts` in
+RESTART_BLOCK_ELEMENTS blocks; k-means ends on `m_step`.
 """
 
 from __future__ import annotations
@@ -77,13 +76,7 @@ class GmmParams:
         return self.means.shape[1]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": list(self.weights),
-                "means": [list(mu) for mu in self.means],
-                "variances": list(self.variances),
-            }
-        )
+        return json.dumps({k: getattr(self, k).tolist() for k in ("weights", "means", "variances")})
 
     @classmethod
     def from_json(cls, text: str) -> "GmmParams":
@@ -130,26 +123,29 @@ def sample(
     return data, labels
 
 
-def _sq_dist(x: np.ndarray, x_sq: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _affine(z: np.ndarray, lin: np.ndarray, quad: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """lin_j . x_i + quad_j ||x_i||^2 + const_j laid out (..., r, n), for lin
+    (..., r, m), quad and const (..., r), on a frame's z: one product a run."""
+    return np.concatenate([lin, quad[..., None], const[..., None]], axis=-1) @ z
+
+
+def _sq_dist(z: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """||x_i - o_j||^2 laid out (..., r, n) for offsets (..., r, m) from the
-    center of a frame (x, x_sq), in the expanded form ||x_i||^2 - 2 x_i.o_j +
+    center of a frame's z, in the expanded form ||x_i||^2 - 2 x_i.o_j +
     ||o_j||^2, clamped at 0, below which rounding can take it."""
-    d = offsets @ x.T
-    d *= -2.0
-    d += x_sq
-    d += np.sum(offsets**2, axis=-1)[..., None]
+    d = _affine(z, offsets * -2.0, np.ones(offsets.shape[:-1]), np.sum(offsets**2, axis=-1))
     return np.maximum(d, 0.0, out=d)
 
 
 def pooled_variance(data: np.ndarray | Frame) -> float:
     """(1/(n m)) sum ||x_i - xbar||^2 of a sample, checked by `_frame`, or a Frame."""
-    x = _frame(data).x
-    return float(np.sum(x**2) / x.size)
+    frame = _frame(data)
+    return float(frame.x_sq.sum() / frame.x.size)
 
 
-def _variance_floor(x: np.ndarray, x_sq: np.ndarray) -> float:
-    """The default variance floor of a frame (x, x_sq), a fraction of its pooled variance."""
-    return VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+def _variance_floor(z: np.ndarray) -> float:
+    """The default variance floor of a frame's z, a fraction of its pooled variance."""
+    return VARIANCE_FLOOR_FRACTION * z[-2].sum() / (z.shape[1] * (len(z) - 2))
 
 
 def _log_normalize(a: np.ndarray) -> np.ndarray:
@@ -167,23 +163,23 @@ def _log_normalize(a: np.ndarray) -> np.ndarray:
         return np.log(total) + top
 
 
-def _e_kernel(x: np.ndarray, x_sq: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
-    """E step of a stack of runs on a frame (x, x_sq).  step holds the
-    weights (runs, r), the offsets (runs, r, m) of the means from the frame's
-    center and the variances (runs, r).  Returns the responsibilities
-    (runs, r, n) and the log-likelihoods (runs,).  Each run is its own
-    matrix product, so a run's result does not depend on the stack."""
+def _e_kernel(z: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+    """E step of a stack of runs on a frame's z.  step holds the weights
+    (runs, r), the offsets (runs, r, m) of the means from the frame's center
+    and the variances (runs, r).  Returns the responsibilities (runs, r, n)
+    and the log-likelihoods (runs,).  The log terms, log w_j - m/2 log(2 pi
+    s_j) - ||x_i - o_j||^2 / (2 s_j) expanded, are one `_affine` product a run."""
     weights, offsets, variances = step
-    # log w_j - m/2 log(2 pi s_j) - ||x_i - o_j||^2 / (2 s_j)
-    a = _sq_dist(x, x_sq, offsets)
-    a *= (-0.5 / variances)[..., None]
-    a += (np.log(weights) - 0.5 * x.shape[1] * (LOG_2PI + np.log(variances)))[..., None]
+    half = 0.5 / variances
+    const = (np.log(weights) - 0.5 * (len(z) - 2) * (LOG_2PI + np.log(variances))
+             - half * np.sum(offsets**2, axis=-1))
+    a = _affine(z, offsets / variances[..., None], -half, const)
     return a, _log_normalize(a).sum(axis=1)
 
 
-def _reseed_empty(resp: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _reseed_empty(resp: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> None:
     """Moves a random data row into each empty component of one run's (r, n)
-    responsibilities, in place, and returns their new row sums.  A drawn row
+    responsibilities, with row sums `counts`, both in place.  A drawn row
     whose move would empty another component (a row reseeded just before
     included) is drawn again while any other row can move."""
     n = resp.shape[1]
@@ -198,13 +194,13 @@ def _reseed_empty(resp: np.ndarray, counts: np.ndarray, rng: np.random.Generator
         empty[j] = False
         resp[:, i] = 0.0
         resp[j, i] = 1.0
-    return resp.sum(axis=1)
 
 
-def _m_kernel(x: np.ndarray, x_sq: np.ndarray, resp: np.ndarray, variance_floor: float, rngs):
+def _m_kernel(z: np.ndarray, resp: np.ndarray, variance_floor: float, rngs):
     """M step of a stack of runs from responsibilities (runs, r, n) on a
-    frame (x, x_sq); returns the step _e_kernel takes.  A run with an empty
-    component is reseeded in resp, in place, on its Generator in rngs.
+    frame's z; returns the step _e_kernel takes.  resp z^T sums r_ij x_i,
+    r_ij ||x_i||^2 and r_ij; a run with an empty component is reseeded in
+    resp, in place, on its Generator in rngs, and redoes its own product.
 
     With o_j = sum_i r_ij x_i / N_j, m N_j s_j^2 = sum_i r_ij ||x_i||^2 -
     N_j ||o_j||^2.  Against direct differences, s_j^2's relative error grows
@@ -212,11 +208,13 @@ def _m_kernel(x: np.ndarray, x_sq: np.ndarray, resp: np.ndarray, variance_floor:
     r, n = resp.shape[1:]
     if n < r:
         raise InputError(f"m_step needs n >= r rows, got n={n}, r={r}")
-    counts = resp.sum(axis=2)
-    for k in np.flatnonzero(np.any(counts < 1e-10 * n, axis=1)):
-        counts[k] = _reseed_empty(resp[k], counts[k], rngs[k])
-    offsets = (resp @ x) / counts[..., None]
-    variances = (resp @ x_sq - counts * np.sum(offsets**2, axis=2)) / (x.shape[1] * counts)
+    sums = resp @ z.T
+    for k in np.flatnonzero(np.any(sums[..., -1] < 1e-10 * n, axis=1)):
+        _reseed_empty(resp[k], sums[k, :, -1], rngs[k])
+        sums[k] = resp[k] @ z.T
+    counts = sums[..., -1]
+    offsets = sums[..., :-2] / counts[..., None]
+    variances = (sums[..., -2] - counts * np.sum(offsets**2, axis=2)) / ((len(z) - 2) * counts)
     weights = counts / n
     weights /= weights.sum(axis=1, keepdims=True)
     return weights, offsets, np.maximum(variances, max(variance_floor, 1e-300))
@@ -235,14 +233,14 @@ def _run_params(step: tuple, c: np.ndarray) -> GmmParams:
     return GmmParams(weights=weights[0], means=offsets[0] + c, variances=variances[0])
 
 
-def _em_loop(x, x_sq, step, variance_floor, rngs, max_iter, tol):
-    """EM of a stack of runs on a frame (x, x_sq): an E step of `step`, then
+def _em_loop(z, step, variance_floor, rngs, max_iter, tol):
+    """EM of a stack of runs on a frame's z: an E step of `step`, then
     up to max_iter M/E pairs; run k reseeds on rngs[k] and leaves the stack,
     as in Lloyd, once its log-likelihood changes by less than tol relative
     (never at tol = 0).  Returns per run its last step as a one-run stack,
     its (r, n) responsibilities, its E steps' log-likelihoods as Python
     floats and whether tol stopped it."""
-    resp, loglik = _e_kernel(x, x_sq, step)
+    resp, loglik = _e_kernel(z, step)
     runs, traces, out = list(range(len(rngs))), [[] for _ in rngs], [None] * len(rngs)
     while True:
         moving = []
@@ -259,14 +257,14 @@ def _em_loop(x, x_sq, step, variance_floor, rngs, max_iter, tol):
         if len(moving) < len(runs):
             runs = [runs[i] for i in moving]
             step, resp = tuple(a[moving] for a in step), resp[moving]
-        step = _m_kernel(x, x_sq, resp, variance_floor, [rngs[k] for k in runs])
-        resp, loglik = _e_kernel(x, x_sq, step)
+        step = _m_kernel(z, resp, variance_floor, [rngs[k] for k in runs])
+        resp, loglik = _e_kernel(z, step)
 
 
 def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
     """Responsibilities, (n, r) and row-stochastic, and total log-likelihood."""
-    _, c, x, x_sq = _frame(data)
-    resp, loglik = _e_kernel(x, x_sq, _as_step(params, c))
+    _, c, z = _frame(data)
+    resp, loglik = _e_kernel(z, _as_step(params, c))
     return resp[0].T, float(loglik[0])
 
 
@@ -279,13 +277,13 @@ def m_step(
     """Weighted-statistics update from (n, r) responsibilities; empty
     components are reseeded at a random data row (_reseed_empty).  Needs at
     least as many rows as components."""
-    _, c, x, x_sq = _frame(data)
-    if np.ndim(resp) != 2 or len(resp) != len(x):
-        raise InputError(f"resp must be an n x r matrix with n = {len(x)}, got {np.shape(resp)}")
+    _, c, z = _frame(data)
+    if np.ndim(resp) != 2 or len(resp) != len(z[0]):
+        raise InputError(f"resp must be an n x r matrix with n = {len(z[0])}, got {np.shape(resp)}")
     if variance_floor is None:
-        variance_floor = _variance_floor(x, x_sq)
+        variance_floor = _variance_floor(z)
     rng = rng if rng is not None else np.random.default_rng(0)
-    step = _m_kernel(x, x_sq, np.array(resp.T, dtype=float)[None], variance_floor, [rng])
+    step = _m_kernel(z, np.array(resp.T, dtype=float)[None], variance_floor, [rng])
     return _run_params(step, c)
 
 
@@ -298,18 +296,18 @@ def em_fits(
     argmax of the last responsibilities (_log_normalize leaves a column
     NaN-free or all NaN, label 0 either way), take the smallest signed
     integer type that holds r."""
-    _, c, x, x_sq = _frame(data)
+    _, c, z = _frame(data)
     if any(init.n_components != r for init in inits):
         raise InputError(f"every start must have r={r} components")
     if not inits:
         return []
-    floor = _variance_floor(x, x_sq)
+    floor = _variance_floor(z)
     step = tuple(map(np.concatenate, zip(*[_as_step(init, c) for init in inits])))
     rngs = [np.random.default_rng(rng_seed) for _ in inits]
     kind = np.min_scalar_type(-r).type
     fits = []
     for init, (run_step, resp, trace, converged) in zip(
-        inits, _em_loop(x, x_sq, step, floor, rngs, max_iter, DEFAULT_TOL)
+        inits, _em_loop(z, step, floor, rngs, max_iter, DEFAULT_TOL)
     ):
         params = init if len(trace) == 1 else _run_params(run_step, c)
         labels, _ = _first_best(resp[None], kind, np.greater)
@@ -345,25 +343,25 @@ def _restarts(r: int, n: int, runs: int, per_run: int, rng_seed: int, name: str)
         yield [np.random.default_rng(rng_seed + run) for run in stack]
 
 
-def _kmeans_pp_seeds(x: np.ndarray, x_sq: np.ndarray, r: int, rngs) -> np.ndarray:
-    """k-means++ centers (runs, r, m) on a frame (x, x_sq), run k drawn on
-    its Generator rngs[k], with the same calls in the same order as a run
-    seeded alone; a row is drawn as rng.choice(n, p=...) draws it, without
-    choice's checks of p.  The distances to the nearest center so far come
-    from _sq_dist.  In its expanded form a row's distance to itself is not
-    exactly 0 but up to about 1.2e-15 ||x_i||^2 (measured at m = 2-30;
+def _kmeans_pp_seeds(z: np.ndarray, r: int, rngs) -> np.ndarray:
+    """k-means++ centers (runs, r, m) on a frame's z, run k drawn on its
+    Generator rngs[k] with the calls of a run seeded alone; a row is the one
+    rng.choice(n, p=...) draws, the count of cdf / cdf[-1] <= u (searchsorted
+    on the monotone CDF), found for all runs at once.  The distances to the
+    nearest center so far come from _sq_dist.  In its expanded form a row's
+    distance to itself is up to about 1.2e-15 ||x_i||^2 (measured at m = 2-30;
     m = 1 is exact), so a chosen row keeps a weight at rounding level."""
-    n = len(x)
-    centers = np.empty((len(rngs), r, x.shape[1]))
+    x, n = z[:-2].T, z.shape[1]
+    centers = np.empty((len(rngs), r, len(z) - 2))
     centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
-    closest = _sq_dist(x, x_sq, centers[:, :1])[:, 0]
+    closest = _sq_dist(z, centers[:, :1])[:, 0]
     for j in range(1, r):
-        for k, rng in enumerate(rngs):
-            cdf = np.cumsum(closest[k])
-            row = (rng.integers(n) if cdf[-1] <= 0
-                   else np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
-            centers[k, j] = x[row]
-        np.minimum(closest, _sq_dist(x, x_sq, centers[:, j : j + 1])[:, 0], out=closest)
+        cdf = np.cumsum(closest, axis=1)
+        drawn = cdf[:, -1] > 0
+        u = np.array([rng.random() if d else rng.integers(n) for rng, d in zip(rngs, drawn)])
+        below = np.count_nonzero(cdf / np.where(drawn, cdf[:, -1], 1.0)[:, None] <= u[:, None], 1)
+        centers[:, j] = x[np.where(drawn, below, u).astype(np.intp)]
+        np.minimum(closest, _sq_dist(z, centers[:, j : j + 1])[:, 0], out=closest)
     return centers
 
 
@@ -383,22 +381,22 @@ def _first_best(d: np.ndarray, kind, better=np.less) -> tuple[np.ndarray, np.nda
 
 
 def _lloyd(
-    x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, max_iter: int = 100
+    z: np.ndarray, centers: np.ndarray, max_iter: int = 100
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd iterations of a stack of runs on a frame (x, x_sq) from
+    """Lloyd iterations of a stack of runs on a frame's z from
     `centers`, offsets (runs, r, m) from the frame's center.  Each empty
     cluster, in index order, takes the point farthest from its own center
     among those whose move empties no other cluster (so no point is taken
     twice); n >= r leaves one to take.  A run stops once its labels do not
-    change.  An iteration is two matrix products, each run its own: one
-    ranks the centers by ||c_j||^2 - 2 x_i.c_j (only the nearest takes
-    ||x_i||^2 and the clamp at 0), and the new centers are the C-ordered
-    float one-hot (runs, r, n) of the assignment times x, over its row sums.
-    Returns labels (runs, n) of the smallest unsigned type that holds r - 1,
-    centers and within-cluster sums of squares (runs,)."""
+    change.  An iteration is two matrix products a run: one ranks the centers
+    by ||c_j||^2 - 2 x_i.c_j (only the nearest takes ||x_i||^2 and the clamp
+    at 0), the other multiplies the C-ordered float one-hot (runs, r, n) of
+    the assignment by x, over its row sums, for the new centers.  Returns
+    labels (runs, n) of the smallest unsigned type that holds r - 1, centers
+    and within-cluster sums of squares (runs,)."""
     runs, r = centers.shape[:2]
     kind = np.min_scalar_type(r - 1).type
-    xt, clusters = np.ascontiguousarray(x.T), np.arange(r, dtype=kind)[:, None]
+    xt, x_sq, clusters = z[:-2], z[-2], np.arange(r, dtype=kind)[:, None]
 
     def nearest(offsets):
         rank = (offsets * -2.0) @ xt
@@ -420,7 +418,7 @@ def _lloyd(
                 onehot[k, new_labels[k, far], far], onehot[k, j, far] = 0.0, 1.0
                 new_labels[k, far] = j
                 counts[k] = onehot[k].sum(axis=1)
-        centers[active] = (onehot @ x) / counts[..., None]
+        centers[active] = (onehot @ xt.T) / counts[..., None]
         moved = np.any(new_labels != labels, axis=1) if labels is not None else slice(None)
         labels, active = new_labels[moved], active[moved]
         if not active.size:
@@ -438,10 +436,9 @@ def init_kmeans(
     run with the least WCSS wins.  Seeding and Lloyd run on the data centered
     once (`_frame`), stacked, in the blocks of `_restarts`."""
     frame = _frame(data)
-    n, x, x_sq = len(frame.x), frame.x, frame.x_sq
-    best_wcss, best = np.inf, None
+    n, best_wcss, best = len(frame.data), np.inf, None
     for rngs in _restarts(r, n, runs, r * n, rng_seed, "runs"):
-        labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, x_sq, r, rngs))
+        labels, _, wcss = _lloyd(frame.z, _kmeans_pp_seeds(frame.z, r, rngs))
         for k, run_wcss in enumerate(wcss):
             if best is None or run_wcss < best_wcss:
                 best_wcss, best = run_wcss, labels[k]
@@ -451,10 +448,9 @@ def init_kmeans(
 def init_random(data: np.ndarray | Frame, r: int, rng_seed: int = 0) -> GmmParams:
     """Uniform weights, means at r distinct data rows, pooled variance."""
     frame = _frame(data)
-    if not 1 <= r <= len(frame.x):
-        raise InputError(f"r={r} must lie in [1, n={len(frame.x)}]")
-    rng = np.random.default_rng(rng_seed)
-    rows = rng.choice(len(frame.x), size=r, replace=False)
+    if not 1 <= r <= len(frame.data):
+        raise InputError(f"r={r} must lie in [1, n={len(frame.data)}]")
+    rows = np.random.default_rng(rng_seed).choice(len(frame.data), size=r, replace=False)
     var = max(pooled_variance(frame), 1e-12)
     return GmmParams(weights=np.full(r, 1.0 / r), means=frame.data[rows], variances=np.full(r, var))
 
@@ -470,17 +466,17 @@ def init_emem(
     E/M steps.  The first burst with the highest final log-likelihood wins.
     The bursts run stacked, RESTART_BLOCK_ELEMENTS responsibilities at a time.
     """
-    _, c, x, x_sq = _frame(data)
-    n = len(x)
-    floor = _variance_floor(x, x_sq)
+    _, c, z = _frame(data)
+    n = z.shape[1]
+    floor = _variance_floor(z)
     best_loglik, best = -np.inf, None
     for rngs in _restarts(r, n, short_runs, r * n, rng_seed, "short_runs"):
         resp = np.empty((len(rngs), r, n))
         for k, rng in enumerate(rngs):
             start = rng.uniform(size=(n, r))
             resp[k] = (start / start.sum(axis=1, keepdims=True)).T
-        step = _m_kernel(x, x_sq, resp, floor, rngs)
-        for run_step, _, trace, _ in _em_loop(x, x_sq, step, floor, rngs, EMEM_BURST_ITERS, tol=0.0):
+        step = _m_kernel(z, resp, floor, rngs)
+        for run_step, _, trace, _ in _em_loop(z, step, floor, rngs, EMEM_BURST_ITERS, tol=0.0):
             if trace[-1] > best_loglik:
                 best_loglik, best = trace[-1], run_step
     return _run_params(best, c)

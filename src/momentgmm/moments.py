@@ -83,13 +83,15 @@ class RecoveredParams:
 
 
 class Frame(NamedTuple):
-    """A checked sample: the data as floats, their mean c, the centered rows
-    x = data - c and the squared row norms x_sq = ||x_i||^2."""
+    """A checked sample: the data as floats, their mean c and the C-ordered (m + 2, n) array
+    z = [x^T; x_sq; 1] of the centered rows x = data - c and their squared norms x_sq (both
+    views of z), so that gmm's affine maps of (x_i, ||x_i||^2, 1) are one product each."""
 
     data: np.ndarray
     c: np.ndarray
-    x: np.ndarray
-    x_sq: np.ndarray
+    z: np.ndarray
+    x = property(lambda self: self.z[:-2].T)
+    x_sq = property(lambda self: self.z[-2])
 
 
 def _frame(data) -> Frame:
@@ -102,29 +104,31 @@ def _frame(data) -> Frame:
     if data.ndim != 2 or not data.size:
         raise InputError(f"data must be a nonempty n x m matrix, got shape {data.shape}")
     c = data.mean(axis=0)
-    x = data - c
-    x_sq = np.einsum("ij,ij->i", x, x)
-    if not np.isfinite(x_sq).all():
+    z = np.empty((data.shape[1] + 2, len(data)))
+    np.subtract(data, c, out=z[:-2].T)
+    z[-2], z[-1] = np.einsum("ij,ij->j", z[:-2], z[:-2]), 1.0
+    if not np.isfinite(z[-2]).all():
         raise InputError("data must be finite, with squared row norms below overflow")
-    return Frame(data, c, x, x_sq)
+    return Frame(data, c, z)
 
 
 def _sample_moments(data) -> tuple:
     """(data as floats, M1, M2, sigma_bar_sq, v, v_ambiguous) of a sample or
     its Frame, of at least 2 rows; the covariance is that of the frame's x."""
-    data, _, x, _ = _frame(data)
-    n, m = x.shape
+    data, c, z = _frame(data)
+    n, m = data.shape
     if n < 2:
         raise InputError("data must have at least 2 rows")
 
-    eigvals, eigvecs = np.linalg.eigh(x.T @ x / n)
+    eigvals, eigvecs = np.linalg.eigh(z[:-2] @ z[:-2].T / n)
     sigma_bar_sq = float(eigvals[0])
     v = eigvecs[:, 0]
     ambiguous = bool(
         m > 1 and eigvals[-1] > 0 and (eigvals[1] - eigvals[0]) < EIGEN_GAP_TOL * eigvals[-1]
     )
 
-    proj_sq = (x @ v) ** 2
+    # x @ v on C-ordered rows: a GEMV's bits follow memory order, and the start is chaotic in M1
+    proj_sq = ((data - c) @ v) ** 2
     # one pass of numpy's own loop: a BLAS GEMV's bits change with its thread count
     m1 = np.einsum("i,ij->j", proj_sq, data) / n
     m2 = data.T @ data / n - sigma_bar_sq * np.eye(m)

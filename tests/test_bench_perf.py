@@ -1,6 +1,6 @@
-"""`compare` of bench/perf.py on synthetic reports: a stage is flagged by its
-time over the host reference, not by its raw time, and a changed quality
-list is reported. `timings` on a stage whose clock is simulated: a short
+"""`compare` of bench/perf.py on synthetic reports: a stage is listed as
+slower or faster by its time over the host reference, not by its raw time,
+and a changed quality list is reported. `timings` on a stage whose clock is simulated: a short
 stage is repeated until one repeat lasts REPEAT_S. The k-means stages are
 init_kmeans split in two, and the workload fit stages M3 in W, decompose and
 the scale and variance solves are the moments start's own; the decompose
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentgmm import init_kmeans, init_moments, m_step, moments, sample, waring
+from momentgmm import em_fit, init_kmeans, init_moments, m_step, moments, sample, waring
 
 PERF = Path(__file__).resolve().parents[1] / "bench" / "perf.py"
 
@@ -53,6 +53,23 @@ def test_slower_over_the_reference_is_flagged(perf):
     assert "median 0.01 -> 0.013 s" in lines[0]
 
 
+def test_host_speedup_is_not_listed(perf):
+    assert perf.compare(report(0.010, 0.050), report(0.013, 0.065)) == []
+
+
+def test_faster_over_the_reference_is_listed(perf):
+    lines = perf.compare(report(0.010, 0.050), report(0.013, 0.050))
+    assert len(lines) == 1
+    assert lines[0].startswith("faster /examples/example1/initializers/kmeans: 0.26 -> 0.2 ref")
+    assert "median 0.013 -> 0.01 s" in lines[0]
+
+
+def test_within_the_band_is_not_listed(perf):
+    # a factor of 1.2 or less either way is noise on a shared host
+    assert perf.compare(report(0.0119, 0.050), report(0.010, 0.050)) == []
+    assert perf.compare(report(0.010, 0.050), report(0.0119, 0.050)) == []
+
+
 def test_changed_quality_is_reported(perf):
     lines = perf.compare(report(0.010, 0.050, (-10.0, -12.5)), report(0.010, 0.050))
     assert lines == ["quality /examples/example1/initializers/kmeans/loglik: [1] -12.0 -> -12.5"]
@@ -72,6 +89,44 @@ def test_file_without_reference_times_compares_raw(perf):
     lines = perf.compare(report(0.013, 0.065), old)
     assert lines == ["slower /examples/example1/initializers/kmeans, raw, no reference times: "
                      "median 0.01 -> 0.013 s"]
+
+
+def test_file_without_reference_times_lists_faster_raw(perf):
+    old = report(0.013, 0.050)
+    del old["examples"]["example1"]["initializers"]["kmeans"]["median_ref"]
+    lines = perf.compare(report(0.010, 0.050), old)
+    assert lines == ["faster /examples/example1/initializers/kmeans, raw, no reference times: "
+                     "median 0.013 -> 0.01 s"]
+
+
+def test_hidim_counts_are_reported(perf):
+    def row(one_point):
+        return {"recover_hidim_32": {"one_point": [False, one_point],
+                                     "row": {"one_point": int(one_point), "iterations": 90}}}
+
+    assert perf.compare(row(True), row(False)) == [
+        "quality /recover_hidim_32/one_point: [1] False -> True",
+        "quality /recover_hidim_32/row/one_point: [0] 0 -> 1",
+    ]
+
+
+def test_hidim_quality_is_the_moments_fit_of_each_sample(perf):
+    # the stage on one workload seed: its row is read off its lists, and its
+    # first sample is init_moments then em_fit with seed 0
+    got = perf.hidim_quality(seeds=(1,))
+    errors, row = got["recovery_error"], got["row"]
+    assert got["workload_seeds"] == [1] and len(errors) == 8
+    assert row["recovery_error_median"] == np.median(errors)
+    assert row["recovery_error_under_0_1"] == sum(e < 0.1 for e in errors)
+    assert row["reaches_truth"] == sum(got["reaches_truth"]) >= 4
+    assert row["one_point"] == sum(got["one_point"]) <= 4
+    assert row["refine_solves_per_fit"] == np.mean(got["refine_solves"]) >= 1
+    assert row["iterations"] == sum(got["iterations"])
+    work = perf.workloads.make("recover-hidim", 1)
+    data, _ = work.samples[0]
+    start, _ = init_moments(data, work.r, rng_seed=0)
+    assert errors[0] == perf.workloads.recovery_error(start.means, work.model.means)
+    assert got["iterations"][0] == em_fit(data, work.r, start, rng_seed=0).iterations
 
 
 class SimulatedStage:

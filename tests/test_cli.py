@@ -1,5 +1,6 @@
 import json
 import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from momentgmm.cli import (
     write_plot_data,
 )
 from momentgmm.moments import _frame
-from conftest import summaries_per_blas_thread_count
+from conftest import run_with_blas_threads, summaries_per_blas_thread_count
 
 
 @pytest.fixture
@@ -386,6 +387,28 @@ class TestBenchmark:
         cfg.write_text(json.dumps(self.make_config(example2_params, n=400)))
         blobs = summaries_per_blas_thread_count(cfg, tmp_path)
         assert blobs[0] == blobs[1]
+
+    def test_large_n_fit_rows_identical_across_blas_thread_counts(self):
+        # at n = 1e5 the E step's products and the M step's, whose inner
+        # dimension is n, are large enough for OpenBLAS to split them over
+        # threads; each fit_once row's results hash the same on 1 and 2
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from momentgmm import GmmParams, sample
+            from momentgmm.cli import fit_once
+            rng = np.random.default_rng(7)
+            params = GmmParams(np.full(3, 1 / 3), 4.0 * rng.standard_normal((3, 10)), np.ones(3))
+            data, truth = sample(params, 100_000, rng_seed=1)
+            for init in ("kmeans", "emem", "random"):
+                row = fit_once(data, 3, init, 3, truth=truth)
+                p = row["params"]
+                parts = [np.asarray(row[k]) for k in ("loglik_trace", "hard_labels", "iterations")]
+                parts += [np.asarray(row["converged"]), p.weights, p.means, p.variances]
+                print(init, hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
+        """)
+        one, two = (run_with_blas_threads(["-c", code], threads) for threads in ("1", "2"))
+        assert len(one.splitlines()) == 3 and one == two
 
     def test_repeats_aggregate(self, tmp_path, example2_params):
         cfg_dict = self.make_config(example2_params, n=150, replicates=2)

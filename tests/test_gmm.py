@@ -418,6 +418,111 @@ class TestCenteredVariances:
         assert_close_params(m_step(data, resp), want, 1e-8)
 
 
+def dirichlet_resp(seed, runs, r, n):
+    """Random row-stochastic responsibilities laid out (runs, r, n)."""
+    resp = np.random.default_rng(seed).dirichlet(np.ones(r), size=(runs, n))
+    return np.ascontiguousarray(resp.transpose(0, 2, 1))
+
+
+def direct_m_step(x, resp):
+    """Counts (runs, r), means (runs, r, m) and variances (runs, r) of
+    responsibilities (runs, r, n) by direct weighted sums of the differences."""
+    counts = resp.sum(axis=2)
+    means = np.einsum("krn,nm->krm", resp, x) / counts[..., None]
+    sq = np.sum((x[None, None] - means[..., None, :]) ** 2, axis=-1)
+    return counts, means, np.sum(resp * sq, axis=2) / (x.shape[1] * counts)
+
+
+class TestAugmentedKernels:
+    """_e_kernel's log terms, one product with the frame's z, against the
+    direct-difference log-density, and _m_kernel's sums, one product with
+    z^T, against direct weighted sums; a stacked run gives the bits of the
+    run alone."""
+
+    @staticmethod
+    def log_terms(monkeypatch, z, step):
+        """The (runs, r, n) log terms _e_kernel hands to _log_normalize, and
+        what _e_kernel returns."""
+        seen = []
+
+        def keep(a):
+            seen.append(a.copy())
+            return _log_normalize(a)
+
+        monkeypatch.setattr(gmm, "_log_normalize", keep)
+        got = _e_kernel(z, step)
+        return seen[0], got
+
+    @pytest.mark.parametrize("m", [1, 6, 30])
+    def test_e_kernel_matches_direct_log_density(self, monkeypatch, m):
+        # means far from the center and a variance at the floor; the
+        # expanded form's error is a rounding of (||x_i||^2 + ||o_j||^2) / (2 s_j)
+        rng = np.random.default_rng(m)
+        frame = _frame(3.0 * rng.standard_normal((500, m)) + 7.0)
+        x, r = frame.x, 4
+        offsets = x[rng.integers(500, size=(2, r))]
+        offsets[0, 1] += 1e3
+        offsets[1, 2] *= 1e4
+        variances = rng.uniform(0.5, 4.0, size=(2, r))
+        variances[0, 3] = gmm._variance_floor(frame.z)
+        weights = rng.dirichlet(np.ones(r), size=2)
+        got, (resp, loglik) = self.log_terms(monkeypatch, frame.z, (weights, offsets, variances))
+        sq = np.sum((x[None, None] - offsets[..., None, :]) ** 2, axis=-1)
+        log_w = np.log(weights) - 0.5 * m * (LOG_2PI + np.log(variances))
+        want = log_w[..., None] - sq / (2.0 * variances[..., None])
+        scale = (frame.x_sq + np.sum(offsets**2, axis=-1)[..., None]) / (2.0 * variances[..., None])
+        tol = 1e-12 * (scale + np.abs(want))
+        assert np.all(np.abs(got - want) <= tol)
+        # to first order, a point's log-likelihood moves by the
+        # responsibility-weighted mean of its log terms' errors
+        per_point = logsumexp(want, axis=1)
+        want_resp = np.exp(want - per_point[:, None])
+        mean_tol = np.sum(want_resp * tol, axis=1)
+        assert np.all(np.abs(loglik - per_point.sum(axis=1)) <= mean_tol.sum(axis=1))
+        assert np.all(np.abs(resp - want_resp) <= 2.0 * want_resp * (tol + mean_tol[:, None]))
+
+    def test_e_kernel_stacked_run_is_the_run_alone(self, example1_params):
+        data, _ = sample(example1_params, 700, rng_seed=2)
+        frame = _frame(data)
+        starts = [init_random(data, 4, rng_seed=seed) for seed in range(5)]
+        step = tuple(map(np.concatenate, zip(*[gmm._as_step(s, frame.c) for s in starts])))
+        resp, loglik = _e_kernel(frame.z, step)
+        for k in range(5):
+            alone = _e_kernel(frame.z, tuple(a[k : k + 1] for a in step))
+            assert _same_bits(alone[0][0], resp[k]) and _same_bits(alone[1][0], loglik[k])
+
+    @pytest.mark.parametrize("m", [1, 6, 30])
+    def test_m_kernel_matches_direct_sums(self, m):
+        rng = np.random.default_rng(10 + m)
+        frame = _frame(2.0 * rng.standard_normal((400, m)) - 5.0)
+        resp = dirichlet_resp(m, 2, 3, 400)
+        weights, offsets, variances = _m_kernel(frame.z, resp.copy(), 0.0, [None, None])
+        counts, means, want = direct_m_step(frame.x, resp)
+        np.testing.assert_allclose(weights, counts / counts.sum(axis=1, keepdims=True), rtol=1e-13)
+        np.testing.assert_allclose(offsets, means, rtol=0, atol=1e-13 * np.abs(frame.x).max())
+        np.testing.assert_allclose(variances, want, rtol=1e-12)
+
+    def test_reseeded_run_redoes_its_own_product(self):
+        # run 1 of the stack has an empty component: it is reseeded in resp
+        # on its own Generator, its sums are those of the reseeded
+        # responsibilities, and each run gives the bits it gives alone
+        frame = _frame(np.random.default_rng(3).standard_normal((300, 4)))
+        resp = dirichlet_resp(4, 3, 3, 300)
+        resp[1, 2] = 0.0
+        resp[1] /= resp[1].sum(axis=0)
+        stacked_resp = resp.copy()
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        stacked = _m_kernel(frame.z, stacked_resp, 1e-8, rngs)
+        assert np.count_nonzero(stacked_resp[1, 2]) == 1 and _same_bits(stacked_resp[0], resp[0])
+        counts, means, variances = direct_m_step(frame.x, stacked_resp)
+        np.testing.assert_allclose(stacked[1], means, rtol=0, atol=1e-13 * np.abs(frame.x).max())
+        # the reseeded component holds one row, its variance 0, so the floor
+        np.testing.assert_allclose(stacked[2], np.maximum(variances, 1e-8), rtol=1e-12)
+        for k in range(3):
+            alone = _m_kernel(frame.z, resp[k : k + 1].copy(), 1e-8, [np.random.default_rng(k)])
+            assert all(_same_bits(a[0], b[k]) for a, b in zip(alone, stacked))
+
+
 def traced_peak(fn, *args):
     """Peak bytes that fn(*args) holds at once, by tracemalloc."""
     tracemalloc.start()
@@ -672,10 +777,9 @@ def loop_lloyd(x, centers, labels):
     return labels, np.array([x[labels == j].mean(axis=0) for j in range(r)]), bool(empty)
 
 
-def stacked_seeds(x, r, seeds):
-    """k-means++ centers (runs, r, m) of one run per seed."""
-    x_sq = np.einsum("ij,ij->i", x, x)
-    return _kmeans_pp_seeds(x, x_sq, r, [np.random.default_rng(seed) for seed in seeds])
+def stacked_seeds(frame, r, seeds):
+    """k-means++ centers (runs, r, m) of one run per seed on a frame."""
+    return _kmeans_pp_seeds(frame.z, r, [np.random.default_rng(seed) for seed in seeds])
 
 
 class TestLloyd:
@@ -686,21 +790,21 @@ class TestLloyd:
     step starts from _lloyd's own state."""
 
     @staticmethod
-    def assert_matches_loop(x, centers):
+    def assert_matches_loop(frame, centers):
         """For each run of a stack of at least 3: every assignment is the
         direct-difference argmin but at ties (a gap within 1e-13 of ||x_i||^2
         + ||c_j||^2), every update loop_lloyd's to atol 1e-12 * max|x_i|
         (measured 6e-16), and every WCSS the direct one to 1e-12 of sum
         ||x_i||^2 (measured 3e-16).  Returns which runs reseeded a cluster."""
         assert len(centers) >= 3
-        x_sq = np.sum(x**2, axis=1)
+        x, x_sq = frame.x, frame.x_sq
         rows = np.arange(len(x))
         atol = 1e-12 * np.abs(x).max()
         want, previous = centers.copy(), None
         running = set(range(len(centers)))
         reseeded = np.zeros(len(centers), dtype=bool)
         for k in range(101):
-            labels, got, wcss = _lloyd(x, x_sq, centers, max_iter=k)
+            labels, got, wcss = _lloyd(frame.z, centers, max_iter=k)
             for run in sorted(running):
                 np.testing.assert_allclose(got[run], want[run], rtol=0, atol=atol)
                 dists = direct_sq_dist(x, got[run])
@@ -730,44 +834,43 @@ class TestLloyd:
                 data = np.round(data)  # duplicated rows and exact ties
             if t % 3 == 2:
                 data = data[rng.integers(0, max(r, n // 10), size=n)]
-            x = _frame(data).x
-            self.assert_matches_loop(x, stacked_seeds(x, r, range(3 * t, 3 * t + 3)))
+            frame = _frame(data)
+            self.assert_matches_loop(frame, stacked_seeds(frame, r, range(3 * t, 3 * t + 3)))
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_empty_cluster_far_center(self, m):
-        x = _frame(np.random.default_rng(21).normal(size=(300, m))).x
-        centers = stacked_seeds(x, 4, [21, 22, 23])
+        frame = _frame(np.random.default_rng(21).normal(size=(300, m)))
+        centers = stacked_seeds(frame, 4, [21, 22, 23])
         centers[1, 2] = 1e6
-        assert self.assert_matches_loop(x, centers)[1]
+        assert self.assert_matches_loop(frame, centers)[1]
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_empty_cluster_coincident_centers(self, m):
-        x = _frame(np.random.default_rng(22).normal(size=(300, m))).x
-        centers = stacked_seeds(x, 4, [22, 23, 24])
+        frame = _frame(np.random.default_rng(22).normal(size=(300, m)))
+        centers = stacked_seeds(frame, 4, [22, 23, 24])
         centers[0, 3] = centers[0, 1]
-        assert self.assert_matches_loop(x, centers)[0]
+        assert self.assert_matches_loop(frame, centers)[0]
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_two_empty_clusters_take_distinct_points(self, m):
         # both far centers of the last run are empty after the first
         # assignment, and the farthest point can fill only one of them
-        x = _frame(np.random.default_rng(21).normal(size=(300, m))).x
-        centers = stacked_seeds(x, 4, [21, 22, 23])
+        frame = _frame(np.random.default_rng(21).normal(size=(300, m)))
+        centers = stacked_seeds(frame, 4, [21, 22, 23])
         centers[2, 2], centers[2, 3] = 1e6, 2e6
-        labels, got, _ = _lloyd(x, np.sum(x**2, axis=1), centers, max_iter=1)
+        labels, got, _ = _lloyd(frame.z, centers, max_iter=1)
         assert not np.array_equal(got[2, 2], got[2, 3])
         assert np.all(np.bincount(labels[2], minlength=4) > 0)
-        assert self.assert_matches_loop(x, centers)[2]
+        assert self.assert_matches_loop(frame, centers)[2]
 
     def test_runs_stop_apart(self):
         # a stack whose runs converge after different numbers of iterations
         # keeps each run's own result
-        x = _frame(np.random.default_rng(5).normal(size=(400, 3))).x
-        centers = stacked_seeds(x, 5, range(4))
-        x_sq = np.sum(x**2, axis=1)
-        stacked = _lloyd(x, x_sq, centers)
+        frame = _frame(np.random.default_rng(5).normal(size=(400, 3)))
+        centers = stacked_seeds(frame, 5, range(4))
+        stacked = _lloyd(frame.z, centers)
         for run in range(4):
-            alone = _lloyd(x, x_sq, centers[run : run + 1])
+            alone = _lloyd(frame.z, centers[run : run + 1])
             assert all(_same_bits(np.asarray(a[0], float), np.asarray(b[run], float))
                        for a, b in zip(alone, stacked))
 
@@ -788,12 +891,26 @@ def loop_kmeans_pp_seeds(x, r, rng):
     return centers
 
 
-def loop_lloyd_run(x, x_sq, centers, max_iter=100):
+def test_kmeans_pp_stacked_run_is_the_run_alone(example2_params):
+    # each run's cumulative sums, draws and picks are those of the run seeded
+    # alone, also once every distance is exactly 0 (integer rows, m = 1,
+    # three distinct points and r = 5), where a run draws a uniform row
+    cases = [(_frame(sample(example2_params, 500, rng_seed=4)[0]), 3),
+             (_frame(np.array([[0.0], [0.0], [3.0], [5.0], [5.0], [5.0]] * 4)), 5)]
+    for frame, r in cases:
+        stacked = stacked_seeds(frame, r, range(20))
+        for run in range(20):
+            assert _same_bits(stacked_seeds(frame, r, [run])[0], stacked[run])
+    assert all(len(np.unique(c)) == 3 for c in stacked)
+
+
+def loop_lloyd_run(frame, centers, max_iter=100):
     """Lloyd iterations of one run, the arithmetic _lloyd must follow bit
     for bit, each product a one-run stack: argmin assignments by
     ||c_j||^2 - 2 x_i.c_j, a bincount of counts and a product of the C-ordered
     one-hot assignment with x for the sums.  Returns (labels, centers, WCSS)."""
-    n, r = len(x), len(centers)
+    x, x_sq, r = frame.x, frame.x_sq, len(centers)
+    n = len(x)
     rows, xt = np.arange(n), np.ascontiguousarray(x.T)
 
     def nearest(centers):
@@ -821,16 +938,17 @@ def loop_lloyd_run(x, x_sq, centers, max_iter=100):
     return labels, centers, float(closest.sum())
 
 
-def sq_dist_lloyd_run(x, x_sq, centers, max_iter=100):
+def sq_dist_lloyd_run(frame, centers, max_iter=100):
     """Lloyd iterations of one run in a second arithmetic: argmin of
     _sq_dist's expanded distances and one bincount per coordinate for the
     sums, each in row order.  Without exact ties its labels are
     loop_lloyd_run's.  Returns (labels, centers, WCSS)."""
-    (n, m), r = x.shape, len(centers)
+    x, r = frame.x, len(centers)
+    n, m = x.shape
     rows = np.arange(n)
     labels = np.full(n, -1)
     for _ in range(max_iter):
-        dists = gmm._sq_dist(x, x_sq, centers)
+        dists = gmm._sq_dist(frame.z, centers)
         new_labels = np.argmin(dists, axis=0)
         counts = np.bincount(new_labels, minlength=r)
         for j in np.flatnonzero(counts == 0):
@@ -845,7 +963,7 @@ def sq_dist_lloyd_run(x, x_sq, centers, max_iter=100):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    dists = gmm._sq_dist(x, x_sq, centers)
+    dists = gmm._sq_dist(frame.z, centers)
     labels = np.argmin(dists, axis=0)
     return labels, centers, float(dists[labels, rows].sum())
 
@@ -855,11 +973,11 @@ def loop_kmeans(data, r, runs=50, rng_seed=0, lloyd_run=loop_lloyd_run):
     seeding and Lloyd (`lloyd_run`) on default_rng(rng_seed + run); the
     first run with the least WCSS wins."""
     data = np.asarray(data, dtype=float)
-    _, _, x, x_sq = _frame(data)
+    frame = _frame(data)
     best = None
     for run in range(runs):
-        centers = loop_kmeans_pp_seeds(x, r, np.random.default_rng(rng_seed + run))
-        labels, _, wcss = lloyd_run(x, x_sq, centers)
+        centers = loop_kmeans_pp_seeds(frame.x, r, np.random.default_rng(rng_seed + run))
+        labels, _, wcss = lloyd_run(frame, centers)
         if best is None or wcss < best[0]:
             best = (wcss, labels)
     return m_step(data, np.eye(r)[best[1]])
@@ -948,9 +1066,9 @@ class TestKmeansStack:
         cases += [(few_distinct_rows(seed), 5) for seed in range(4)]
         cases += [(sample(example1_params, 500, rng_seed=4)[0] + 1e6, 4)]
         for seed, (data, r) in enumerate(cases):
-            _, _, x, x_sq = _frame(data)
+            z = _frame(data).z
             rngs = [np.random.default_rng(seed + run) for run in range(50)]
-            labels, _, wcss = _lloyd(x, x_sq, _kmeans_pp_seeds(x, x_sq, r, rngs))
+            labels, _, wcss = _lloyd(z, _kmeans_pp_seeds(z, r, rngs))
             want = m_step(data, np.eye(r)[labels[np.argmin(wcss)]])
             assert_same_params(init_kmeans(data, r, rng_seed=seed), want)
 
@@ -1061,15 +1179,15 @@ def solo_em(data, r, init, max_iter=100, tol=DEFAULT_TOL, rng_seed=0):
     """One EM run written out over the (runs, r, n) kernels, the loop each
     run of em_fits must reproduce bit for bit: an E step, then M/E pairs
     until the relative log-likelihood change is under tol."""
-    _, c, x, x_sq = _frame(data)
-    floor = VARIANCE_FLOOR_FRACTION * x_sq.sum() / x.size
+    _, c, z = _frame(data)
+    floor = VARIANCE_FLOOR_FRACTION * z[-2].sum() / (z.shape[1] * (len(z) - 2))
     rngs = [np.random.default_rng(rng_seed)]
     step = (init.weights[None], (init.means - c)[None], init.variances[None])
-    resp, loglik = _e_kernel(x, x_sq, step)
+    resp, loglik = _e_kernel(z, step)
     trace, converged = [float(loglik[0])], False
     for _ in range(max_iter):
-        step = _m_kernel(x, x_sq, resp, floor, rngs)
-        resp, loglik = _e_kernel(x, x_sq, step)
+        step = _m_kernel(z, resp, floor, rngs)
+        resp, loglik = _e_kernel(z, step)
         trace.append(float(loglik[0]))
         if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1.0):
             converged = True
@@ -1222,6 +1340,15 @@ class TestFrameRoute:
         frame = _frame(np.random.default_rng(0).normal(size=(5, 2)))
         assert _frame(frame) is frame
         assert frame.x.tobytes() == (frame.data - frame.data.mean(axis=0)).tobytes()
+
+    def test_x_and_x_sq_are_views_of_z(self):
+        data = np.random.default_rng(1).normal(size=(7, 3)) + 5.0
+        frame = _frame(data)
+        assert frame.z.shape == (5, 7) and frame.z.flags.c_contiguous
+        assert frame.x.base is frame.z and frame.x_sq.base is frame.z
+        assert _same_bits(frame.x, data - data.mean(axis=0))
+        assert _same_bits(frame.x_sq, np.sum(frame.z[:-2] ** 2, axis=0))
+        assert np.all(frame.z[-1] == 1.0)
 
     def test_initializers_and_em_fits(self, example1_params, example2_params):
         for data, r in frame_cases(example1_params, example2_params):
