@@ -64,7 +64,9 @@ list that differs, are printed and recorded under "compare"; nothing fails
 on them. A shared host's speed drifts by more than that within minutes, and
 the reference drifts with it, so the ratio holds steadier than a raw time.
 Against a file without reference times (such as BENCH_19.json) the raw
-medians are compared, and the output says so.
+medians are compared, and the output says so. A quality change that several
+stages of one workload carry alike is given once, with the number of those
+stages.
 """
 
 from __future__ import annotations
@@ -446,7 +448,8 @@ def compare(new: dict, old: dict, path: str = "") -> list[str]:
     reference (`median_ref`) moved by more than a factor 1 + COMPARE_CHANGE
     in `new`, slower or faster, with the raw medians beside it, or whose raw
     median did where either stage lacks reference times; and each quality
-    list that differs."""
+    list that differs, once for the stages of a workload that carry it alike
+    (`collapse_stages`)."""
     lines = []
     for key in new.keys() & old.keys():
         a, b, where = new[key], old[key], f"{path}/{key}"
@@ -459,12 +462,29 @@ def compare(new: dict, old: dict, path: str = "") -> list[str]:
                                      f"{a['median_ref']:.6g} ref ({raw})")
                 elif change := moved(a["median_s"], b["median_s"]):
                     lines.append(f"{change} {where}, raw, no reference times: {raw}")
-            lines += compare(a, b, where)
+            nested = compare(a, b, where)
+            lines += collapse_stages(nested, where) if key == "stages" else nested
         elif key in QUALITY_KEYS and a != b:
             pairs = zip(b, a) if isinstance(a, list) else [(b, a)]
             changed = (f"[{i}] {u!r} -> {v!r}" for i, (u, v) in enumerate(pairs) if u != v)
             lines.append(f"quality {where}: " + ", ".join(changed))
     return sorted(lines)
+
+
+def collapse_stages(lines: list[str], where: str) -> list[str]:
+    """`lines` of the stages under `where`, with each quality change that
+    several stages carry alike (every stage of a workload carries its fits'
+    quality) given once, its stage as * and the number of stages beside it."""
+    prefix = f"quality {where}/"
+    alike: dict[str, list[str]] = {}
+    for line in lines:
+        if line.startswith(prefix):
+            alike.setdefault(line[len(prefix):].split("/", 1)[1], []).append(line)
+    out = [line for line in lines if not line.startswith(prefix)]
+    for tail, same in alike.items():
+        key, changes = tail.split(": ", 1)
+        out += same if len(same) == 1 else [f"{prefix}*/{key} in {len(same)} stages: {changes}"]
+    return out
 
 
 def main(argv=None) -> int:

@@ -120,7 +120,8 @@ def _sample_moments(data) -> tuple:
     if n < 2:
         raise InputError("data must have at least 2 rows")
 
-    eigvals, eigvecs = np.linalg.eigh(z[:-2] @ z[:-2].T / n)
+    cov = z[:-2] @ z[:-2].T / n
+    eigvals, eigvecs = np.linalg.eigh(cov)
     sigma_bar_sq = float(eigvals[0])
     v = eigvecs[:, 0]
     ambiguous = bool(
@@ -131,7 +132,7 @@ def _sample_moments(data) -> tuple:
     proj_sq = ((data - c) @ v) ** 2
     # one pass of numpy's own loop: a BLAS GEMV's bits change with its thread count
     m1 = np.einsum("i,ij->j", proj_sq, data) / n
-    m2 = data.T @ data / n - sigma_bar_sq * np.eye(m)
+    m2 = cov + np.outer(c, c) - sigma_bar_sq * np.eye(m)
     return data, m1, m2, sigma_bar_sq, v, ambiguous
 
 

@@ -194,84 +194,81 @@ def decompose(
 
 
 def _normal_equations(
-    weights: np.ndarray, points: np.ndarray, d: int, res: np.ndarray
+    signs: np.ndarray, points: np.ndarray, d: int, res: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton normal matrix J^T C J and gradient J^T C res for the
-    coefficients of sum_i w_i (p_i . X)^d in (w_1..w_r, p_11..p_rm), where C
-    holds the multinomial weights and `res` the coefficients of model - T.
+    coefficients of sum_i s_i (q_i . X)^d in the points (q_11..q_rm), the
+    signs s_i fixed, where C holds the multinomial weights and `res` the
+    coefficients of model - T.
 
-    Neither needs the s_d x r(1 + m) Jacobian J.  By the apolar identity
+    Neither needs the s_d x rm Jacobian J.  By the apolar identity
     <(p . X)^d, (q . X)^d> = (p . q)^d, J^T C J follows from the Gram matrix
-    G = P P^T: the weight block is G^d, weight i with point (k, j) is
-    d w_k G_ik^(d-1) p_ij, and point (i, j) with point (k, l) is
-    d w_i w_k [G_ik^(d-1) delta_jl + (d-1) G_ik^(d-2) p_kj p_il].  By
-    <R, (p . X)^d> = R(p), the gradient is the residual polynomial R = model - T
-    at the points, R(p_i) = p_i . grad R(p_i) / d by Euler's identity, and
-    w_i grad R(p_i).  Evaluating R rather than T avoids cancelling the model
-    against T near a fit."""
+    G = Q Q^T: point (i, j) with point (k, l) is
+    d s_i s_k [G_ik^(d-1) delta_jl + (d-1) G_ik^(d-2) q_kj q_il].  By
+    <R, (q . X)^d> = R(q), the gradient is s_i grad R(q_i), with R = model - T
+    the residual polynomial.  Evaluating R rather than T avoids cancelling
+    the model against T near a fit."""
     r, m = points.shape
     gram = points @ points.T
-    lower_gram = gram ** (d - 1)
     # (d-1) G^(d-2), written so that d = 1 gives zeros instead of 0 * inf
     second = (d - 1) * gram ** max(d - 2, 0)
-    pair = d * weights[:, None] * weights
-    jtj = np.empty((r * (1 + m),) * 2)
-    jtj[:r, :r] = gram**d
-    jtj[:r, r:] = ((d * weights * lower_gram)[:, :, None] * points[:, None, :]).reshape(r, -1)
-    jtj[r:, :r] = jtj[:r, r:].T
-    block = jtj[r:, r:].reshape(r, m, r, m)  # a view: splitting axes copies nothing
-    np.multiply(
-        (pair * second)[:, None, :, None] * points.T[None, :, :, None],
-        points[:, None, None, :],
-        out=block,
-    )
+    pair = d * signs[:, None] * signs
+    jtj = (pair * second)[:, None, :, None] * points.T[None, :, :, None] * points[:, None, None, :]
     diag = np.arange(m)
-    block[:, diag, :, diag] += pair * lower_gram
+    jtj[:, diag, :, diag] += pair * gram ** (d - 1)
 
     # dR/dX_j = d * sum_beta c^(d-1)_beta R_(beta+e_j) X^beta
     lower = evaluation_matrix(points, d - 1)
     partials = d * lower @ (multinomial_weights(m, d - 1)[:, None] * res[sum_index(m, d - 1, 1)])
-    grad = np.concatenate([
-        np.einsum("ij,ij->i", points, partials) / d,
-        (weights[:, None] * partials).ravel(),
-    ])
-    return jtj, grad
+    return jtj.reshape(r * m, r * m), (signs[:, None] * partials).ravel()
 
 
 def refine(
     t: SymmetricTensor, w: WaringDecomposition, iters: int
 ) -> WaringDecomposition:
-    """Damped Gauss-Newton descent on the squared apolar residual over all
-    weights and points.  Each iteration forms the normal equations once, in
-    Gram form (`_normal_equations`); each damping retry adds lam to their
-    diagonal and solves by Cholesky.  lam starts at 1e-6 times the diagonal's
-    mean: rotation-invariant, and positive if a point is nonzero, since the
-    weight block's diagonal holds |p_i|^(2d).  Failed factorizations and
-    non-improving steps multiply lam by 10; returns the best decomposition."""
+    """Damped Gauss-Newton descent on the squared apolar residual over the
+    absorbed points q_i = |w_i|^(1/d) p_i, term i being s_i (q_i . X)^d with
+    its sign s_i fixed (s_i = 1 at odd d, where q_i takes w_i's sign).  These
+    r*m unknowns carry no weight that could trade against its point's scale,
+    so J^T C J has no null space of that kind.  Each iteration forms the normal
+    equations once, in Gram form (`_normal_equations`); each damping retry
+    adds lam to their diagonal and solves by Cholesky.  lam starts at 1e-6
+    times the diagonal's mean, lam0; failed factorizations and non-improving
+    steps multiply it by 10, and accepted steps divide it by 10, down to
+    1e-6 lam0.  Every scale is relative: the result commutes with rotations
+    up to rounding, and bit for bit with scaling the points by 2^k and the
+    tensor by 2^(dk).  A zero weight is a zero q_i, whose Jacobian
+    rows and gradient vanish (d > 1): it comes back with weight 0 and its
+    input point.  Returns the best decomposition."""
     if iters <= 0:
         return w
     d = t.order
     m = t.dim
     r = w.rank
     sqrt_wts = np.sqrt(multinomial_weights(m, d))
+    roots = np.abs(w.weights) ** (1.0 / d)
+    if d % 2:  # an odd power keeps the sign of q_i
+        roots, signs = np.sign(w.weights) * roots, np.ones(r)
+    else:
+        signs = np.sign(w.weights)
 
-    def residual(weights, points):
+    def residual(points):
         """Coefficients of model - T, and their squared apolar norm."""
-        res = weights @ evaluation_matrix(points, d) - t.coeffs
+        res = signs @ evaluation_matrix(points, d) - t.coeffs
         scaled = sqrt_wts * res
         return res, float(scaled @ scaled)
 
-    weights = w.weights.copy()
-    points = w.points.copy()
-    res, cost = residual(weights, points)
+    points = roots[:, None] * w.points
+    res, cost = residual(points)
     lam = None
     for _ in range(iters):
         if cost == 0.0:
             break
         # one normal system per iteration; damping retries shift its diagonal
-        jtj, grad = _normal_equations(weights, points, d, res)
+        jtj, grad = _normal_equations(signs, points, d, res)
         diag = jtj.diagonal().copy()
-        lam = 1e-6 * diag.sum() / len(diag) if lam is None else lam
+        if lam is None:
+            lam = lam0 = 1e-6 * diag.sum() / len(diag)
         for _ in range(20):
             np.fill_diagonal(jtj, diag + lam)
             try:  # a non-finite system fails to factor or gives a rejected step
@@ -279,21 +276,19 @@ def refine(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            new_weights = weights + step[:r]
-            new_points = points + step[r:].reshape(r, m)
-            if np.all(np.linalg.norm(new_points, axis=1) > 0.0):
-                new_res, new_cost = residual(new_weights, new_points)
-                if new_cost < cost:
-                    weights, points = new_weights, new_points
-                    res, cost = new_res, new_cost
-                    lam = max(lam / 10.0, 1e-12)
-                    break
+            new_points = points + step.reshape(r, m)
+            new_res, new_cost = residual(new_points)
+            if new_cost < cost:
+                points, res, cost = new_points, new_res, new_cost
+                lam = max(lam / 10.0, 1e-6 * lam0)
+                break
             lam *= 10.0
         else:
             break
 
-    unit, scales = _normalize_points(points)
-    weights = weights * scales**d
+    zero = ~points.any(axis=1)  # a zero term keeps its input point
+    unit, scales = _normalize_points(np.where(zero[:, None], w.points, points))
     return WaringDecomposition(
-        weights=weights, points=unit, order=d, complex_leak=w.complex_leak
+        weights=signs * np.where(zero, 0.0, scales) ** d, points=unit, order=d,
+        complex_leak=w.complex_leak,
     )

@@ -1,10 +1,11 @@
 """`compare` of bench/perf.py on synthetic reports: a stage is listed as
 slower or faster by its time over the host reference, not by its raw time,
-and a changed quality list is reported. `timings` on a stage whose clock is simulated: a short
-stage is repeated until one repeat lasts REPEAT_S. The k-means stages are
-init_kmeans split in two, and the workload fit stages M3 in W, decompose and
-the scale and variance solves are the moments start's own; the decompose
-split wraps every call of its parts, and its solve count is refine's."""
+and a changed quality list is reported, once for the stages that carry it
+alike. `timings` on a stage whose clock is simulated: a short stage is
+repeated until one repeat lasts REPEAT_S. The k-means stages are init_kmeans
+split in two, and the workload fit stages M3 in W, decompose and the scale
+and variance solves are the moments start's own; the decompose split wraps
+every call of its parts, and its solve count is refine's."""
 
 import importlib.util
 import os
@@ -81,6 +82,22 @@ def test_changed_recovery_error_is_reported(perf):
 
     lines = perf.compare(fit([0.1, 0.3]), fit([0.1, 0.2]))
     assert lines == ["quality /recover_hidim_fit/stages/decompose/recovery_error: [1] 0.2 -> 0.3"]
+
+
+def test_quality_change_of_every_stage_is_reported_once(perf):
+    # every stage of a workload carries its fits' quality, so one changed fit
+    # is one line with the count of stages; a change in one stage keeps its name
+    def fit(loglik, solves):
+        stages = {name: {"loglik": loglik} for name in ("fit_once", "frame", "labels")}
+        stages["decompose"] = {"loglik": loglik, "refine_solves": solves}
+        return {"recover_hidim_fit": {"stages": stages},
+                "large_n_fit": {"stages": {"frame": {"loglik": [-1.0]}}}}
+
+    lines = perf.compare(fit([-10.0, -12.5], [10, 11]), fit([-10.0, -12.0], [10, 12]))
+    assert lines == [
+        "quality /recover_hidim_fit/stages/*/loglik in 4 stages: [1] -12.0 -> -12.5",
+        "quality /recover_hidim_fit/stages/decompose/refine_solves: [1] 12 -> 11",
+    ]
 
 
 def test_file_without_reference_times_compares_raw(perf):

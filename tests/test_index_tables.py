@@ -13,7 +13,8 @@ means that can cancel, so their tolerance is RTOL of the largest entry. The
 Jacobian is also checked against central finite differences.
 
 `scatter_jacobian`, the Jacobian filled through the shift table, is in turn
-the reference for `refine`'s Gram-form normal equations, which never build it.
+the reference for `refine`'s Gram-form normal equations, which never build it:
+their unknowns are the points alone, its point columns.
 `lift_evaluation_matrix` and `unique_symmetric_array_coeffs` are the earlier
 shift-table forms of the two `index_tuples` gathers, and `dense_m3_coeffs` the
 earlier third moment, mirrored into the k x k x k array and gathered back;
@@ -425,17 +426,20 @@ def orthogonal_points(r, m):
 @pytest.mark.parametrize("m", DIMS)
 @pytest.mark.parametrize("d", DEGREES)
 def test_normal_equations_match_jacobian(m, d, layout):
+    # refine's unknowns are the points of sum_i s_i (q_i . X)^d, the signs
+    # fixed: the point columns of the weight-and-point Jacobian
     rng = np.random.default_rng(90 * m + d)
     r = min(3, m) if layout == "orthogonal" else 3
-    weights = rng.uniform(0.5, 2.0, r)
+    signs = rng.choice((-1.0, 1.0), r)
     points = orthogonal_points(r, m) if layout == "orthogonal" else rng.standard_normal((r, m))
     res = rng.standard_normal(num_coeffs(m, d))
     c = multinomial_weights(m, d)
-    jac = scatter_jacobian(weights, points, d)
+    jac = scatter_jacobian(signs, points, d)[:, r:]
     want_jtj = jac.T @ (c[:, None] * jac)
     want_grad = jac.T @ (c * res)
 
-    jtj, grad = _normal_equations(weights, points, d, res)
+    jtj, grad = _normal_equations(signs, points, d, res)
+    assert jtj.shape == (r * m, r * m) and grad.shape == (r * m,)
     assert np.all(np.isfinite(jtj)) and np.all(np.isfinite(grad))
     np.testing.assert_allclose(jtj, want_jtj, rtol=RTOL, atol=RTOL * np.abs(want_jtj).max())
     np.testing.assert_allclose(grad, want_grad, rtol=RTOL, atol=RTOL * np.abs(want_grad).max())
@@ -444,21 +448,22 @@ def test_normal_equations_match_jacobian(m, d, layout):
 @pytest.mark.parametrize("m", DIMS)
 @pytest.mark.parametrize("d", DEGREES)
 def test_normal_equations_gradient_matches_cost_finite_differences(m, d):
-    """The gradient is half the derivative of the squared apolar residual."""
+    """The gradient is half the derivative of the squared apolar residual
+    in the points, the signs fixed."""
     rng = np.random.default_rng(100 * m + d)
     r = 2
-    weights = rng.uniform(0.5, 2.0, r)
+    signs = np.array([1.0, -1.0])
     points = rng.standard_normal((r, m))
     t = random_tensor(rng, m, d).coeffs
     c = multinomial_weights(m, d)
 
     def cost(theta):
-        res = theta[:r] @ evaluation_matrix(theta[r:].reshape(r, m), d) - t
+        res = signs @ evaluation_matrix(theta.reshape(r, m), d) - t
         return res @ (c * res)
 
-    theta = np.concatenate([weights, points.ravel()])
-    res = weights @ evaluation_matrix(points, d) - t
-    _, grad = _normal_equations(weights, points, d, res)
+    theta = points.ravel()
+    res = signs @ evaluation_matrix(points, d) - t
+    _, grad = _normal_equations(signs, points, d, res)
     h = 1e-6
     fd = np.empty_like(grad)
     for col in range(len(theta)):

@@ -400,8 +400,8 @@ class TestHighDimStartQuality:
             # total responsibility under two points: a component holding one row
             one_point += e_step(fit.params, data)[0].sum(axis=0).min() < 2.0
         assert close >= 2
-        assert reached >= 4
-        assert one_point <= 4
+        assert reached >= 5
+        assert one_point <= 3
 
 
 class TestMomentSetJson:

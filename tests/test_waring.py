@@ -261,9 +261,10 @@ class TestRefine:
 
     @pytest.mark.parametrize("degeneracy", ("zero_weight", "coincident_points", "overflow"))
     def test_degenerate_start(self, degeneracy):
-        """A zero weight zeroes its point's Jacobian columns and coincident
-        points repeat a weight column, so J^T J is singular; the damped system
-        still factors.  A huge point overflows the system to inf and NaN, and
+        """A zero weight is a zero absorbed point, whose Jacobian columns
+        vanish, and coincident points repeat their columns, so J^T J is
+        singular; the damped system still factors, and the zero term comes
+        back unchanged.  A huge point overflows the system to inf and NaN, and
         its steps are rejected.  Each time refine returns a finite, no-worse fit."""
         rng = np.random.default_rng(14)
         t, tw, tp = random_decomposable(rng, 4, 3, 3)
@@ -280,6 +281,9 @@ class TestRefine:
             out = refine(t, start, 5)
             assert relative_residual(t, out) <= relative_residual(t, start)
         assert np.all(np.isfinite(out.weights)) and np.all(np.isfinite(out.points))
+        if degeneracy == "zero_weight":
+            assert out.weights[0] == 0.0
+            assert np.array_equal(out.points[0], waring._normalize_points(points)[0][0])
 
     def test_failed_factorization_is_a_rejected_step(self, monkeypatch):
         # a system that is not positive definite at rounding level raises the
@@ -435,46 +439,48 @@ class TestPencilDrawLoop:
 
 
 def gemm_refine(t, w, iters):
-    """Reference: the earlier refine, which built the s_d x r(1 + m) Jacobian
-    each iteration and formed J^T J and the gradient with a GEMM."""
+    """Reference: refine with the s_d x rm Jacobian of sum_i s_i (q_i . X)^d in
+    the absorbed points q_i = |w_i|^(1/d) p_i, the point columns of
+    scatter_jacobian, built each iteration, and J^T J and the gradient formed
+    with a GEMM."""
     if iters <= 0:
         return w
     d, m, r = t.order, t.dim, w.rank
     sqrt_wts = np.sqrt(multinomial_weights(m, d))
+    odd = d % 2 == 1
+    signs = np.ones(r) if odd else np.sign(w.weights)
+    roots = np.abs(w.weights) ** (1.0 / d) * (np.sign(w.weights) if odd else 1.0)
 
-    def residual_vec(weights, points):
-        return sqrt_wts * (weights @ evaluation_matrix(points, d) - t.coeffs)
+    def residual_vec(points):
+        return sqrt_wts * (signs @ evaluation_matrix(points, d) - t.coeffs)
 
-    weights = w.weights.copy()
-    points = w.points.copy()
-    res = residual_vec(weights, points)
+    points = roots[:, None] * w.points
+    res = residual_vec(points)
     cost = float(res @ res)
     lam = None
     for _ in range(iters):
         if cost == 0.0:
             break
-        jac = scatter_jacobian(weights, points, d)
+        jac = scatter_jacobian(signs, points, d)[:, r:]
         jac *= sqrt_wts[:, None]
         jtj = jac.T @ jac
         grad = jac.T @ res
-        lam = 1e-6 * np.trace(jtj) / len(jtj) if lam is None else lam
+        if lam is None:
+            lam = lam0 = 1e-6 * np.trace(jtj) / len(jtj)
         for _ in range(20):
             step = np.linalg.solve(jtj + lam * np.eye(jtj.shape[0]), -grad)
-            new_weights = weights + step[:r]
-            new_points = points + step[r:].reshape(r, m)
-            if np.all(np.linalg.norm(new_points, axis=1) > 0.0):
-                new_res = residual_vec(new_weights, new_points)
-                new_cost = float(new_res @ new_res)
-                if new_cost < cost:
-                    weights, points = new_weights, new_points
-                    res, cost = new_res, new_cost
-                    lam = max(lam / 10.0, 1e-12)
-                    break
+            new_points = points + step.reshape(r, m)
+            new_res = residual_vec(new_points)
+            new_cost = float(new_res @ new_res)
+            if new_cost < cost:
+                points, res, cost = new_points, new_res, new_cost
+                lam = max(lam / 10.0, 1e-6 * lam0)
+                break
             lam *= 10.0
         else:
             break
     unit, scales = waring._normalize_points(points)
-    return WaringDecomposition(weights * scales**d, unit, d, complex_leak=w.complex_leak)
+    return WaringDecomposition(signs * scales**d, unit, d, complex_leak=w.complex_leak)
 
 
 class TestRefineMatchesGemm:
@@ -493,20 +499,45 @@ class TestRefineMatchesGemm:
         np.testing.assert_allclose(got.points, want.points, rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("transform", ("rotation", "permutation"))
+def test_absorbed_normal_matrix_is_nonsingular():
+    """On a noisy m = 6, r = 4 fit, refine's normal matrix in the absorbed
+    points is nonsingular, while J^T C J in (weights, points) has r zero
+    eigenvalues, one per weight that can trade against its point's scale."""
+    rng = np.random.default_rng(2000 * 6)
+    t, _, _ = random_decomposable(rng, 6, 4, 3)
+    noise = 1e-2 * np.abs(t.coeffs).max() * rng.standard_normal(len(t.coeffs))
+    noisy = SymmetricTensor(6, 3, t.coeffs + noise)
+    out = decompose(noisy, rank=4, on_complex="warn")
+    points = np.cbrt(out.weights)[:, None] * out.points
+    signs = np.ones(4)
+    res = signs @ evaluation_matrix(points, 3) - noisy.coeffs
+    jtj, _ = waring._normal_equations(signs, points, 3, res)
+    absorbed = np.linalg.eigvalsh(jtj)
+    assert absorbed[0] > 1e-8 * absorbed[-1]
+
+    jac = scatter_jacobian(out.weights, out.points, 3)
+    pairs = np.linalg.eigvalsh(jac.T @ (multinomial_weights(6, 3)[:, None] * jac))
+    assert np.all(pairs[:4] < 1e-14 * pairs[-1]) and pairs[4] > 1e-8 * pairs[-1]
+
+
+@pytest.mark.parametrize("transform", ("rotation", "permutation", "scaling"))
 # derandomized, so that Tier-1 draws the same examples on every run
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), data=st.data())
 def test_refine_commutes_with_orthogonal_maps(transform, seed, m, data):
-    """Refining the rotated (or coordinate-permuted) tensor from the rotated
-    start gives the rotated result.  cbrt(w_i) p_i is compared because it
-    does not depend on the sign _normalize_points picks for p_i at d = 3."""
+    """Refining the rotated (coordinate-permuted, or 2^k-scaled) tensor from
+    the mapped start gives the mapped result.  cbrt(w_i) p_i is compared
+    because it does not depend on the sign _normalize_points picks for p_i at
+    d = 3.  Scaling by a power of two is exact in floating point, and refine's
+    every constant is relative, so that result agrees bit for bit."""
     r = data.draw(st.integers(1, m), label="r")
     rng = np.random.default_rng(seed)
     if transform == "rotation":
         q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    else:
+    elif transform == "permutation":
         q = np.eye(m)[rng.permutation(m)]
+    else:
+        q = 2.0 ** data.draw(st.integers(-40, 40), label="k") * np.eye(m)
     points = random_independent_points(rng, r, m)
     weights = rng.uniform(0.5, 2.0, r)
     # noise made of powers too, so that q maps the whole tensor
@@ -526,6 +557,9 @@ def test_refine_commutes_with_orthogonal_maps(transform, seed, m, data):
         return np.cbrt(out.weights)[:, None] * out.points
 
     want = refined(np.eye(m)) @ q.T
+    if transform == "scaling":
+        assert np.array_equal(refined(q), want)
+        return
     # r = m fits amplify rounding the most: up to 4e-8 of the largest entry
     # over 1,200 random draws, with this refine and with gemm_refine alike
     np.testing.assert_allclose(refined(q), want, rtol=0, atol=1e-6 * np.abs(want).max())
