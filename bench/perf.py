@@ -20,7 +20,9 @@ mixtures, n = 1000, sample seeds 0-9) it times:
   seed 1), sample k fitted with the seed of job k, end to end and by stage:
   the frame, the second-order statistics, M3 in W, the `decompose` call that
   `moments._recover` makes, its two `solve_weights` calls for the M2 scales
-  and the M1 variances (`recover_solves`), one E/M pair and the hard labels.
+  and the M1 variances (`recover_solves`), one E/M pair as EM runs it (an E
+  sweep that forms the M sums but the last block's, then the M step) and the
+  hard labels.
   The `decompose` call is also split (`decompose_<part>`, DECOMPOSE_PARTS):
   the seconds per call spent inside `truncated_svd_basis`, inside the pencil
   draws (`simultaneous_diagonalize` and `solve_weights`) and inside `refine`,
@@ -340,9 +342,10 @@ def fit_stages(r: int, samples, seeds) -> dict:
     """fit_once with the moments start, sample k with seeds[k], as one call per
     sample of each stage: the whole fit, the frame, the second-order
     statistics, M3 in W, the `decompose` call `moments._recover` makes, one
-    E/M pair from the start and the hard labels; and the two `solve_weights`
-    calls `moments._recover` makes after `decompose`, for the M2 scales and
-    the M1 variances."""
+    E/M pair from the start as `gmm._em_loop` runs it (an E sweep that forms
+    the M sums but the last block's, then the M step) and the hard labels; and the two
+    `solve_weights` calls `moments._recover` makes after `decompose`, for
+    the M2 scales and the M1 variances."""
     frames = [moments._frame(data) for data, _ in samples]
     sets = [moments.empirical_moments(frame) for frame in frames]
     bases = [np.linalg.eigh(ms.m2)[1][:, ::-1][:, :r] for ms in sets]
@@ -352,8 +355,8 @@ def fit_stages(r: int, samples, seeds) -> dict:
 
     def em_pair(frame, start):
         _, c, z = frame
-        resp, _ = gmm._e_kernel(z, gmm._as_step(start, c))
-        return gmm._m_kernel(z, resp, gmm._variance_floor(z), [np.random.default_rng(0)])
+        resp, _, head = gmm._e_kernel(z, gmm._as_step(start, c))
+        return gmm._m_kernel(z, resp, head, gmm._variance_floor(z), [np.random.default_rng(0)])
 
     resps = [gmm._e_kernel(f.z, gmm._as_step(s, f.c))[0] for f, s in zip(frames, starts)]
     return {

@@ -10,12 +10,18 @@ Every entry point checks and centers its data through `_frame`, or takes a
 initializer and EM; distances and statistics are about the data mean.
 `_affine` maps (x_i, ||x_i||^2, 1) by one product a run with the frame's z:
 the E-kernel's log terms and k-means++' squared distances (`_sq_dist`); the
-M-kernel is one product with z^T, Lloyd two.  `_em_loop` runs a stack of EM
-runs laid out (runs, r, n), each leaving it at its own tolerance: `em_fits`
-stacks starts, `em_fit` is one run, emEM's bursts run EMEM_BURST_ITERS steps
-at tol = 0.  A stacked run, as k-means' restarts, does the arithmetic it does
-alone, bit for bit.  k-means and emEM draw restarts from `_restarts` in
-RESTART_BLOCK_ELEMENTS blocks; k-means ends on `m_step`.
+M-step's sums are one product with z^T, Lloyd two.  The E-kernel is one sweep
+over z in blocks of columns, each small enough to stay in cache while the
+sweep writes its log terms, normalizes them and adds their product with the
+block of z^T to the M step's sums; the M-kernel adds the last block's, still
+in cache, for the runs that go on.  A sweep that one block holds does the
+unblocked arithmetic bit for bit, more blocks differ at rounding level.
+`_em_loop` runs a stack of EM runs laid out (runs, r, n), each leaving it at
+its own tolerance: `em_fits` stacks starts, `em_fit` is one run, emEM's
+bursts run EMEM_BURST_ITERS steps at tol = 0.  A stacked run, as k-means'
+restarts, does the arithmetic it does alone, bit for bit: the block width
+does not depend on the stack.  k-means and emEM draw restarts from
+`_restarts` in RESTART_BLOCK_ELEMENTS blocks; k-means ends on `m_step`.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ WEIGHT_SUM_SLACK = 1e-3
 # block of restarts: (runs x r x n) responsibilities, or Lloyd's ranks and
 # one-hot assignments
 RESTART_BLOCK_ELEMENTS = 2**20
+# entries of z and of one run's responsibilities in a column block of the E
+# sweep: 2 MB at r = 5, m = 10, which the sweep reads and writes in cache
+EM_BLOCK_ELEMENTS = 2**18
 
 
 @dataclass
@@ -123,10 +132,12 @@ def sample(
     return data, labels
 
 
-def _affine(z: np.ndarray, lin: np.ndarray, quad: np.ndarray, const: np.ndarray) -> np.ndarray:
+def _affine(z: np.ndarray, lin: np.ndarray, quad: np.ndarray, const: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """lin_j . x_i + quad_j ||x_i||^2 + const_j laid out (..., r, n), for lin
-    (..., r, m), quad and const (..., r), on a frame's z: one product a run."""
-    return np.concatenate([lin, quad[..., None], const[..., None]], axis=-1) @ z
+    (..., r, m), quad and const (..., r), on a frame's z (or a block of its
+    columns), written to `out` if given: one product a run."""
+    return np.matmul(np.concatenate([lin, quad[..., None], const[..., None]], axis=-1), z, out=out)
 
 
 def _sq_dist(z: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -163,18 +174,41 @@ def _log_normalize(a: np.ndarray) -> np.ndarray:
         return np.log(total) + top
 
 
-def _e_kernel(z: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_blocks(z: np.ndarray, r: int) -> range:
+    """First columns of the E sweep's blocks of a frame's z at r components,
+    each EM_BLOCK_ELEMENTS entries of z and of one run's responsibilities: a
+    stacked run's blocks are those of the run alone."""
+    return range(0, z.shape[1], max(1, EM_BLOCK_ELEMENTS // (len(z) + r)))
+
+
+def _e_kernel(z: np.ndarray, step, sums: bool = True):
     """E step of a stack of runs on a frame's z.  step holds the weights
     (runs, r), the offsets (runs, r, m) of the means from the frame's center
-    and the variances (runs, r).  Returns the responsibilities (runs, r, n)
-    and the log-likelihoods (runs,).  The log terms, log w_j - m/2 log(2 pi
-    s_j) - ||x_i - o_j||^2 / (2 s_j) expanded, are one `_affine` product a run."""
+    and the variances (runs, r).  Returns the responsibilities (runs, r, n),
+    the log-likelihoods (runs,) and, if `sums`, the head of the M step's sums:
+    resp z^T (runs, r, m + 2) over the columns before the last block, None
+    where one block holds the sweep.  The log terms, log w_j - m/2 log(2 pi
+    s_j) - ||x_i - o_j||^2 / (2 s_j) expanded, are one `_affine` product a
+    run.  One sweep over the blocks (`_sweep_blocks`) writes a block's log
+    terms, normalizes them and adds the block's log-likelihoods and, but at
+    the last block, its sums to the totals, the first block's assigned."""
     weights, offsets, variances = step
     half = 0.5 / variances
     const = (np.log(weights) - 0.5 * (len(z) - 2) * (LOG_2PI + np.log(variances))
-             - half * np.sum(offsets**2, axis=-1))
-    a = _affine(z, offsets / variances[..., None], -half, const)
-    return a, _log_normalize(a).sum(axis=1)
+             - half * (offsets**2).sum(axis=-1))
+    lin = offsets / variances[..., None]
+    resp, head = np.empty(weights.shape + z.shape[1:]), None
+    blocks = _sweep_blocks(z, weights.shape[1])
+    for first in blocks:
+        cols = slice(first, first + blocks.step)
+        block = z[:, cols]
+        a = _affine(block, lin, -half, const, out=resp[..., cols])
+        block_loglik = _log_normalize(a).sum(axis=1)
+        loglik = block_loglik if first == 0 else loglik + block_loglik
+        if sums and first != blocks[-1]:
+            block_sums = a @ block.T
+            head = block_sums if head is None else head + block_sums
+    return resp, loglik, head
 
 
 def _reseed_empty(resp: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> None:
@@ -196,10 +230,13 @@ def _reseed_empty(resp: np.ndarray, counts: np.ndarray, rng: np.random.Generator
         resp[j, i] = 1.0
 
 
-def _m_kernel(z: np.ndarray, resp: np.ndarray, variance_floor: float, rngs):
+def _m_kernel(z: np.ndarray, resp: np.ndarray, head, variance_floor: float, rngs):
     """M step of a stack of runs from responsibilities (runs, r, n) on a
-    frame's z; returns the step _e_kernel takes.  resp z^T sums r_ij x_i,
-    r_ij ||x_i||^2 and r_ij; a run with an empty component is reseeded in
+    frame's z; returns the step _e_kernel takes.  The sums resp z^T of r_ij
+    x_i, r_ij ||x_i||^2 and r_ij are `head`, an E sweep's sums before its
+    last block (None: no columns), plus the product of the other columns,
+    which that sweep has just left in cache: no sums are formed for a run
+    that leaves the stack.  A run with an empty component is reseeded in
     resp, in place, on its Generator in rngs, and redoes its own product.
 
     With o_j = sum_i r_ij x_i / N_j, m N_j s_j^2 = sum_i r_ij ||x_i||^2 -
@@ -208,13 +245,17 @@ def _m_kernel(z: np.ndarray, resp: np.ndarray, variance_floor: float, rngs):
     r, n = resp.shape[1:]
     if n < r:
         raise InputError(f"m_step needs n >= r rows, got n={n}, r={r}")
-    sums = resp @ z.T
-    for k in np.flatnonzero(np.any(sums[..., -1] < 1e-10 * n, axis=1)):
+    if head is None:
+        sums = resp @ z.T
+    else:
+        tail = _sweep_blocks(z, r)[-1]
+        sums = head + resp[..., tail:] @ z[:, tail:].T
+    for k in (sums[..., -1] < 1e-10 * n).any(axis=1).nonzero()[0]:
         _reseed_empty(resp[k], sums[k, :, -1], rngs[k])
         sums[k] = resp[k] @ z.T
     counts = sums[..., -1]
     offsets = sums[..., :-2] / counts[..., None]
-    variances = (sums[..., -2] - counts * np.sum(offsets**2, axis=2)) / ((len(z) - 2) * counts)
+    variances = (sums[..., -2] - counts * (offsets**2).sum(axis=2)) / ((len(z) - 2) * counts)
     weights = counts / n
     weights /= weights.sum(axis=1, keepdims=True)
     return weights, offsets, np.maximum(variances, max(variance_floor, 1e-300))
@@ -237,10 +278,11 @@ def _em_loop(z, step, variance_floor, rngs, max_iter, tol):
     """EM of a stack of runs on a frame's z: an E step of `step`, then
     up to max_iter M/E pairs; run k reseeds on rngs[k] and leaves the stack,
     as in Lloyd, once its log-likelihood changes by less than tol relative
-    (never at tol = 0).  Returns per run its last step as a one-run stack,
-    its (r, n) responsibilities, its E steps' log-likelihoods as Python
-    floats and whether tol stopped it."""
-    resp, loglik = _e_kernel(z, step)
+    (never at tol = 0).  The E step after which every run stops at max_iter
+    forms no M sums.  Returns per run its last step as a one-run stack, its
+    (r, n) responsibilities, its E steps' log-likelihoods as Python floats
+    and whether tol stopped it."""
+    resp, loglik, head = _e_kernel(z, step, max_iter > 0)
     runs, traces, out = list(range(len(rngs))), [[] for _ in rngs], [None] * len(rngs)
     while True:
         moving = []
@@ -257,14 +299,15 @@ def _em_loop(z, step, variance_floor, rngs, max_iter, tol):
         if len(moving) < len(runs):
             runs = [runs[i] for i in moving]
             step, resp = tuple(a[moving] for a in step), resp[moving]
-        step = _m_kernel(z, resp, variance_floor, [rngs[k] for k in runs])
-        resp, loglik = _e_kernel(z, step)
+            head = None if head is None else head[moving]
+        step = _m_kernel(z, resp, head, variance_floor, [rngs[k] for k in runs])
+        resp, loglik, head = _e_kernel(z, step, len(traces[runs[0]]) < max_iter)
 
 
 def e_step(params: GmmParams, data: np.ndarray) -> tuple[np.ndarray, float]:
     """Responsibilities, (n, r) and row-stochastic, and total log-likelihood."""
     _, c, z = _frame(data)
-    resp, loglik = _e_kernel(z, _as_step(params, c))
+    resp, loglik, _ = _e_kernel(z, _as_step(params, c), sums=False)
     return resp[0].T, float(loglik[0])
 
 
@@ -283,7 +326,7 @@ def m_step(
     if variance_floor is None:
         variance_floor = _variance_floor(z)
     rng = rng if rng is not None else np.random.default_rng(0)
-    step = _m_kernel(z, np.array(resp.T, dtype=float)[None], variance_floor, [rng])
+    step = _m_kernel(z, np.array(resp.T, dtype=float)[None], None, variance_floor, [rng])
     return _run_params(step, c)
 
 
@@ -475,7 +518,7 @@ def init_emem(
         for k, rng in enumerate(rngs):
             start = rng.uniform(size=(n, r))
             resp[k] = (start / start.sum(axis=1, keepdims=True)).T
-        step = _m_kernel(z, resp, floor, rngs)
+        step = _m_kernel(z, resp, None, floor, rngs)
         for run_step, _, trace, _ in _em_loop(z, step, floor, rngs, EMEM_BURST_ITERS, tol=0.0):
             if trace[-1] > best_loglik:
                 best_loglik, best = trace[-1], run_step

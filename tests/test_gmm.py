@@ -450,8 +450,8 @@ class TestAugmentedKernels:
             return _log_normalize(a)
 
         monkeypatch.setattr(gmm, "_log_normalize", keep)
-        got = _e_kernel(z, step)
-        return seen[0], got
+        resp, loglik, _ = _e_kernel(z, step)
+        return seen[0], (resp, loglik)
 
     @pytest.mark.parametrize("m", [1, 6, 30])
     def test_e_kernel_matches_direct_log_density(self, monkeypatch, m):
@@ -486,7 +486,8 @@ class TestAugmentedKernels:
         frame = _frame(data)
         starts = [init_random(data, 4, rng_seed=seed) for seed in range(5)]
         step = tuple(map(np.concatenate, zip(*[gmm._as_step(s, frame.c) for s in starts])))
-        resp, loglik = _e_kernel(frame.z, step)
+        resp, loglik, head = _e_kernel(frame.z, step)
+        assert head is None  # one block
         for k in range(5):
             alone = _e_kernel(frame.z, tuple(a[k : k + 1] for a in step))
             assert _same_bits(alone[0][0], resp[k]) and _same_bits(alone[1][0], loglik[k])
@@ -496,7 +497,7 @@ class TestAugmentedKernels:
         rng = np.random.default_rng(10 + m)
         frame = _frame(2.0 * rng.standard_normal((400, m)) - 5.0)
         resp = dirichlet_resp(m, 2, 3, 400)
-        weights, offsets, variances = _m_kernel(frame.z, resp.copy(), 0.0, [None, None])
+        weights, offsets, variances = _m_kernel(frame.z, resp.copy(), None, 0.0, [None, None])
         counts, means, want = direct_m_step(frame.x, resp)
         np.testing.assert_allclose(weights, counts / counts.sum(axis=1, keepdims=True), rtol=1e-13)
         np.testing.assert_allclose(offsets, means, rtol=0, atol=1e-13 * np.abs(frame.x).max())
@@ -512,15 +513,108 @@ class TestAugmentedKernels:
         resp[1] /= resp[1].sum(axis=0)
         stacked_resp = resp.copy()
         rngs = [np.random.default_rng(k) for k in range(3)]
-        stacked = _m_kernel(frame.z, stacked_resp, 1e-8, rngs)
+        stacked = _m_kernel(frame.z, stacked_resp, None, 1e-8, rngs)
         assert np.count_nonzero(stacked_resp[1, 2]) == 1 and _same_bits(stacked_resp[0], resp[0])
         counts, means, variances = direct_m_step(frame.x, stacked_resp)
         np.testing.assert_allclose(stacked[1], means, rtol=0, atol=1e-13 * np.abs(frame.x).max())
         # the reseeded component holds one row, its variance 0, so the floor
         np.testing.assert_allclose(stacked[2], np.maximum(variances, 1e-8), rtol=1e-12)
         for k in range(3):
-            alone = _m_kernel(frame.z, resp[k : k + 1].copy(), 1e-8, [np.random.default_rng(k)])
+            run = resp[k : k + 1].copy()
+            alone = _m_kernel(frame.z, run, None, 1e-8, [np.random.default_rng(k)])
             assert all(_same_bits(a[0], b[k]) for a, b in zip(alone, stacked))
+
+    @staticmethod
+    def blocked(monkeypatch, fn, width, r, m, *args):
+        """fn(*args) with EM_BLOCK_ELEMENTS set so the E sweep's blocks are
+        `width` columns wide at r components in R^m."""
+        with monkeypatch.context() as patch:
+            patch.setattr(gmm, "EM_BLOCK_ELEMENTS", width * (m + 2 + r))
+            return fn(*args)
+
+    @staticmethod
+    def sweep_problem(example1_params):
+        """700 rows of Example 1 and a stack of 5 random starts about their
+        center; the last start has a component far from every row, whose
+        responsibilities underflow to 0, so its M step reseeds it."""
+        data, _ = sample(example1_params, 700, rng_seed=2)
+        frame = _frame(data)
+        starts = [init_random(data, 4, rng_seed=seed) for seed in range(5)]
+        starts[-1].means[-1] += 1e4
+        step = tuple(map(np.concatenate, zip(*[gmm._as_step(s, frame.c) for s in starts])))
+        return frame, step
+
+    def test_one_block_sweep_is_the_unblocked_e_step(self, example1_params):
+        # 700 rows are one block: the bits of the log terms of all n
+        # columns at once, normalized, and no head of sums, so the M step
+        # forms resp z^T over all columns, as m_step does
+        frame, step = self.sweep_problem(example1_params)
+        assert len(gmm._sweep_blocks(frame.z, 4)) == 1
+        weights, offsets, variances = step
+        half = 0.5 / variances
+        const = (np.log(weights) - 0.5 * 6 * (LOG_2PI + np.log(variances))
+                 - half * np.sum(offsets**2, axis=-1))
+        want = gmm._affine(frame.z, offsets / variances[..., None], -half, const)
+        want_loglik = _log_normalize(want).sum(axis=1)
+        for sums in (True, False):
+            resp, loglik, head = _e_kernel(frame.z, step, sums)
+            assert np.count_nonzero(resp[-1, -1] == 0.0) == 700
+            assert _same_bits(resp, want) and _same_bits(loglik, want_loglik) and head is None
+
+    @pytest.mark.parametrize("width", [1, 7, 200, 233])
+    def test_blocked_sweep_matches_one_block(self, monkeypatch, example1_params, width):
+        # at least 3 blocks, the last one short but at width 1 and 7; a sum
+        # over columns in blocks rounds differently, well within 1e-14 of
+        # its sum of absolute terms (measured about 1e-16); the M steps
+        # from the two sweeps agree to 1e-12 relative
+        frame, step = self.sweep_problem(example1_params)
+        whole = _e_kernel(frame.z, step)
+        resp, loglik, head = self.blocked(monkeypatch, _e_kernel, width, 4, 6, frame.z, step)
+        tail = self.blocked(monkeypatch, gmm._sweep_blocks, width, 4, 6, frame.z, 4)[-1]
+        assert tail >= 2 * width
+        np.testing.assert_allclose(resp, whole[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(loglik, whole[1], rtol=1e-14)
+        before, cols = whole[0][..., :tail], frame.z[:, :tail].T
+        assert np.all(np.abs(head - before @ cols) <= 1e-14 * (before @ np.abs(cols)))
+        rngs = [np.random.default_rng(k) for k in range(5)]
+        got = self.blocked(monkeypatch, _m_kernel, width, 4, 6, frame.z, resp, head, 1e-8, rngs)
+        rngs = [np.random.default_rng(k) for k in range(5)]
+        want = _m_kernel(frame.z, whole[0], None, 1e-8, rngs)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(frame.x).max())
+
+    def test_blocked_stacked_run_is_the_run_alone(self, monkeypatch, example1_params):
+        # the block width does not depend on the stack, so a stacked run's
+        # blocks, and its bits, are those of the run alone
+        frame, step = self.sweep_problem(example1_params)
+        stacked = self.blocked(monkeypatch, _e_kernel, 200, 4, 6, frame.z, step)
+        for k in range(5):
+            run = tuple(a[k : k + 1] for a in step)
+            alone = self.blocked(monkeypatch, _e_kernel, 200, 4, 6, frame.z, run)
+            assert all(_same_bits(a[0], b[k]) for a, b in zip(alone, stacked))
+
+    def test_reseeded_run_from_sweep_head(self, monkeypatch, example1_params):
+        # the last run has an empty component: given the blocked sweep's
+        # head of sums it reseeds and redoes its own product, so it gives
+        # the bits of the M step that forms all its sums itself
+        frame, step = self.sweep_problem(example1_params)
+        resp, _, head = self.blocked(monkeypatch, _e_kernel, 200, 4, 6, frame.z, step)
+        assert np.all(head[-1, -1, -1] < 1e-10 * 700) and np.all(head[:-1, :, -1] > 1.0)
+        got = self.blocked(monkeypatch, _m_kernel, 200, 4, 6, frame.z, resp[-1:].copy(),
+                           head[-1:], 1e-8, [np.random.default_rng(3)])
+        want = _m_kernel(frame.z, resp[-1:].copy(), None, 1e-8, [np.random.default_rng(3)])
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+    def test_blocked_em_fits_runs_are_the_runs_alone(self, monkeypatch, example1_params):
+        # em_fits' multi-block sweeps keep every run to its own bits, and
+        # stay within rounding of the one-block fits' log-likelihoods
+        frame, _ = self.sweep_problem(example1_params)
+        starts = [init_random(frame, 4, rng_seed=seed) for seed in range(3)]
+        stacked = self.blocked(monkeypatch, em_fits, 200, 4, 6, frame, 4, starts, 10)
+        for start, fit in zip(starts, stacked):
+            assert_same_fit(self.blocked(monkeypatch, em_fit, 200, 4, 6, frame, 4, start, 10), fit)
+            np.testing.assert_allclose(fit.loglik_trace, em_fit(frame, 4, start, 10).loglik_trace,
+                                       rtol=1e-12)
 
 
 def traced_peak(fn, *args):
@@ -1183,11 +1277,11 @@ def solo_em(data, r, init, max_iter=100, tol=DEFAULT_TOL, rng_seed=0):
     floor = VARIANCE_FLOOR_FRACTION * z[-2].sum() / (z.shape[1] * (len(z) - 2))
     rngs = [np.random.default_rng(rng_seed)]
     step = (init.weights[None], (init.means - c)[None], init.variances[None])
-    resp, loglik = _e_kernel(z, step)
+    resp, loglik, head = _e_kernel(z, step)
     trace, converged = [float(loglik[0])], False
     for _ in range(max_iter):
-        step = _m_kernel(z, resp, floor, rngs)
-        resp, loglik = _e_kernel(z, step)
+        step = _m_kernel(z, resp, head, floor, rngs)
+        resp, loglik, head = _e_kernel(z, step)
         trace.append(float(loglik[0]))
         if abs(trace[-1] - trace[-2]) < tol * max(abs(trace[-2]), 1.0):
             converged = True
