@@ -8,8 +8,8 @@ is set; the file records the value used. On Examples 1 and 2 (the published
 mixtures, n = 1000, sample seeds 0-9) it times:
 
 - each initializer, the call `cli.run_benchmark` makes, and `init_kmeans`'
-  two stages on their own: k-means++ seeding of its 50 runs and their Lloyd
-  iterations from those seeds;
+  two stages inside those calls (KMEANS_STAGES): k-means++ seeding of its 50
+  runs and their Lloyd iterations from those seeds;
 - the final EM fits of a study replicate: the four starts fitted one by one
   with `em_fit`, and the same four as one `em_fits` stack, with a check that
   the two give the same results;
@@ -17,26 +17,27 @@ mixtures, n = 1000, sample seeds 0-9) it times:
 - `cli.fit_once` with the moments start on the samples of the benchmark's
   `large-n` workload (6 samples, n = 100000, m = 10, r = 5; workload seed 3)
   and `recover-hidim` workload (8 samples, n = 5000, m = 30, r = 15; workload
-  seed 1), sample k fitted with the seed of job k, end to end and by stage:
-  the frame, the second-order statistics, M3 in W, the `decompose` call that
-  `moments._recover` makes, its two `solve_weights` calls for the M2 scales
-  and the M1 variances (`recover_solves`), one E/M pair as EM runs it (an E
-  sweep that forms the M sums but the last block's, then the M step) and the
-  hard labels.
-  The `decompose` call is also split (`decompose_<part>`, DECOMPOSE_PARTS):
-  the seconds per call spent inside `truncated_svd_basis`, inside the pencil
-  draws (`simultaneous_diagonalize` and `solve_weights`) and inside `refine`,
-  each measured by wrapping those names while the recorded call replays; the
-  `decompose` stage carries each call's pencil draws and `refine`'s damping
-  factorizations (`cho_factor` calls, failed ones included). A stage runs
-  sample after sample, so each call finds its sample (8 MB at large-n) out of
-  cache; a call repeated on one sample runs faster.
+  seed 1), sample k fitted with the seed of job k, end to end and by stage
+  (FIT_STAGES): the frame, the second-order statistics, M3 in W from the
+  projected data, the `decompose` call and its parts (the SVD basis, the
+  pencil draws with their weight solves, `refine`), the two `solve_weights`
+  calls for the M2 scales and the M1 variances (`recover_solves`), the E and
+  M kernels of every EM iteration (`em`) and the hard labels. Each stage
+  carries its wrapped calls per fit (`calls_per_fit`); the `decompose` stage
+  also carries each fit's pencil draws and `refine`'s damping factorizations
+  (`cho_factor` calls, failed ones included).
 
-A repeat makes `calls` back-to-back calls of the stage, enough that it lasts
-at least REPEAT_S, counted from one call before the first repeat. Each timing
-is the wall time per sample (or per call), averaged over one repeat's calls;
-the file gives the median and minimum over the repeats, and `calls`. Before
-the first repeat of a stage and after each it times perfbench's own
+A stage is the time that real library calls spend inside the functions its
+table names, wrapped by name (`inside`) while the whole call runs, in repeats
+of its own with only its names wrapped. So a stage runs in the cache state
+the rest of the call leaves it in, and a kernel change touches this file only
+when it renames a function in a table.
+
+A repeat makes `calls` back-to-back calls of the timed work, enough that it
+lasts at least REPEAT_S, counted from one call before the first repeat. Each
+timing is the wall time per sample (or per call), averaged over one repeat's
+calls; the file gives the median and minimum over the repeats, and `calls`.
+Before the first repeat of a stage and after each it times perfbench's own
 reference computation (reference.py, imported read-only) with the parts
 spec.json gives the matching workload: `study` for Examples 1 and 2,
 `large-n` for the n = 100000 stages and `recover-hidim` for its own. Those
@@ -94,7 +95,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402  (after the thread pin)
 import scipy  # noqa: E402
 
-from momentgmm import NumericalError, cli, gmm, metrics, moments, waring  # noqa: E402
+from momentgmm import cli, gmm, metrics, moments, waring  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's own sample generation)
@@ -104,20 +105,26 @@ SEEDS = range(10)
 N = 1000
 LARGE_N = 100_000
 FIT_WORKLOAD_SEEDS = {"large-n": 3, "recover-hidim": 1}
-KMEANS_RUNS = 50  # init_kmeans' default, one block of restarts at n = N
 COMPARE_CHANGE = 0.20
 HIDIM_SEEDS = (1, 5, 12, 13)
 REPEAT_S = 0.02  # a shorter repeat is lost in the noise of the reference around it
 QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error", "pencil_draws", "refine_solves",
                 "reaches_truth", "one_point", "recovery_error_median",
                 "recovery_error_under_0_1", "refine_solves_per_fit")
-# the parts of `decompose` timed on their own: the Hankel SVD basis, the pencil
-# draws with their weight solves, and the Gauss-Newton refinement
-DECOMPOSE_PARTS = {
-    "svd_basis": ("truncated_svd_basis",),
-    "pencil_draws": ("simultaneous_diagonalize", "solve_weights"),
-    "refine": ("refine",),
+# per stage, the library functions whose calls it times (`inside`)
+FIT_STAGES = {
+    "frame": ((cli, "_frame"),),
+    "second_order": ((moments, "_sample_moments"),),
+    "m3_in_w": ((moments, "_m3_array"),),
+    "decompose": ((moments, "decompose"),),
+    "decompose_svd_basis": ((waring, "truncated_svd_basis"),),
+    "decompose_pencil_draws": ((waring, "simultaneous_diagonalize"), (waring, "solve_weights")),
+    "decompose_refine": ((waring, "refine"),),
+    "recover_solves": ((moments, "solve_weights"),),
+    "em": ((gmm, "_e_kernel"), (gmm, "_m_kernel")),
+    "labels": ((gmm, "_first_best"),),
 }
+KMEANS_STAGES = {"seeding": ((gmm, "_kmeans_pp_seeds"),), "lloyd": ((gmm, "_lloyd"),)}
 
 
 def examples() -> dict[str, gmm.GmmParams]:
@@ -200,14 +207,39 @@ def per_sample(calls) -> float:
     return (time.perf_counter() - t0) / len(calls)
 
 
+def inside(calls, names) -> tuple[float, float]:
+    """Seconds per call of `calls`, thunks run in order, spent inside the
+    library functions `names`, (module, name) pairs each wrapped by name
+    while the calls run, and the wrapped calls made per call."""
+    spent, entered = 0.0, 0
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal spent, entered
+            entered += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent += time.perf_counter() - t0
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for module, name in names:
+            stack.enter_context(mock.patch.object(module, name, timed(getattr(module, name))))
+        for call in calls:
+            call()
+    return spent / len(calls), entered / len(calls)
+
+
 def bench_example(model: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
     r = model.n_components
     samples = [gmm.sample(model, N, rng_seed=seed) for seed in SEEDS]
     truths = [labels for _, labels in samples]
     out = {"initializers": {}}
-    starts = {}
+    starts, thunks = {}, {}
     for name in cli.INITIALIZERS:
-        calls = [
+        calls = thunks[name] = [
             lambda name=name, data=data, seed=seed: cli.run_initializer(name, data, r, seed)
             for seed, (data, _) in zip(SEEDS, samples)
         ]
@@ -220,8 +252,9 @@ def bench_example(model: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
         out["initializers"][name] = entry | quality(fits, truths)
     kmeans_quality = {k: v for k, v in out["initializers"]["kmeans"].items() if k in QUALITY_KEYS}
     out["kmeans_stages"] = {
-        stage: timings(lambda calls=calls: per_sample(calls), repeats, ref) | kmeans_quality
-        for stage, calls in kmeans_stages(samples, r).items()
+        stage: timings(lambda names=names: inside(thunks["kmeans"], names)[0], repeats, ref)
+        | kmeans_quality
+        for stage, names in KMEANS_STAGES.items()
     }
 
     def solo(seed, data):
@@ -254,23 +287,6 @@ def bench_example(model: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
     return out
 
 
-def kmeans_stages(samples, r: int) -> dict:
-    """init_kmeans' two stages as one call per sample, on the frame it makes:
-    k-means++ seeding of its KMEANS_RUNS runs, each on its own Generator, and
-    Lloyd from those seeds."""
-    frames = [moments._frame(data) for data, _ in samples]
-
-    def seeding(frame, seed):
-        rngs = [np.random.default_rng(seed + run) for run in range(KMEANS_RUNS)]
-        return gmm._kmeans_pp_seeds(frame.z, r, rngs)
-
-    seeds = [seeding(frame, seed) for frame, seed in zip(frames, SEEDS)]
-    return {
-        "seeding": [lambda f=f, s=s: seeding(f, s) for f, s in zip(frames, SEEDS)],
-        "lloyd": [lambda f=f, c=c: gmm._lloyd(f.z, c) for f, c in zip(frames, seeds)],
-    }
-
-
 def bench_steps(sample, start: gmm.GmmParams, repeats: int, ref: Reference) -> dict:
     """One e_step and one m_step on `sample` from `start`, each with the
     log-likelihood and ARI of the mixture it yields or scores."""
@@ -287,124 +303,35 @@ def bench_steps(sample, start: gmm.GmmParams, repeats: int, ref: Reference) -> d
     }
 
 
-def recover_calls(frame: moments.Frame, r: int) -> tuple[tuple, list[tuple]]:
-    """The arguments of the `decompose` call, as (tensor, keywords), and of the
-    two `solve_weights` calls that `moments._recover` makes for the moments
-    start on `frame`, recorded from one run."""
-    with mock.patch.object(moments, "decompose", wraps=moments.decompose) as spy, \
-            mock.patch.object(moments, "solve_weights", wraps=moments.solve_weights) as solves:
-        try:
-            moments.recover_from_data(frame, r)
-        except NumericalError:
-            pass  # recovery failed in or after decompose; the calls made are recorded
-    (tensor,), kwargs = spy.call_args
-    return (tensor, kwargs), [args for args, _ in solves.call_args_list]
-
-
-def part_seconds(calls, names: tuple[str, ...]) -> float:
-    """Seconds per call of `calls` spent inside the `waring` functions `names`,
-    each wrapped by name while the calls run."""
-    spent = 0.0
-
-    def timed(fn):
-        def wrapper(*args, **kwargs):
-            nonlocal spent
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent += time.perf_counter() - t0
-        return wrapper
-
-    with contextlib.ExitStack() as stack:
-        for name in names:
-            stack.enter_context(mock.patch.object(waring, name, timed(getattr(waring, name))))
-        for call in calls:
-            call()
-    return spent / len(calls)
-
-
-def decompose_counts(calls) -> dict:
-    """Per `decompose` call: its pencil draws and refine's damping
-    factorizations, one per retry, including those that fail."""
-    counts = {"pencil_draws": [], "refine_solves": []}
-    for call in calls:
-        with mock.patch.object(waring, "simultaneous_diagonalize",
-                               wraps=waring.simultaneous_diagonalize) as draws, \
-                mock.patch.object(waring, "cho_factor", wraps=waring.cho_factor) as solves:
-            call()
-        counts["pencil_draws"].append(draws.call_count)
-        counts["refine_solves"].append(solves.call_count)
-    return counts
-
-
-def fit_stages(r: int, samples, seeds) -> dict:
-    """fit_once with the moments start, sample k with seeds[k], as one call per
-    sample of each stage: the whole fit, the frame, the second-order
-    statistics, M3 in W, the `decompose` call `moments._recover` makes, one
-    E/M pair from the start as `gmm._em_loop` runs it (an E sweep that forms
-    the M sums but the last block's, then the M step) and the hard labels; and the two
-    `solve_weights` calls `moments._recover` makes after `decompose`, for
-    the M2 scales and the M1 variances."""
-    frames = [moments._frame(data) for data, _ in samples]
-    sets = [moments.empirical_moments(frame) for frame in frames]
-    bases = [np.linalg.eigh(ms.m2)[1][:, ::-1][:, :r] for ms in sets]
-    calls, solves = zip(*(recover_calls(frame, r) for frame in frames))
-    starts = [gmm.init_moments(frame, r, rng_seed=seed)[0] for frame, seed in zip(frames, seeds)]
-    kind = np.min_scalar_type(-r).type
-
-    def em_pair(frame, start):
-        _, c, z = frame
-        resp, _, head = gmm._e_kernel(z, gmm._as_step(start, c))
-        return gmm._m_kernel(z, resp, head, gmm._variance_floor(z), [np.random.default_rng(0)])
-
-    resps = [gmm._e_kernel(f.z, gmm._as_step(s, f.c))[0] for f, s in zip(frames, starts)]
-    return {
-        "fit_once": [lambda d=d, s=s, t=t: cli.fit_once(d, r, "moments", s, truth=t)
-                     for s, (d, t) in zip(seeds, samples)],
-        "frame": [lambda d=d: moments._frame(d) for d, _ in samples],
-        "second_order": [lambda f=f: moments._sample_moments(f) for f in frames],
-        "m3_in_w": [
-            lambda f=f, m1=ms.m1, w=w: moments._m3_array(f.data @ w, m1 @ w)
-            for f, ms, w in zip(frames, sets, bases)
-        ],
-        "decompose": [lambda t=t, kw=kw: waring.decompose(t, **kw) for t, kw in calls],
-        "recover_solves": [lambda s=s: [waring.solve_weights(*args) for args in s]
-                           for s in solves],
-        "em_pair": [lambda f=f, s=s: em_pair(f, s) for f, s in zip(frames, starts)],
-        "labels": [lambda p=p: gmm._first_best(p, kind, np.greater) for p in resps],
-    }
-
-
 def bench_fit(workload: str, repeats: int, ref: Reference) -> dict:
     """fit_once with the moments start on the samples of `workload` at its
     FIT_WORKLOAD_SEEDS seed, sample k fitted with the seed of job k, end to
-    end and by stage (fit_stages).  Every entry carries the fits' quality and
-    the recovery error of their starts, as the benchmark computes it."""
+    end and by stage (FIT_STAGES), each stage with its wrapped calls per fit.
+    Every entry carries the fits' quality and the recovery error of their
+    starts, as the benchmark computes it; `decompose` carries each fit's
+    pencil draws and refine's damping factorizations."""
     seed = FIT_WORKLOAD_SEEDS[workload]
     work = workloads.make(workload, seed)
     r, samples = work.r, work.samples
     seeds = [workloads.job_seed(seed, k) for k in range(len(samples))]
-    rows = [cli.fit_once(data, r, "moments", job, truth=labels)
-            for job, (data, labels) in zip(seeds, samples)]
+    fits = [lambda d=d, s=s, t=t: cli.fit_once(d, r, "moments", s, truth=t)
+            for s, (d, t) in zip(seeds, samples)]
+    rows = [fit() for fit in fits]
     fit_quality = {key: [row[key] for row in rows] for key in ("loglik", "ari", "iterations")}
     fit_quality["recovery_error"] = [
         workloads.recovery_error(*work.recovery(k, [row])) for k, row in enumerate(rows)
     ]
-    stages = fit_stages(r, samples, seeds)
-    timed = {name: lambda calls=calls: per_sample(calls) for name, calls in stages.items()}
-    timed |= {f"decompose_{part}": lambda names=names: part_seconds(stages["decompose"], names)
-              for part, names in DECOMPOSE_PARTS.items()}
-    report = {name: timings(fn, repeats, ref) | fit_quality for name, fn in timed.items()}
-    report["decompose"] |= decompose_counts(stages["decompose"])
-    return {
-        "workload": workload,
-        "workload_seed": seed,
-        "n": work.n,
-        "r": r,
-        "sample_fit_seeds": seeds,
-        "stages": report,
+    report = {"fit_once": timings(lambda: per_sample(fits), repeats, ref) | fit_quality}
+    for stage, names in FIT_STAGES.items():
+        report[stage] = (timings(lambda names=names: inside(fits, names)[0], repeats, ref)
+                         | {"calls_per_fit": inside(fits, names)[1]} | fit_quality)
+    report["decompose"] |= {
+        count: [int(inside([fit], ((waring, name),))[1]) for fit in fits]
+        for count, name in (("pencil_draws", "simultaneous_diagonalize"),
+                            ("refine_solves", "cho_factor"))
     }
+    return {"workload": workload, "workload_seed": seed, "n": work.n, "r": r,
+            "sample_fit_seeds": seeds, "stages": report}
 
 
 def moved(new: float, old: float) -> str | None:

@@ -86,7 +86,7 @@ def simultaneous_diagonalize(
     unlucky (eigen-solver failure, clustered eigenvalues, or complex points in
     "error" mode); `decompose` retries with fresh seeds.
     """
-    m, _, r = slices.shape
+    m = len(slices)
     rng = np.random.default_rng(rng_seed)
     a = rng.standard_normal(m)
     a /= np.linalg.norm(a)
@@ -104,10 +104,8 @@ def simultaneous_diagonalize(
     if np.min(gaps) < EIGENVALUE_GAP_TOL * scale:
         raise NumericalError("eigenvalue clustering in the random pencil")
 
-    coords = np.empty((r, m), dtype=complex)
-    for i in range(m):
-        coords[:, i] = np.diag(ga @ slices[i] @ f)
-    points = np.conj(coords)
+    # C order: _normalize_points' row norms round differently over an F-ordered view
+    points = np.conj(np.diagonal(ga @ slices @ f, axis1=1, axis2=2).T.copy())
 
     re_scale = np.max(np.abs(points.real))
     im_scale = np.max(np.abs(points.imag))

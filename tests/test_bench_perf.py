@@ -2,20 +2,22 @@
 slower or faster by its time over the host reference, not by its raw time,
 and a changed quality list is reported, once for the stages that carry it
 alike. `timings` on a stage whose clock is simulated: a short stage is
-repeated until one repeat lasts REPEAT_S. The k-means stages are init_kmeans
-split in two, and the workload fit stages M3 in W, decompose and the scale
-and variance solves are the moments start's own; the decompose split wraps
-every call of its parts, and its solve count is refine's."""
+repeated until one repeat lasts REPEAT_S. Each stage of KMEANS_STAGES and
+FIT_STAGES names functions that resolve, that real init_kmeans and fit_once
+calls enter, and whose wrapping leaves those calls' results bit for bit; on a
+clock that ticks once per reading, a stage's seconds count its calls."""
 
 import importlib.util
+import itertools
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from momentgmm import em_fit, init_kmeans, init_moments, m_step, moments, sample, waring
+from momentgmm import GmmParams, cli, em_fit, init_kmeans, init_moments, sample, waring
 
 PERF = Path(__file__).resolve().parents[1] / "bench" / "perf.py"
 
@@ -181,97 +183,75 @@ def test_short_stage_repeats_until_a_repeat_lasts_repeat_s(perf, monkeypatch, se
     assert entry["median_ref"] == pytest.approx(seconds / 0.05)
 
 
+def same(a, b) -> bool:
+    """Fit rows, but for their wall time, or mixtures equal bit for bit."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a if k != "time_s")
+    if isinstance(a, GmmParams):
+        return same(vars(a), vars(b))
+    return np.array_equal(a, b)
+
+
+def test_stage_functions_resolve(perf):
+    # a renamed kernel fails here in seconds, not in a run of the perf script
+    tables = (perf.FIT_STAGES, perf.KMEANS_STAGES)
+    pairs = [pair for table in tables for names in table.values() for pair in names]
+    assert all(callable(getattr(module, name)) for module, name in pairs)
+
+
 def test_kmeans_stages_make_the_init_kmeans_start(perf, example2_params):
-    # seeding then Lloyd, with the least WCSS's labels through m_step, is the
-    # start init_kmeans returns for the sample's seed
+    # each stage wraps its functions inside real init_kmeans calls, which
+    # return the start they return unwrapped and enter them every call
     samples = [sample(example2_params, 300, rng_seed=seed) for seed in perf.SEEDS[:2]]
-    stages = perf.kmeans_stages(samples, 3)
-    thunks = zip(samples, stages["seeding"], stages["lloyd"])
-    for seed, ((data, _), seeding, lloyd) in enumerate(thunks):
-        centers = seeding()
-        assert centers.shape == (perf.KMEANS_RUNS, 3, 5)
-        labels, got, wcss = lloyd()
-        assert got.shape == centers.shape
-        want = init_kmeans(data, 3, rng_seed=seed)
-        start = m_step(data, np.eye(3)[labels[np.argmin(wcss)]])
-        assert all(np.array_equal(getattr(start, k), getattr(want, k))
-                   for k in ("weights", "means", "variances"))
-
-
-def test_fit_stages_make_the_moments_start(perf, monkeypatch, example2_params):
-    # M3 in W is the tensor init_moments decomposes, and the decompose stage
-    # returns the decomposition init_moments gets, bit for bit
-    samples = [sample(example2_params, 1000, rng_seed=seed) for seed in range(2)]
-    stages = perf.fit_stages(3, samples, [5, 6])
-    made, inner = [], moments.decompose
-
-    def recording(t, **kwargs):
-        made.append((t, inner(t, **kwargs)))
-        return made[-1][1]
-
-    monkeypatch.setattr(moments, "decompose", recording)
-    for (data, _), m3_in_w, decompose in zip(samples, stages["m3_in_w"], stages["decompose"]):
-        made.clear()
-        init_moments(data, 3)
-        [(tensor, want)] = made
-        assert np.array_equal(m3_in_w(), tensor.coeffs)
-        got = decompose()
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.points, want.points)
+    for names in perf.KMEANS_STAGES.values():
+        for seed, (data, _) in enumerate(samples):
+            got = []
+            _, entered = perf.inside([lambda: got.append(init_kmeans(data, 3, rng_seed=seed))], names)
+            assert entered >= 1
+            assert same(got[0], init_kmeans(data, 3, rng_seed=seed))
 
 
 @pytest.fixture(scope="module")
-def fit_stages(perf, example2_params):
+def fits(example2_params):
+    """fit_once with the moments start on two samples, as thunks, and their rows."""
     samples = [sample(example2_params, 1000, rng_seed=seed) for seed in range(2)]
-    return samples, perf.fit_stages(3, samples, [5, 6])
+    calls = [lambda d=d, s=s, t=t: cli.fit_once(d, 3, "moments", s, truth=t)
+             for s, (d, t) in zip((5, 6), samples)]
+    return calls, [call() for call in calls]
 
 
-def test_recover_solves_are_the_moments_starts(fit_stages, monkeypatch):
-    # the stage's two solve_weights calls, for the M2 scales and the M1
-    # variances, return what they return inside init_moments, bit for bit
-    samples, stages = fit_stages
-    made, inner = [], moments.solve_weights
-
-    def recording(t, rows):
-        made.append(inner(t, rows))
-        return made[-1]
-
-    monkeypatch.setattr(moments, "solve_weights", recording)
-    for (data, _), solves in zip(samples, stages["recover_solves"]):
-        made.clear()
-        init_moments(data, 3)
-        got = solves()
-        assert len(got) == len(made) == 2
-        for (x, rel), (want_x, want_rel) in zip(got, made):
-            assert np.array_equal(x, want_x) and rel == want_rel
+def test_fit_stages_make_the_moments_start(perf, fits):
+    # each stage wraps its functions inside real fits, which return the rows
+    # they return unwrapped, bit for bit, and enter them every fit
+    for stage, names in perf.FIT_STAGES.items():
+        for call, row in zip(*fits):
+            got = []
+            _, entered = perf.inside([lambda: got.append(call())], names)
+            assert entered >= 1, stage
+            assert same(got[0], row), stage
 
 
-class Clock:
-    """A clock that advances one second per reading."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def perf_counter(self) -> float:
-        self.now += 1.0
-        return self.now
+def test_recover_solves_are_the_moments_starts(perf, fits):
+    # the M2 scale solve and the M1 variance solve, not decompose's weight solves
+    calls, _ = fits
+    assert [perf.inside([call], perf.FIT_STAGES["recover_solves"])[1] for call in calls] == [2, 2]
 
 
-def test_decompose_split_wraps_every_call(perf, fit_stages, monkeypatch):
+def test_decompose_split_wraps_every_call(perf, fits, monkeypatch):
     # with one second per clock reading, each wrapped call adds one second,
-    # so a part's seconds per decompose call count the calls it wrapped
-    calls = fit_stages[1]["decompose"]
-    counts = perf.decompose_counts(calls)
-    monkeypatch.setattr(perf, "time", Clock())
-    draws = perf.part_seconds(calls, ("simultaneous_diagonalize",)) * len(calls)
-    assert draws == sum(counts["pencil_draws"]) >= len(calls)
-    assert perf.part_seconds(calls, perf.DECOMPOSE_PARTS["svd_basis"]) == 1.0
-    # the empirical tensors are not fitted to 1e-14, so each call refines once
-    assert perf.part_seconds(calls, perf.DECOMPOSE_PARTS["refine"]) == 1.0
-    assert all(n >= 1 for n in counts["refine_solves"])
+    # so a stage's seconds per fit count the calls it wrapped
+    calls, _ = fits
+    monkeypatch.setattr(perf, "time", SimpleNamespace(perf_counter=itertools.count().__next__))
+    parts = {stage: perf.inside(calls, names) for stage, names in perf.FIT_STAGES.items()
+             if stage.startswith("decompose")}
+    assert all(seconds == entered for seconds, entered in parts.values())
+    # the empirical tensors are not fitted to 1e-14, so each fit refines once
+    assert parts["decompose"] == parts["decompose_svd_basis"] == parts["decompose_refine"] == (1, 1)
+    draws, _ = perf.inside(calls, ((waring, "simultaneous_diagonalize"),))
+    assert parts["decompose_pencil_draws"][0] > draws >= 1
+    assert all(perf.inside([call], ((waring, "cho_factor"),))[1] >= 1 for call in calls)
 
 
-def test_decompose_solves_are_refines(perf, fit_stages, monkeypatch):
+def test_decompose_solves_are_refines(perf, fits, monkeypatch):
     monkeypatch.setattr(waring, "refine", lambda t, w, iters: w)
-    counts = perf.decompose_counts(fit_stages[1]["decompose"])
-    assert counts["refine_solves"] == [0, 0]
+    assert perf.inside(fits[0], ((waring, "cho_factor"),)) == (0, 0)
