@@ -13,7 +13,10 @@ mixtures, n = 1000, sample seeds 0-9) it times:
 - the final EM fits of a study replicate: the four starts fitted one by one
   with `em_fit`, and the same four as one `em_fits` stack, with a check that
   the two give the same results;
-- one `e_step` and one `m_step`, also at n = 100000 on Example 1;
+- one `e_step` and one `m_step`, also at n = 100000 on Example 1 from a
+  random start (`large_n_steps`) and on the first `recover-hidim` fit sample
+  below from its moments start (`recover_hidim_steps`), where 14-19 % of
+  its E steps' log terms lie more than 700 below their column's maximum;
 - `cli.fit_once` with the moments start on the samples of the benchmark's
   `large-n` workload (6 samples, n = 100000, m = 10, r = 5; workload seed 3)
   and `recover-hidim` workload (8 samples, n = 5000, m = 30, r = 15; workload
@@ -31,7 +34,10 @@ A stage is the time that real library calls spend inside the functions its
 table names, wrapped by name (`inside`) while the whole call runs, in repeats
 of its own with only its names wrapped. So a stage runs in the cache state
 the rest of the call leaves it in, and a kernel change touches this file only
-when it renames a function in a table.
+when it renames a function in a table. Stages timed minutes apart on a shared
+host need not add up to `fit_once`; each workload's `stage_coverage` is the
+share of the fits' wall time spent inside the stages that do not nest
+(TOP_STAGES), all wrapped at once in one pass, the median over the repeats.
 
 A repeat makes `calls` back-to-back calls of the timed work, enough that it
 lasts at least REPEAT_S, counted from one call before the first repeat. Each
@@ -124,6 +130,8 @@ FIT_STAGES = {
     "em": ((gmm, "_e_kernel"), (gmm, "_m_kernel")),
     "labels": ((gmm, "_first_best"),),
 }
+# the stages that do not nest in one another: all but decompose's parts
+TOP_STAGES = tuple(stage for stage in FIT_STAGES if not stage.startswith("decompose_"))
 KMEANS_STAGES = {"seeding": ((gmm, "_kmeans_pp_seeds"),), "lloyd": ((gmm, "_lloyd"),)}
 
 
@@ -309,7 +317,8 @@ def bench_fit(workload: str, repeats: int, ref: Reference) -> dict:
     end and by stage (FIT_STAGES), each stage with its wrapped calls per fit.
     Every entry carries the fits' quality and the recovery error of their
     starts, as the benchmark computes it; `decompose` carries each fit's
-    pencil draws and refine's damping factorizations."""
+    pencil draws and refine's damping factorizations. `stage_coverage` is
+    the share of the fits spent inside the TOP_STAGES."""
     seed = FIT_WORKLOAD_SEEDS[workload]
     work = workloads.make(workload, seed)
     r, samples = work.r, work.samples
@@ -331,7 +340,20 @@ def bench_fit(workload: str, repeats: int, ref: Reference) -> dict:
                             ("refine_solves", "cho_factor"))
     }
     return {"workload": workload, "workload_seed": seed, "n": work.n, "r": r,
-            "sample_fit_seeds": seeds, "stages": report}
+            "sample_fit_seeds": seeds, "stages": report,
+            "stage_coverage": stage_coverage(fits, repeats)}
+
+
+def stage_coverage(calls, repeats: int) -> float:
+    """The median over `repeats` passes of `calls` of the share of a pass's
+    wall time spent inside the TOP_STAGES, all wrapped at once."""
+    names = [pair for stage in TOP_STAGES for pair in FIT_STAGES[stage]]
+    shares = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        spent, _ = inside(calls, names)
+        shares.append(spent * len(calls) / (time.perf_counter() - t0))
+    return statistics.median(shares)
 
 
 def moved(new: float, old: float) -> str | None:
@@ -439,6 +461,11 @@ def main(argv=None) -> int:
     large = gmm.sample(models["example1"], LARGE_N, rng_seed=0)
     start = gmm.init_random(large[0], models["example1"].n_components, rng_seed=0)
     report["large_n_steps"] = bench_steps(large, start, args.repeats, refs["large-n"])
+    seed = FIT_WORKLOAD_SEEDS["recover-hidim"]
+    hidim = workloads.make("recover-hidim", seed)
+    start, _ = gmm.init_moments(hidim.samples[0][0], hidim.r, rng_seed=workloads.job_seed(seed, 0))
+    report["recover_hidim_steps"] = bench_steps(hidim.samples[0], start, args.repeats,
+                                                refs["recover-hidim"])
     for name in FIT_WORKLOAD_SEEDS:
         report[f"{name.replace('-', '_')}_fit"] = bench_fit(name, args.repeats, refs[name])
     report["recover_hidim_32"] = hidim_quality()

@@ -16,6 +16,10 @@ sweep writes its log terms, normalizes them and adds their product with the
 block of z^T to the M step's sums; the M-kernel adds the last block's, still
 in cache, for the runs that go on.  A sweep that one block holds does the
 unblocked arithmetic bit for bit, more blocks differ at rounding level.
+Log terms more than -EXP_FLOOR below their column's maximum get exactly 0
+responsibility, not a subnormal one (`_log_normalize`): that keeps `exp` and
+the M step's product off their slow paths and every log-likelihood's bits,
+and costs a block one read, its minimum, where no term is that far down.
 `_em_loop` runs a stack of EM runs laid out (runs, r, n), each leaving it at
 its own tolerance: `em_fits` stacks starts, `em_fit` is one run, emEM's
 bursts run EMEM_BURST_ITERS steps at tol = 0.  A stacked run, as k-means'
@@ -47,6 +51,10 @@ RESTART_BLOCK_ELEMENTS = 2**20
 # entries of z and of one run's responsibilities in a column block of the E
 # sweep: 2 MB at r = 5, m = 10, which the sweep reads and writes in cache
 EM_BLOCK_ELEMENTS = 2**18
+# shifted log terms below this have their exponentials flushed to 0 in the E
+# step (_log_normalize): exp leaves its fast path near -708, and the
+# subnormals it makes there slow the division and the M step's product
+EXP_FLOOR = -700.0
 
 
 @dataclass
@@ -162,14 +170,33 @@ def _variance_floor(z: np.ndarray) -> float:
 def _log_normalize(a: np.ndarray) -> np.ndarray:
     """Turns a (runs, r, n) array of log terms, in place, into exp(a - l) and
     returns l = log(sum(exp(a), axis=1)), (runs, n).  Each column is shifted
-    by its maximum, or by 0 where that maximum is not finite, so that columns
-    holding -inf, +inf or NaN give what scipy's logsumexp does, without a
-    RuntimeWarning."""
+    by its maximum.  One read of the shifted block, its minimum, settles the
+    common case: every term at least EXP_FLOOR, and so no maximum that is not
+    finite, whose column the shift leaves NaN.  Otherwise terms below
+    EXP_FLOOR, -inf included, are raised to it for `exp`, whose fast path
+    ends near -708, and their exponentials set to exactly 0 before the
+    column sums.  A finite column's total is at least 1, its maximum's
+    exp(0), and the exponentials flushed, under r exp(-700) together, lie
+    far below half an ulp of it, so log-likelihoods keep their bits, as do
+    responsibilities of at least exp(-700) / total; those under it, subnormal
+    or near it, become 0.  Kept ones are never subnormal for r < 4400.
+
+    A column whose maximum m is not finite takes exp(m) as its total, the
+    total scipy's logsumexp forms there, without a RuntimeWarning: all -inf
+    gives l = -inf and NaN responsibilities, any NaN term NaN throughout, and
+    +inf terms l = +inf, NaN responsibility there and 0 elsewhere."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         top = a.max(axis=1)
-        top[~np.isfinite(top)] = 0.0
         a -= top[:, None, :]
-        total = np.exp(a, out=a).sum(axis=1)
+        if a.min() >= EXP_FLOOR:  # false on a NaN minimum too
+            total = np.exp(a, out=a).sum(axis=1)
+        else:
+            low = a < EXP_FLOOR
+            np.exp(np.maximum(a, EXP_FLOOR, out=a), out=a)
+            np.putmask(a, low, 0.0)
+            total = a.sum(axis=1)
+            bad = ~np.isfinite(top)
+            total[bad] = np.exp(top[bad])
         a /= total[:, None, :]
         return np.log(total) + top
 

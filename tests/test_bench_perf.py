@@ -5,7 +5,8 @@ alike. `timings` on a stage whose clock is simulated: a short stage is
 repeated until one repeat lasts REPEAT_S. Each stage of KMEANS_STAGES and
 FIT_STAGES names functions that resolve, that real init_kmeans and fit_once
 calls enter, and whose wrapping leaves those calls' results bit for bit; on a
-clock that ticks once per reading, a stage's seconds count its calls."""
+clock that ticks once per reading, a stage's seconds count its calls, and the
+TOP_STAGES wrapped at once do not nest."""
 
 import importlib.util
 import itertools
@@ -250,6 +251,23 @@ def test_decompose_split_wraps_every_call(perf, fits, monkeypatch):
     draws, _ = perf.inside(calls, ((waring, "simultaneous_diagonalize"),))
     assert parts["decompose_pencil_draws"][0] > draws >= 1
     assert all(perf.inside([call], ((waring, "cho_factor"),))[1] >= 1 for call in calls)
+
+
+def test_top_stages_do_not_nest(perf, fits, monkeypatch):
+    # on a clock that ticks once per reading, a wrapped call that encloses
+    # another wrapped call adds more than one second; wrapped at once, the
+    # top stages enter what they enter one stage at a time
+    calls, _ = fits
+    monkeypatch.setattr(perf, "time", SimpleNamespace(perf_counter=itertools.count().__next__))
+    names = [pair for stage in perf.TOP_STAGES for pair in perf.FIT_STAGES[stage]]
+    seconds, entered = perf.inside(calls, names)
+    assert seconds == entered
+    assert entered == sum(perf.inside(calls, perf.FIT_STAGES[stage])[1] for stage in perf.TOP_STAGES)
+    assert "decompose" in perf.TOP_STAGES and "decompose_refine" not in perf.TOP_STAGES
+
+
+def test_stage_coverage_is_a_share_of_the_fits(perf, fits):
+    assert 0.0 < perf.stage_coverage(fits[0], 3) <= 1.0
 
 
 def test_decompose_solves_are_refines(perf, fits, monkeypatch):

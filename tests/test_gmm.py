@@ -29,6 +29,7 @@ from momentgmm import (
 from momentgmm import gmm
 from momentgmm.gmm import (
     DEFAULT_TOL,
+    EXP_FLOOR,
     LOG_2PI,
     VARIANCE_FLOOR_FRACTION,
     _e_kernel,
@@ -40,7 +41,7 @@ from momentgmm.gmm import (
     _m_kernel,
     pooled_variance,
 )
-from conftest import run_with_blas_threads
+from conftest import random_independent_points, run_with_blas_threads
 
 
 def single_gaussian(mu, var):
@@ -213,6 +214,130 @@ class TestRowLogsumexp:
             exponent = size + np.maximum(size.max(axis=1, keepdims=True), 1.0)
             bound = 8 * np.finfo(float).eps * exponent * want + 1e-300
             assert np.all(np.abs(got - want)[finite] <= bound[finite])
+
+
+def unflushed_log_normalize(a):
+    """_log_normalize without the exp floor: every term's exponential as
+    `exp` gives it, subnormal or 0 far below the column maximum."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        top = a.max(axis=1)
+        top[~np.isfinite(top)] = 0.0
+        a -= top[:, None, :]
+        total = np.exp(a, out=a).sum(axis=1)
+        a /= total[:, None, :]
+        return np.log(total) + top
+
+
+def shifted_totals(a):
+    """The column totals of exp(a - column maximum) that _log_normalize forms,
+    a non-finite maximum taken as 0."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        top = a.max(axis=1)
+        top[~np.isfinite(top)] = 0.0
+        return np.exp(a - top[:, None, :]).sum(axis=1)
+
+
+class TestExpFloor:
+    """_log_normalize against its unflushed form on log terms from 0 down to
+    -800 below their column maximum: the same log-likelihood bits, the same
+    responsibility bits wherever they are at least exp(EXP_FLOOR) / total and
+    exactly 0 elsewhere, never a subnormal, and no RuntimeWarning."""
+
+    @staticmethod
+    def band(depth, seed):
+        """(2, 6, 400) log terms: column maxima at integers in [-40, 40), the
+        other terms uniform down to `depth` below them; columns holding a term at
+        exactly EXP_FLOOR below, or just under it, and columns with -inf,
+        NaN and +inf terms."""
+        rng = np.random.default_rng(seed)
+        top = rng.integers(-40, 40, size=(2, 1, 400)).astype(float)
+        a = top - rng.uniform(0.0, depth, size=(2, 6, 400))
+        a[:, 0] = top[:, 0]
+        a[:, 1, :40] = top[:, 0, :40] + EXP_FLOOR
+        a[:, 2, 20:60] = top[:, 0, 20:60] + EXP_FLOOR - 2.0**-40
+        a[:, 3, 60:80] = -np.inf
+        a[:, :, 80:90] = -np.inf
+        a[:, 4, 90:100] = np.nan
+        a[:, 4, 100:110] = np.inf
+        a[:, 5, 105:115] = np.inf
+        a[:, 4, 115:120] = -np.inf
+        return a
+
+    @pytest.mark.parametrize("depth, seed", [(800.0, 0), (800.0, 1), (710.0, 2), (700.0, 3)])
+    def test_matches_unflushed_across_the_band(self, depth, seed):
+        a = self.band(depth, seed)
+        got, want = a.copy(), a.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_loglik = _log_normalize(got)
+        want_loglik = unflushed_log_normalize(want)
+        assert _same_bits(got_loglik, want_loglik)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            kept = ~(want < np.exp(EXP_FLOOR) / shifted_totals(a)[:, None, :])
+        assert _same_bits(got[kept], want[kept])
+        assert np.all(got[~kept] == 0.0)
+        assert not np.any((got > 0.0) & (got < np.finfo(float).tiny))
+        # unflushed, a band reaching under -708.4 leaves subnormals, one above none
+        subnormal = np.count_nonzero((want > 0.0) & (want < np.finfo(float).tiny))
+        assert (subnormal > 0) == (depth > 708.4)
+        assert np.count_nonzero(~kept) > 0
+
+    def test_finite_terms_above_the_floor_are_the_unflushed_form(self):
+        # the case one read of the block settles: no term flushed, no column
+        # maximum to repair, every output bit as unflushed
+        a = self.band(700.0, 4)[:, :, 120:]
+        got, want = a.copy(), a.copy()
+        assert _same_bits(_log_normalize(got), unflushed_log_normalize(want))
+        assert _same_bits(got, want)
+
+    def test_kept_terms_hold_the_floor(self):
+        # a term exactly EXP_FLOOR below its column maximum keeps its bits;
+        # one a hair under it is flushed
+        a = self.band(800.0, 0)
+        got = a.copy()
+        _log_normalize(got)
+        assert np.all(got[:, 1, :20] == np.exp(EXP_FLOOR) / shifted_totals(a)[:, :20])
+        assert np.all(got[:, 2, 40:60] == 0.0)
+
+    def test_non_finite_columns(self):
+        # a column of -inf sums to 0: NaN responsibilities, log-likelihood
+        # -inf; a NaN term makes its column NaN; a +inf term gives NaN there,
+        # 0 elsewhere in its column, and a +inf log-likelihood
+        a = self.band(800.0, 0)
+        got = a.copy()
+        loglik = _log_normalize(got)
+        assert np.all(np.isnan(got[:, :, 80:90])) and np.all(loglik[:, 80:90] == -np.inf)
+        assert np.all(np.isnan(got[:, :, 90:100])) and np.all(np.isnan(loglik[:, 90:100]))
+        cols = got[:, :, 100:115]
+        assert np.array_equal(np.isnan(cols), np.isinf(a[:, :, 100:115]))
+        assert np.all(cols[~np.isnan(cols)] == 0.0) and np.all(loglik[:, 100:115] == np.inf)
+
+
+class TestExpFloorFit:
+    """EM from the moments start on a sample of the m = 30, r = 15 mixture,
+    with well-separated means, whose E steps flush terms below EXP_FLOOR:
+    the fit is the unflushed fit, bit for bit."""
+
+    def test_em_fit_is_the_unflushed_fit(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        means = random_independent_points(rng, 15, 30, scale=4.0)
+        weights = rng.dirichlet(np.full(15, 5.0))
+        variances = rng.uniform(0.5, 2.0, size=15)
+        truth = GmmParams(weights=weights, means=means, variances=variances)
+        data, _ = sample(truth, 1500, rng_seed=53)
+        start, _ = init_moments(data, 15, rng_seed=0)
+        flushed = []
+
+        def counting(a):
+            flushed.append(np.count_nonzero(a - a.max(axis=1, keepdims=True) < EXP_FLOOR))
+            return _log_normalize(a)
+
+        monkeypatch.setattr(gmm, "_log_normalize", counting)
+        got = em_fit(data, 15, start, rng_seed=0)
+        monkeypatch.setattr(gmm, "_log_normalize", unflushed_log_normalize)
+        want = em_fit(data, 15, start, rng_seed=0)
+        assert len(flushed) == len(got.loglik_trace) >= 3 and min(flushed) > 0
+        assert_same_fit(got, want)
 
 
 def row_logsumexp(a):
