@@ -22,13 +22,13 @@ mixtures, n = 1000, sample seeds 0-9) it times:
   and `recover-hidim` workload (8 samples, n = 5000, m = 30, r = 15; workload
   seed 1), sample k fitted with the seed of job k, end to end and by stage
   (FIT_STAGES): the frame, the second-order statistics, M3 in W from the
-  projected data, the `decompose` call and its parts (the SVD basis, the
-  pencil draws with their weight solves, `refine`), the two `solve_weights`
+  projected data, the `decompose` call and its parts (the whitening with its
+  joint diagonalization, the weight solve, `refine`), the two `solve_weights`
   calls for the M2 scales and the M1 variances (`recover_solves`), the E and
   M kernels of every EM iteration (`em`) and the hard labels. Each stage
   carries its wrapped calls per fit (`calls_per_fit`); the `decompose` stage
-  also carries each fit's pencil draws and `refine`'s damping factorizations
-  (`cho_factor` calls, failed ones included).
+  also carries each fit's joint-diagonalization sweeps and `refine`'s damping
+  factorizations (`cho_factor` calls, failed ones included).
 
 A stage is the time that real library calls spend inside the functions its
 table names, wrapped by name (`inside`) while the whole call runs, in repeats
@@ -59,12 +59,13 @@ with the host; compare two files only when they come from the same machine.
 It also evaluates the moments start on the 32 `recover-hidim` samples of
 workload seeds HIDIM_SEEDS (8 each), sample k fitted with seed k by
 `init_moments`, then `em_fit` (`recover_hidim_32`): per sample the start's
-recovery error, `refine`'s damping factorizations, the EM iterations, whether
-the fit reaches the truth log-likelihood (within 1e-6 relative of EM run from
-the true parameters) and whether it is one-point (a component with under two
-points of total responsibility), and their row: the median error and the
-count under 0.1, the two fit counts, the mean damping solves and the summed
-iterations.
+recovery error, its joint-diagonalization sweeps, `refine`'s damping
+factorizations, the EM iterations, whether the fit reaches the truth
+log-likelihood (within 1e-6 relative of EM run from the true parameters) and
+whether it is one-point (a component with under two points of total
+responsibility), and their row: the median error and the count under 0.1,
+the two fit counts, the mean sweeps per joint diagonalization, the mean
+damping solves per fit and the summed iterations.
 
 With --compare, the stages present in both files whose `median_ref` rose or
 fell by more than a factor 1 + COMPARE_CHANGE against PREV.json, slower or
@@ -114,17 +115,17 @@ FIT_WORKLOAD_SEEDS = {"large-n": 3, "recover-hidim": 1}
 COMPARE_CHANGE = 0.20
 HIDIM_SEEDS = (1, 5, 12, 13)
 REPEAT_S = 0.02  # a shorter repeat is lost in the noise of the reference around it
-QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error", "pencil_draws", "refine_solves",
+QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error", "sweeps", "refine_solves",
                 "reaches_truth", "one_point", "recovery_error_median",
-                "recovery_error_under_0_1", "refine_solves_per_fit")
+                "recovery_error_under_0_1", "sweeps_per_call", "refine_solves_per_fit")
 # per stage, the library functions whose calls it times (`inside`)
 FIT_STAGES = {
     "frame": ((cli, "_frame"),),
     "second_order": ((moments, "_sample_moments"),),
     "m3_in_w": ((moments, "_m3_array"),),
     "decompose": ((moments, "decompose"),),
-    "decompose_svd_basis": ((waring, "truncated_svd_basis"),),
-    "decompose_pencil_draws": ((waring, "simultaneous_diagonalize"), (waring, "solve_weights")),
+    "decompose_whitened_points": ((waring, "_whitened_points"),),
+    "decompose_weights": ((waring, "solve_weights"),),
     "decompose_refine": ((waring, "refine"),),
     "recover_solves": ((moments, "solve_weights"),),
     "em": ((gmm, "_e_kernel"), (gmm, "_m_kernel")),
@@ -213,6 +214,21 @@ def per_sample(calls) -> float:
     for call in calls:
         call()
     return (time.perf_counter() - t0) / len(calls)
+
+
+def sweeps_and_solves(call):
+    """What `call` returns, with the sweeps of each joint diagonalization and
+    the `cho_factor` calls of `refine` it made."""
+    sweeps, inner = [], waring.simultaneous_diagonalize
+
+    def recording(*args, **kwargs):
+        v, done = inner(*args, **kwargs)
+        sweeps.append(done)
+        return v, done
+
+    with mock.patch.object(waring, "simultaneous_diagonalize", recording), \
+            mock.patch.object(waring, "cho_factor", wraps=waring.cho_factor) as solves:
+        return call(), sweeps, solves.call_count
 
 
 def inside(calls, names) -> tuple[float, float]:
@@ -317,8 +333,8 @@ def bench_fit(workload: str, repeats: int, ref: Reference) -> dict:
     end and by stage (FIT_STAGES), each stage with its wrapped calls per fit.
     Every entry carries the fits' quality and the recovery error of their
     starts, as the benchmark computes it; `decompose` carries each fit's
-    pencil draws and refine's damping factorizations. `stage_coverage` is
-    the share of the fits spent inside the TOP_STAGES."""
+    joint-diagonalization sweeps and refine's damping factorizations.
+    `stage_coverage` is the share of the fits spent inside the TOP_STAGES."""
     seed = FIT_WORKLOAD_SEEDS[workload]
     work = workloads.make(workload, seed)
     r, samples = work.r, work.samples
@@ -334,11 +350,9 @@ def bench_fit(workload: str, repeats: int, ref: Reference) -> dict:
     for stage, names in FIT_STAGES.items():
         report[stage] = (timings(lambda names=names: inside(fits, names)[0], repeats, ref)
                          | {"calls_per_fit": inside(fits, names)[1]} | fit_quality)
-    report["decompose"] |= {
-        count: [int(inside([fit], ((waring, name),))[1]) for fit in fits]
-        for count, name in (("pencil_draws", "simultaneous_diagonalize"),
-                            ("refine_solves", "cho_factor"))
-    }
+    counts = [sweeps_and_solves(fit)[1:] for fit in fits]
+    report["decompose"] |= {"sweeps": [sum(sweeps) for sweeps, _ in counts],
+                            "refine_solves": [solves for _, solves in counts]}
     return {"workload": workload, "workload_seed": seed, "n": work.n, "r": r,
             "sample_fit_seeds": seeds, "stages": report,
             "stage_coverage": stage_coverage(fits, repeats)}
@@ -367,20 +381,22 @@ def moved(new: float, old: float) -> str | None:
 def hidim_quality(seeds=HIDIM_SEEDS) -> dict:
     """The moments start and its EM fit on the `recover-hidim` samples of
     each workload seed in `seeds`, sample k fitted with seed k: per sample
-    the recovery error of the start, refine's damping factorizations, the EM
-    iterations, whether the fit reaches the truth log-likelihood and whether
-    it is one-point; and their row."""
-    out = {key: [] for key in ("recovery_error", "refine_solves", "iterations",
+    the recovery error of the start, the sweeps of its joint diagonalization,
+    refine's damping factorizations, the EM iterations, whether the fit
+    reaches the truth log-likelihood and whether it is one-point; and their
+    row."""
+    out = {key: [] for key in ("recovery_error", "sweeps", "refine_solves", "iterations",
                                "reaches_truth", "one_point")}
     for seed in seeds:
         work = workloads.make("recover-hidim", seed)
         for k, (data, _) in enumerate(work.samples):
-            with mock.patch.object(waring, "cho_factor", wraps=waring.cho_factor) as solves:
-                start, _ = gmm.init_moments(data, work.r, rng_seed=k)
+            (start, _), sweeps, solves = sweeps_and_solves(
+                lambda: gmm.init_moments(data, work.r, rng_seed=k))
             fit = gmm.em_fit(data, work.r, start, rng_seed=k)
             best = gmm.em_fit(data, work.r, work.model, rng_seed=k).loglik_trace[-1]
             out["recovery_error"].append(workloads.recovery_error(start.means, work.model.means))
-            out["refine_solves"].append(solves.call_count)
+            out["sweeps"] += sweeps
+            out["refine_solves"].append(solves)
             out["iterations"].append(fit.iterations)
             out["reaches_truth"].append(bool(fit.loglik_trace[-1] >= best - 1e-6 * abs(best)))
             out["one_point"].append(bool(gmm.e_step(fit.params, data)[0].sum(axis=0).min() < 2.0))
@@ -390,6 +406,7 @@ def hidim_quality(seeds=HIDIM_SEEDS) -> dict:
         "recovery_error_under_0_1": sum(e < 0.1 for e in errors),
         "reaches_truth": sum(out["reaches_truth"]),
         "one_point": sum(out["one_point"]),
+        "sweeps_per_call": statistics.fmean(out["sweeps"]),
         "refine_solves_per_fit": statistics.fmean(out["refine_solves"]),
         "iterations": sum(out["iterations"]),
     }}

@@ -559,8 +559,8 @@ def init_moments(
 
     Returns (params, fallback); fallback is True when moment recovery failed
     and random seeding was substituted.  `rng_seed` seeds only that random
-    fallback: the pencil draws of the decomposition always use `decompose`'s
-    default rng_seed, 0, so every seed gives the same start on the same data.
+    fallback: the decomposition's draw always uses `decompose`'s default
+    rng_seed, 0, so every seed gives the same start on the same data.
     """
     frame = _frame(data)
     if not 1 <= r <= frame.x.shape[1]:

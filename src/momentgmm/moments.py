@@ -8,7 +8,8 @@ form,
     M3(X) = sum_i w_i (mu_i . X)^3
 
 where s_i^2 are the component variances.  Recovery Waring-decomposes M3 in
-the span W of M2's top r eigenvectors, then solves against M2 and M1.  The fit
+the span W of M2's top r eigenvectors, whitened by M2's eigenvalues there,
+then solves against M2 and M1.  The fit
 path forms only that r-variable M3, from the projected data y = data W;
 `recover_parameters` contracts a full M3 with W.
 A fit checks and centers its data once, into a `Frame` that the moments and
@@ -72,9 +73,11 @@ class MomentSet:
 
 @dataclass
 class RecoveredParams:
-    """Mixture parameters read off the moment tensors, with the relative apolar
-    residuals of the M2 and M1 solves, the decomposition dimension and M2's
-    eigenvalues lambda_r, lambda_(r+1) as diagnostics."""
+    """Mixture parameters read off the moment tensors, with diagnostics: the
+    relative apolar residuals of the M2 and M1 solves, the complex-leak flag
+    (False on the whitened route), the joint-diagonalization sweeps, the
+    whitening spread lambda_r / lambda_1, refine's accepted steps, the
+    decomposition dimension and M2's eigenvalues lambda_r, lambda_(r+1)."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -190,7 +193,7 @@ def recover_from_data(data: np.ndarray | Frame, r: int) -> tuple[RecoveredParams
     """(recover_parameters(empirical_moments(data), r), sigma_bar_sq) up to
     rounding, with M3 in W formed as that of y = data W (W^t W = I)."""
     data, m1, m2, sigma_bar_sq, _, _ = _sample_moments(data)
-    rec = _recover(m1, m2, sigma_bar_sq, r, len(data), lambda w: _m3_array(data @ w, m1 @ w))
+    rec = _recover(m1, m2, sigma_bar_sq, r, lambda w: _m3_array(data @ w, m1 @ w))
     return rec, sigma_bar_sq
 
 
@@ -200,23 +203,23 @@ def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
     # dense[a, b, c] = T_(e_a+e_b+e_c), gathered through the degree-2 and
     # degree-3 "beta + e_i" tables
     dense = moments.m3.coeffs[sum_index(m, 2, 1)[sum_index(m, 1, 1)]]
-    return _recover(moments.m1, moments.m2, moments.sigma_bar_sq, r, moments.n_samples,
+    return _recover(moments.m1, moments.m2, moments.sigma_bar_sq, r,
                     lambda w: _symmetric_array_coeffs(
                         np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w, optimize=True)))
 
 
-def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
+def _recover(m1, m2, sigma_bar_sq, r, m3_in) -> RecoveredParams:
     """Waring-decompose m3_in(W), M3's coefficients in the span W of M2's top r eigenvectors,
-    where the means lie, map the points back, rescale against M2, then solve M1 for variances;
-    both solves are `solve_weights`, which rejects linearly dependent means."""
+    where the means lie, whitened by M2's eigenvalues there; map the points back, rescale
+    against M2, then solve M1 for variances.  Both solves are `solve_weights`, which rejects
+    linearly dependent means."""
     m = len(m1)
     if r > m:
         raise InputError(f"r={r} exceeds dimension m={m}; r <= m is required")
 
     eigvals, eigvecs = np.linalg.eigh(m2)
-    basis = eigvecs[:, ::-1][:, :r]
-    on_complex = "error" if n_samples == "exact" else "warn"
-    dec = decompose(SymmetricTensor(r, 3, m3_in(basis)), rank=r, on_complex=on_complex)
+    basis, top = eigvecs[:, ::-1][:, :r], eigvals[::-1][:r]
+    dec = decompose(SymmetricTensor(r, 3, m3_in(basis)), m2_eigenvalues=top)
     w_tilde, mu_tilde = dec.weights, dec.points @ basis.T
 
     # scale system: sum_i lambda_i w~_i (mu~_i . X)^2 = M2(X)
@@ -249,6 +252,9 @@ def _recover(m1, m2, sigma_bar_sq, r, n_samples, m3_in) -> RecoveredParams:
             "residual_m2": resid_m2,
             "residual_m1": resid_m1,
             "complex_leak": dec.complex_leak,
+            "sweeps": dec.sweeps,
+            "whitening_spread": float(top[-1] / top[0]),
+            "refine_steps": dec.refine_steps,
             "subspace_dim": r,
             "m2_lambda_r": float(eigvals[m - r]),
             "m2_lambda_r_plus_1": float(eigvals[m - r - 1]) if r < m else None,

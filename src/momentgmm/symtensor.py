@@ -215,6 +215,9 @@ class WaringDecomposition:
     order: int
     # set by decompose when it dropped the points' imaginary parts
     complex_leak: bool = False
+    # the sweeps of decompose's joint diagonalization, and refine's accepted steps
+    sweeps: int = 0
+    refine_steps: int = 0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)

@@ -1,13 +1,18 @@
 """Waring decomposition of identifiable symmetric tensors.
 
 Pipeline: SVD of a Hankel matrix to get an orthonormal basis U of its column
-space, slice U by variable-divisibility into a matrix pencil, simultaneously
-diagonalize the pencil with a random two-vector combination to read off the
-decomposition points, then solve a linear system for the weights.  An
-optional damped Gauss-Newton pass polishes noisy decompositions.
+space, slice U by variable-divisibility into a matrix pencil, diagonalize
+the pencil with a random two-vector combination to read off the
+decomposition points, then solve a linear system for the weights.  Given the
+diagonal second moment of an order-3 tensor's points, the points come instead
+from the whitened tensor, whose slices one orthogonal matrix diagonalizes.
+An optional damped Gauss-Newton pass polishes noisy decompositions.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -19,6 +24,7 @@ from .symtensor import (
     WaringDecomposition,
     apolar_norm,
     evaluation_matrix,
+    index_tuples,
     multinomial_weights,
     num_coeffs,
     pow_linear,  # noqa: F401  perfbench/smoke.py checks the tracer wraps it here
@@ -26,11 +32,12 @@ from .symtensor import (
     sum_index,
 )
 
-# best of MAX_PENCIL_RETRIES successful pencil draws, out of at most
-# MAX_PENCIL_DRAWS attempts
-MAX_PENCIL_RETRIES = 5
-MAX_PENCIL_DRAWS = 25
-REFINE_ITERATIONS = 5  # refine steps after a best draw whose residual exceeds 1e-14
+MAX_PENCIL_DRAWS = 25  # the first pencil draw that succeeds is kept
+REFINE_ITERATIONS = 5  # most refine steps after a start whose residual exceeds 1e-14
+REFINE_STOP = 1e-2  # refine stops after an accepted step that lowers its cost less, relative
+MAX_SWEEPS = 50
+SWEEP_TOL = 1e-12  # joint diagonalization stops after a sweep whose every |sin| is below it
+_PAIR_MIX = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 EIGENVALUE_GAP_TOL = 1e-10
 IMAG_LEAK_TOL = 1e-6
 
@@ -74,7 +81,7 @@ def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit * signs[:, None], norms * signs
 
 
-def simultaneous_diagonalize(
+def pencil_points(
     slices: np.ndarray, rng_seed: int = 0, on_complex: str = "error"
 ) -> tuple[np.ndarray, bool]:
     """Recover the decomposition points (one per pencil eigenvector) from one
@@ -116,6 +123,85 @@ def simultaneous_diagonalize(
     return unit, leak
 
 
+@lru_cache(maxsize=None)
+def _round_robin(r: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Every pair p < q of range(r) once, in rounds of disjoint pairs (the
+    circle method, with a bye at odd r).  For n stacked r x r matrices laid
+    out as a[i, j, l] = A_j[i, l], a round is the (k, n, 4) flat index of its
+    pairs' entries (p, p), (q, q), (p, q), (q, p), and the flat indices of an
+    r x r rotation's pairs of entries ((p, p), (q, p)) and ((q, q), (p, q))."""
+    ring, rounds = np.arange(1, r + r % 2), []
+    for _ in range(len(ring)):
+        first, last = np.split(np.concatenate([[0], ring]), 2)  # seat i faces seat -1 - i
+        p, q = np.minimum(first, last[::-1]), np.maximum(first, last[::-1])
+        p, q = p[q < r], q[q < r]
+        rows, cols = np.stack([p, q, p, q], axis=-1), np.stack([p, q, q, p], axis=-1)
+        flat = rows[:, None] * (n * r) + (np.arange(n) * r)[:, None] + cols[:, None]
+        rounds.append((flat, np.stack([p * (r + 1), q * r + p], axis=-1).ravel(),
+                       np.stack([q * (r + 1), p * r + q], axis=-1).ravel()))
+        ring = np.roll(ring, 1)
+    return tuple(rounds)
+
+
+def simultaneous_diagonalize(slices: np.ndarray, rng_seed: int = 0) -> tuple[np.ndarray, int]:
+    """An orthogonal V whose columns jointly diagonalize the n symmetric r x r
+    matrices slices[j], and the sweeps it took.  V starts as the eigenvectors
+    of sum_j theta_j slices[j], theta a unit vector drawn from `rng_seed`.
+    Jacobi rotations then lower the off-diagonal mass of all A_j = V^T
+    slices[j] V at once (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl.
+    1996).  Pair (p, q) turns by a quarter of the argument of sum_j h_j^2,
+    h_j = A_j,pp - A_j,qq + i (A_j,pq + A_j,qp), in parallel round-robin
+    order, until a sweep's every |sin| is below SWEEP_TOL or MAX_SWEEPS
+    sweeps have run; r = 1 takes none."""
+    n, r = len(slices), slices.shape[-1]
+    theta = np.random.default_rng(rng_seed).standard_normal(n)
+    _, v = np.linalg.eigh(np.tensordot(theta / np.linalg.norm(theta), slices, axes=1))
+    # a[i, j, l] = A_j[i, l], so that each side of a rotation is one product
+    a = (v.T @ slices @ v).transpose(1, 0, 2).reshape(r * n, r)
+    rounds = _round_robin(r, n)
+    # a round rewrites the same entries of its rotation each sweep; the rest stays the identity
+    rots = np.tile(np.eye(r), (len(rounds), 1, 1))
+    sweeps = 0
+    while r > 1 and sweeps < MAX_SWEEPS:
+        sweeps += 1
+        sines = []
+        for (flat, cos_sin, cos_minus_sin), rot in zip(rounds, rots):
+            # (A_pp - A_qq, A_pq + A_qp) side by side, read as one complex h per slice
+            h = (a.take(flat) @ _PAIR_MIX).view(complex)[..., 0]
+            turn = np.exp(0.25j * np.angle(np.einsum("kj,kj->k", h, h)))
+            rot.flat[cos_sin] = turn.view(float)
+            rot.flat[cos_minus_sin] = turn.conj().view(float)
+            a = (rot.T @ a.reshape(r, -1)).reshape(-1, r) @ rot
+            v = v @ rot
+            sines.append(turn.imag)
+        if np.abs(np.concatenate(sines)).max() < SWEEP_TOL:
+            break
+    return v, sweeps
+
+
+def _whitened_points(
+    t: SymmetricTensor, eigenvalues: np.ndarray, rng_seed: int
+) -> tuple[np.ndarray, int]:
+    """Unit points of t = sum_i w_i (p_i . X)^3 in r = t.dim variables whose
+    second moment sum_i w_i p_i p_i^T is diag(eigenvalues) (Hsu & Kakade,
+    arXiv:1206.5766), and the sweeps of their joint diagonalization.  With
+    coefficient (a, b, c) divided by sqrt(lambda_a lambda_b lambda_c), t is
+    sum_i w_i^(-1/2) v_i^(x)3 for orthonormal v_i = sqrt(w_i) p_i / sqrt(lambda),
+    so its slices share the eigenvectors v_i, and p_i lies along sqrt(lambda) * v_i."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if t.order != 3 or lam.shape != (t.dim,):
+        raise InputError("m2_eigenvalues needs an order-3 tensor and one eigenvalue per variable")
+    if not np.all(lam > 0):
+        raise NumericalError("cannot whiten: the second moment is not positive definite")
+    r, roots = t.dim, np.sqrt(lam)
+    whitened = t.coeffs / roots[index_tuples(r, 3)].prod(axis=1)
+    if not (np.isfinite(whitened).all() and np.isfinite(roots).all()):
+        raise NumericalError("cannot whiten: non-finite tensor or second moment")
+    v, sweeps = simultaneous_diagonalize(whitened[sum_index(r, 2, 1)[sum_index(r, 1, 1)]], rng_seed)
+    unit, _ = _normalize_points(roots * v.T)
+    return unit, sweeps
+
+
 def solve_weights(t: SymmetricTensor, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares x for T = sum_i x_i rows_i under the apolar inner product,
     each row holding coefficients in t's layout; `decompose` passes
@@ -143,49 +229,49 @@ def relative_residual(t: SymmetricTensor, w: WaringDecomposition) -> float:
 def decompose(
     t: SymmetricTensor, *, rank: int | None = None, k: int | None = None,
     rank_tolerance: float = RANK_TOLERANCE, rng_seed: int = 0, on_complex: str = "error",
+    m2_eigenvalues: np.ndarray | None = None,
 ) -> WaringDecomposition:
-    """Full decomposition: Hankel SVD in row degree k (default_row_degree when
-    None) truncated by `truncated_svd_basis`, pencil diagonalization on draws
-    from rng_seed, weight solve, optional Gauss-Newton refinement.
+    """Full decomposition: start points, weight solve, Gauss-Newton refinement
+    (`refine`) when the weight solve leaves a relative residual above 1e-14.
+
+    Without m2_eigenvalues the points come from the Hankel SVD in row degree
+    k (default_row_degree when None) truncated by `truncated_svd_basis`, and
+    the first pencil draw from rng_seed that succeeds (`pencil_points`).
     on_complex "error" rejects complex-leaking points (exact tensors); "warn"
-    takes their real parts and flags the result (empirical moment tensors).
+    takes their real parts and flags the result.
+
+    m2_eigenvalues, the diagonal of sum_i w_i p_i p_i^T for an order-3 t in
+    its own coordinates (M2's top r eigenvalues on W, in the moments path),
+    whitens t instead (`_whitened_points`, theta drawn from rng_seed); the
+    rank is then t.dim, and k, rank_tolerance and on_complex do not apply.
 
     Points come back unit-normalized with scale absorbed into the weights.
     """
     if on_complex not in ("error", "warn"):
         raise InputError("on_complex must be 'error' or 'warn'")
-    k = k if k is not None else default_row_degree(t.order)
-    slices = truncated_svd_basis(t, k, rank, rank_tolerance)
-    r = slices.shape[-1]
-    if r > num_coeffs(t.dim, k - 1):
-        raise NumericalError(
-            f"detected rank {r} exceeds s_(k-1); choose a larger k"
-        )
-
-    # the random combination quality varies on noisy tensors, so draw a few
-    # pencils and keep the candidate with the smallest residual (the first,
-    # on a tie); unlucky draws are skipped, within a budget of MAX_PENCIL_DRAWS
-    found = []
-    last_error = None
-    for draw in range(MAX_PENCIL_DRAWS):
-        try:
-            points, leak = simultaneous_diagonalize(slices, rng_seed + 7919 * draw, on_complex)
-            weights, rel = solve_weights(t, evaluation_matrix(points, t.order))
-        except NumericalError as exc:
-            last_error = exc
-            continue
-        found.append((rel, weights, points, leak))
-        if rel < 1e-10 or len(found) == MAX_PENCIL_RETRIES:
-            break
-    if not found:
-        raise NumericalError(
-            f"all {MAX_PENCIL_DRAWS} pencil draws failed: {last_error}"
-        )
-    rel, weights, points, leak = min(found, key=lambda candidate: candidate[0])
-
-    result = WaringDecomposition(
-        weights=weights, points=points, order=t.order, complex_leak=leak
-    )
+    if m2_eigenvalues is not None:
+        if rank not in (None, t.dim):
+            raise InputError(f"with m2_eigenvalues the rank is the dimension {t.dim}, not {rank}")
+        points, sweeps = _whitened_points(t, m2_eigenvalues, rng_seed)
+        weights, rel = solve_weights(t, evaluation_matrix(points, t.order))
+        result = WaringDecomposition(weights, points, t.order, sweeps=sweeps)
+    else:
+        k = k if k is not None else default_row_degree(t.order)
+        slices = truncated_svd_basis(t, k, rank, rank_tolerance)
+        r = slices.shape[-1]
+        if r > num_coeffs(t.dim, k - 1):
+            raise NumericalError(f"detected rank {r} exceeds s_(k-1); choose a larger k")
+        # unlucky draws are skipped, within a budget of MAX_PENCIL_DRAWS
+        for draw in range(MAX_PENCIL_DRAWS):
+            try:
+                points, leak = pencil_points(slices, rng_seed + 7919 * draw, on_complex)
+                weights, rel = solve_weights(t, evaluation_matrix(points, t.order))
+                break
+            except NumericalError as exc:
+                last_error = exc
+        else:
+            raise NumericalError(f"all {MAX_PENCIL_DRAWS} pencil draws failed: {last_error}")
+        result = WaringDecomposition(weights, points, t.order, complex_leak=leak)
     if rel > 1e-14:
         result = refine(t, result, REFINE_ITERATIONS)
     return result
@@ -237,7 +323,10 @@ def refine(
     up to rounding, and bit for bit with scaling the points by 2^k and the
     tensor by 2^(dk).  A zero weight is a zero q_i, whose Jacobian
     rows and gradient vanish (d > 1): it comes back with weight 0 and its
-    input point.  Returns the best decomposition."""
+    input point.  It stops after `iters` accepted steps, or after one that
+    lowers the cost by less than REFINE_STOP relative, or when 20 damping
+    retries in a row fail.  Returns the best decomposition, with its accepted
+    steps as `refine_steps`."""
     if iters <= 0:
         return w
     d = t.order
@@ -258,10 +347,8 @@ def refine(
 
     points = roots[:, None] * w.points
     res, cost = residual(points)
-    lam = None
-    for _ in range(iters):
-        if cost == 0.0:
-            break
+    lam, steps, gain = None, 0, 1.0
+    while steps < iters and cost > 0.0 and gain >= REFINE_STOP:
         # one normal system per iteration; damping retries shift its diagonal
         jtj, grad = _normal_equations(signs, points, d, res)
         diag = jtj.diagonal().copy()
@@ -277,7 +364,8 @@ def refine(
             new_points = points + step.reshape(r, m)
             new_res, new_cost = residual(new_points)
             if new_cost < cost:
-                points, res, cost = new_points, new_res, new_cost
+                gain = (cost - new_cost) / cost
+                points, res, cost, steps = new_points, new_res, new_cost, steps + 1
                 lam = max(lam / 10.0, 1e-6 * lam0)
                 break
             lam *= 10.0
@@ -286,7 +374,5 @@ def refine(
 
     zero = ~points.any(axis=1)  # a zero term keeps its input point
     unit, scales = _normalize_points(np.where(zero[:, None], w.points, points))
-    return WaringDecomposition(
-        weights=signs * np.where(zero, 0.0, scales) ** d, points=unit, order=d,
-        complex_leak=w.complex_leak,
-    )
+    return replace(w, weights=signs * np.where(zero, 0.0, scales) ** d, points=unit,
+                   refine_steps=steps)

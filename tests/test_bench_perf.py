@@ -141,6 +141,9 @@ def test_hidim_quality_is_the_moments_fit_of_each_sample(perf):
     assert row["reaches_truth"] == sum(got["reaches_truth"]) >= 4
     assert row["one_point"] == sum(got["one_point"]) <= 4
     assert row["refine_solves_per_fit"] == np.mean(got["refine_solves"]) >= 1
+    # one joint diagonalization per start, each of at least one sweep
+    assert len(got["sweeps"]) == 8 and min(got["sweeps"]) >= 1
+    assert row["sweeps_per_call"] == np.mean(got["sweeps"])
     assert row["iterations"] == sum(got["iterations"])
     work = perf.workloads.make("recover-hidim", 1)
     data, _ = work.samples[0]
@@ -246,10 +249,14 @@ def test_decompose_split_wraps_every_call(perf, fits, monkeypatch):
     parts = {stage: perf.inside(calls, names) for stage, names in perf.FIT_STAGES.items()
              if stage.startswith("decompose")}
     assert all(seconds == entered for seconds, entered in parts.values())
-    # the empirical tensors are not fitted to 1e-14, so each fit refines once
-    assert parts["decompose"] == parts["decompose_svd_basis"] == parts["decompose_refine"] == (1, 1)
-    draws, _ = perf.inside(calls, ((waring, "simultaneous_diagonalize"),))
-    assert parts["decompose_pencil_draws"][0] > draws >= 1
+    # one whitened start and one weight solve per fit; the empirical tensors
+    # are not fitted to 1e-14, so each fit refines once
+    assert set(parts) == {"decompose", "decompose_whitened_points", "decompose_weights",
+                          "decompose_refine"}
+    assert all(part == (1, 1) for part in parts.values())
+    # one joint diagonalization per decomposition, and no Hankel pencil
+    assert perf.inside(calls, ((waring, "simultaneous_diagonalize"),)) == (1, 1)
+    assert perf.inside(calls, ((waring, "truncated_svd_basis"), (waring, "pencil_points"))) == (0, 0)
     assert all(perf.inside([call], ((waring, "cho_factor"),))[1] >= 1 for call in calls)
 
 

@@ -17,6 +17,7 @@ from momentgmm import (
 from momentgmm import waring
 from momentgmm.waring import (
     default_row_degree,
+    pencil_points,
     relative_residual,
     simultaneous_diagonalize,
     solve_weights,
@@ -100,12 +101,86 @@ class TestTruncatedSvdBasis:
         assert slices.shape == (4, 4, 2)  # 4 variables, s_1 = 4 rows, rank 2
 
 
+def whitened(rng, r):
+    """An order-3 tensor in r variables whose points have a diagonal second
+    moment: sum_i w_i (p_i . X)^3 with p_i = L^(1/2) v_i / sqrt(w_i), the v_i
+    orthonormal and L the diagonal, so that sum_i w_i p_i p_i^T = L; its
+    weights and points in decompose's canonical form, and L."""
+    v, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    weights = rng.uniform(0.5, 2.0, r)
+    lam = np.sort(rng.uniform(0.5, 4.0, r))[::-1]
+    points = np.sqrt(lam) * v.T / np.sqrt(weights)[:, None]
+    t = reconstruct(WaringDecomposition(weights=weights, points=points, order=3))
+    return (t, *normalized_ground_truth(weights, points, 3), lam)
+
+
 class TestSimultaneousDiagonalize:
+    def test_recovers_point_directions(self):
+        # the whitened slices of an exact tensor are diagonalized exactly
+        rng = np.random.default_rng(3)
+        t, tw, tp, lam = whitened(rng, 4)
+        dec = decompose(t, m2_eigenvalues=lam)
+        worst_pt, worst_w = match_error(dec, tw, tp)
+        assert worst_pt < 1e-12 and worst_w < 1e-12
+        assert dec.sweeps >= 1 and dec.refine_steps == 0 and not dec.complex_leak
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 6, 15])
+    def test_commuting_slices(self, r):
+        # slices[j] = Q diag(d_j) Q^T share Q's columns as eigenvectors; r = 1
+        # needs no rotation, and r = 2 is one pair in one round
+        rng = np.random.default_rng(r)
+        q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        slices = np.einsum("ai,ji,bi->jab", q, rng.standard_normal((r, r)), q)
+        v, sweeps = simultaneous_diagonalize(slices)
+        assert (sweeps == 0) == (r == 1) and sweeps <= waring.MAX_SWEEPS
+        np.testing.assert_allclose(v.T @ v, np.eye(r), atol=1e-14)
+        a = v.T @ slices @ v
+        off = a - np.einsum("jaa->ja", a)[:, :, None] * np.eye(r)
+        assert np.abs(off).max() < 1e-13 * np.abs(slices).max()
+        # each column of v is a column of q, up to sign
+        np.testing.assert_allclose(np.abs(q.T @ v).max(axis=0), 1.0, atol=1e-12)
+
+    def test_noisy_slices_stop_at_a_sweep_that_barely_turns(self, monkeypatch):
+        # no V diagonalizes these slices exactly; the sweeps stop once one
+        # turns every pair by less than SWEEP_TOL, so the last sweep moves V
+        # at rounding level, and with one sweep fewer allowed the cap stops it
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        slices = np.einsum("ai,ji,bi->jab", q, rng.standard_normal((6, 6)), q)
+        noise = 1e-3 * rng.standard_normal(slices.shape)
+        slices += noise + noise.transpose(0, 2, 1)
+        v, sweeps = simultaneous_diagonalize(slices)
+        assert 3 <= sweeps < waring.MAX_SWEEPS
+        monkeypatch.setattr(waring, "MAX_SWEEPS", sweeps - 1)
+        capped, capped_sweeps = simultaneous_diagonalize(slices)
+        assert capped_sweeps == sweeps - 1
+        assert 0 < np.abs(v - capped).max() < 1e-10
+
+    def test_whitening_needs_positive_eigenvalues(self):
+        rng = np.random.default_rng(4)
+        t, _, _, lam = whitened(rng, 3)
+        for bad in ([1.0, 0.5, 0.0], [1.0, -0.5, 0.2], [1.0, np.nan, 0.5]):
+            with pytest.raises(NumericalError, match="not positive definite"):
+                decompose(t, m2_eigenvalues=np.array(bad))
+        with pytest.raises(NumericalError, match="non-finite"):
+            decompose(t, m2_eigenvalues=np.array([1.0, np.inf, 0.5]))
+        overflowed = SymmetricTensor(3, 3, np.where(np.arange(10) == 4, np.inf, t.coeffs))
+        with pytest.raises(NumericalError, match="non-finite"):
+            decompose(overflowed, m2_eigenvalues=lam)
+        with pytest.raises(InputError, match="one eigenvalue per variable"):
+            decompose(t, m2_eigenvalues=lam[:2])
+        with pytest.raises(InputError, match="the rank is the dimension 3"):
+            decompose(t, rank=2, m2_eigenvalues=lam)
+        with pytest.raises(InputError, match="order-3"):
+            decompose(pow_linear([1.0, 2.0, 3.0], 4), m2_eigenvalues=lam)
+
+
+class TestPencilPoints:
     def test_recovers_point_directions(self):
         rng = np.random.default_rng(3)
         t, _, tp = random_decomposable(rng, 4, 3, 3)
         slices = truncated_svd_basis(t, 2)
-        points, leak = simultaneous_diagonalize(slices, rng_seed=0)
+        points, leak = pencil_points(slices, rng_seed=0)
         assert not leak
         worst, _ = match_error(
             WaringDecomposition(np.ones(3), points, 3), np.ones(3), tp
@@ -118,12 +193,12 @@ class TestSimultaneousDiagonalize:
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
         slices = truncated_svd_basis(t, 2, rank=2)
         with pytest.raises(NumericalError):
-            simultaneous_diagonalize(slices, rng_seed=0, on_complex="error")
+            pencil_points(slices, rng_seed=0, on_complex="error")
 
     def test_complex_leak_warn_mode(self):
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
         slices = truncated_svd_basis(t, 2, rank=2)
-        points, leak = simultaneous_diagonalize(slices, rng_seed=0, on_complex="warn")
+        points, leak = pencil_points(slices, rng_seed=0, on_complex="warn")
         assert leak
         assert points.shape == (2, 2)
         assert np.isrealobj(points)
@@ -309,6 +384,27 @@ class TestRefine:
         np.testing.assert_allclose(shifted[2] - shifted[1], 10 * (shifted[1] - shifted[0]))
         assert relative_residual(t, out) < relative_residual(t, start)
 
+    def test_stops_after_a_step_that_gains_little(self):
+        # every accepted step but the last lowers the cost by at least
+        # REFINE_STOP relative; the last, by less, ends the descent early
+        rng = np.random.default_rng(16)
+        t, tw, tp = random_decomposable(rng, 5, 3, 3)
+        noisy = SymmetricTensor(5, 3, t.coeffs + 1e-3 * rng.standard_normal(len(t.coeffs)))
+        start = WaringDecomposition(
+            weights=tw + 0.05 * rng.standard_normal(3),
+            points=tp + 0.05 * rng.standard_normal(tp.shape),
+            order=3,
+        )
+        out = refine(noisy, start, 50)
+        steps = out.refine_steps
+        assert 2 <= steps < 50
+        runs = [refine(noisy, start, k) for k in range(1, steps + 1)]
+        assert [run.refine_steps for run in runs] == list(range(1, steps + 1))
+        assert np.array_equal(runs[-1].points, out.points)
+        costs = [relative_residual(noisy, run) ** 2 for run in [start] + runs]
+        gains = [(a - b) / a for a, b in zip(costs, costs[1:])]
+        assert min(gains[:-1]) >= waring.REFINE_STOP > gains[-1] > 0
+
     def test_zero_iterations_identity(self):
         rng = np.random.default_rng(13)
         t, tw, tp = random_decomposable(rng, 3, 2, 3)
@@ -323,12 +419,11 @@ class TestRefine:
 
 
 def nested_diagonalize(slices, rng_seed, on_complex):
-    """Reference: the earlier simultaneous_diagonalize, which drew up to
-    MAX_PENCIL_RETRIES (a, b) pairs from one stream and returned the first
-    that diagonalized."""
+    """Reference: the earlier pencil diagonalization, which drew up to 5
+    (a, b) pairs from one stream and returned the first that diagonalized."""
     m, _, r = slices.shape
     rng = np.random.default_rng(rng_seed)
-    for _ in range(waring.MAX_PENCIL_RETRIES):
+    for _ in range(5):
         a = rng.standard_normal(m)
         a /= np.linalg.norm(a)
         b = rng.standard_normal(m)
@@ -362,11 +457,11 @@ def nested_diagonalize(slices, rng_seed, on_complex):
 
 
 def nested_decompose(t, rank, k, rng_seed, on_complex):
-    """Reference: the earlier decompose, MAX_PENCIL_RETRIES outer draws each
-    running nested_diagonalize on its own seed, best residual kept."""
+    """Reference: the earlier decompose's outer draws, each running
+    nested_diagonalize on its own seed, under the one-draw rule: the first
+    that succeeds is kept."""
     slices = truncated_svd_basis(t, k, rank)
-    best = None
-    for attempt in range(waring.MAX_PENCIL_RETRIES):
+    for attempt in range(waring.MAX_PENCIL_DRAWS):
         try:
             points, leak = nested_diagonalize(
                 slices, rng_seed + 7919 * attempt, on_complex
@@ -374,11 +469,7 @@ def nested_decompose(t, rank, k, rng_seed, on_complex):
             weights, rel = solve_weights(t, evaluation_matrix(points, t.order))
         except NumericalError:
             continue
-        if best is None or rel < best[0]:
-            best = (rel, weights, points, leak)
-        if rel < 1e-10:
-            break
-    _, weights, points, leak = best
+        break
     result = WaringDecomposition(weights, points, t.order, complex_leak=leak)
     if relative_residual(t, result) > 1e-14:
         result = refine(t, result, waring.REFINE_ITERATIONS)
@@ -386,15 +477,15 @@ def nested_decompose(t, rank, k, rng_seed, on_complex):
 
 
 def record_draw_seeds(monkeypatch):
-    """Make decompose log the seed of every simultaneous_diagonalize call."""
+    """Make decompose log the seed of every pencil_points call."""
     seeds = []
-    inner = waring.simultaneous_diagonalize
+    inner = waring.pencil_points
 
     def recording(slices, rng_seed=0, on_complex="error"):
         seeds.append(rng_seed)
         return inner(slices, rng_seed, on_complex)
 
-    monkeypatch.setattr(waring, "simultaneous_diagonalize", recording)
+    monkeypatch.setattr(waring, "pencil_points", recording)
     return seeds
 
 
@@ -414,7 +505,9 @@ class TestPencilDrawLoop:
         assert np.array_equal(got.points, want.points)
         assert got.complex_leak is want.complex_leak
 
-    def test_noisy_tensor_runs_every_draw(self, monkeypatch):
+    def test_noisy_tensor_takes_the_first_draw(self, monkeypatch):
+        # a noisy tensor leaves a residual above any threshold, and still the
+        # first draw that succeeds is the one kept
         rng = np.random.default_rng(14)
         t, _, _ = random_decomposable(rng, 5, 3, 3)
         noisy = SymmetricTensor(
@@ -422,7 +515,25 @@ class TestPencilDrawLoop:
         )
         seeds = record_draw_seeds(monkeypatch)
         decompose(noisy, rank=3, k=2, rng_seed=4, on_complex="warn")
-        assert seeds == [4 + 7919 * j for j in range(waring.MAX_PENCIL_RETRIES)]
+        assert seeds == [4]
+
+    def test_failed_draws_are_skipped(self, monkeypatch):
+        # draws that raise are skipped; the first that succeeds is kept
+        rng = np.random.default_rng(15)
+        t, tw, tp = random_decomposable(rng, 4, 3, 3)
+        inner, seeds = waring.pencil_points, []
+
+        def failing_twice(slices, rng_seed=0, on_complex="error"):
+            seeds.append(rng_seed)
+            if len(seeds) <= 2:
+                raise NumericalError("eigenvalue clustering in the random pencil")
+            return inner(slices, rng_seed, on_complex)
+
+        monkeypatch.setattr(waring, "pencil_points", failing_twice)
+        dec = decompose(t, rank=3, k=2, rng_seed=1)
+        assert seeds == [1, 1 + 7919, 1 + 2 * 7919]
+        worst_pt, worst_w = match_error(dec, tw, tp)
+        assert worst_pt < 1e-9 and worst_w < 1e-9
 
     def test_complex_points_exhaust_draw_budget(self, monkeypatch):
         # X1^3 - 3 X1 X2^2 has only complex rank-2 points, so every draw fails
@@ -442,7 +553,7 @@ def gemm_refine(t, w, iters):
     """Reference: refine with the s_d x rm Jacobian of sum_i s_i (q_i . X)^d in
     the absorbed points q_i = |w_i|^(1/d) p_i, the point columns of
     scatter_jacobian, built each iteration, and J^T J and the gradient formed
-    with a GEMM."""
+    with a GEMM; the same stop rule."""
     if iters <= 0:
         return w
     d, m, r = t.order, t.dim, w.rank
@@ -457,9 +568,10 @@ def gemm_refine(t, w, iters):
     points = roots[:, None] * w.points
     res = residual_vec(points)
     cost = float(res @ res)
-    lam = None
+    lam, gain = None, 1.0
     for _ in range(iters):
-        if cost == 0.0:
+        # refine's stop rule: after an accepted step that gains under REFINE_STOP
+        if cost == 0.0 or gain < waring.REFINE_STOP:
             break
         jac = scatter_jacobian(signs, points, d)[:, r:]
         jac *= sqrt_wts[:, None]
@@ -473,6 +585,7 @@ def gemm_refine(t, w, iters):
             new_res = residual_vec(new_points)
             new_cost = float(new_res @ new_res)
             if new_cost < cost:
+                gain = (cost - new_cost) / cost
                 points, res, cost = new_points, new_res, new_cost
                 lam = max(lam / 10.0, 1e-6 * lam0)
                 break
