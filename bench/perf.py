@@ -21,14 +21,15 @@ mixtures, n = 1000, sample seeds 0-9) it times:
   `large-n` workload (6 samples, n = 100000, m = 10, r = 5; workload seed 3)
   and `recover-hidim` workload (8 samples, n = 5000, m = 30, r = 15; workload
   seed 1), sample k fitted with the seed of job k, end to end and by stage
-  (FIT_STAGES): the frame, the second-order statistics, M3 in W from the
-  projected data, the `decompose` call and its parts (the whitening with its
-  joint diagonalization, the weight solve, `refine`), the two `solve_weights`
-  calls for the M2 scales and the M1 variances (`recover_solves`), the E and
-  M kernels of every EM iteration (`em`) and the hard labels. Each stage
-  carries its wrapped calls per fit (`calls_per_fit`); the `decompose` stage
-  also carries each fit's joint-diagonalization sweeps and `refine`'s damping
-  factorizations (`cho_factor` calls, failed ones included).
+  (FIT_STAGES): the frame, the second-order statistics, M3 in W with the
+  projection W^t z it is formed from, the `decompose` call and its parts (the
+  whitening with its joint diagonalization, the weight solve, `refine`), the
+  two `solve_weights` calls for the M2 scales and the M1 variances
+  (`recover_solves`), the E and M kernels of every EM iteration (`em`) and
+  the hard labels. Each stage carries its wrapped calls per fit
+  (`calls_per_fit`); the `decompose` stage also carries each fit's
+  joint-diagonalization sweeps and `refine`'s damping factorizations
+  (`cho_factor` calls, failed ones included).
 
 A stage is the time that real library calls spend inside the functions its
 table names, wrapped by name (`inside`) while the whole call runs, in repeats
@@ -122,7 +123,7 @@ QUALITY_KEYS = ("loglik", "ari", "iterations", "recovery_error", "sweeps", "refi
 FIT_STAGES = {
     "frame": ((cli, "_frame"),),
     "second_order": ((moments, "_sample_moments"),),
-    "m3_in_w": ((moments, "_m3_array"),),
+    "m3_in_w": ((moments, "_m3_in_w"),),
     "decompose": ((moments, "decompose"),),
     "decompose_whitened_points": ((waring, "_whitened_points"),),
     "decompose_weights": ((waring, "solve_weights"),),

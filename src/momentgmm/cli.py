@@ -145,8 +145,7 @@ def _fit_row(name: str, frame: Frame, result: gmm.EmResult, fallback: bool,
         "hard_labels": result.hard_labels,
     }
     if truth is not None:
-        row["ari"] = metrics.ari(result.hard_labels, truth)
-        row["error_rate"] = metrics.error_rate(result.hard_labels, truth, r)
+        row["ari"], row["error_rate"] = metrics.scores(result.hard_labels, truth, r)
     return row
 
 

@@ -566,14 +566,13 @@ def init_moments(
     if not 1 <= r <= frame.x.shape[1]:
         raise InputError(f"moments initializer needs n x m data and 1 <= r <= m, got r={r}")
     try:
-        rec, sigma_bar_sq = recover_from_data(frame, r)
+        rec, substitute = recover_from_data(frame, r)
     except (NumericalError, np.linalg.LinAlgError):
         return init_random(frame, r, rng_seed=rng_seed), True
     # near-zero starting variances freeze the E-step, so floor the initializer
-    # variances at a twentieth of the mixture-average variance, which
-    # recovery has already put in place of non-positive ones
-    floor = 0.05 * max(1e-6, sigma_bar_sq)
-    variances = np.maximum(rec.variances, floor)
+    # variances at a twentieth of the substitute variance, which recovery has
+    # already put in place of non-positive ones
+    variances = np.maximum(rec.variances, 0.05 * substitute)
     params = GmmParams(
         weights=rec.weights / rec.weights.sum(),
         means=rec.means,

@@ -43,7 +43,10 @@ def _contingency(labels_a, labels_b) -> np.ndarray:
 
 def ari(labels_a, labels_b) -> float:
     """Adjusted Rand index via pair counting on the contingency table."""
-    table = _contingency(labels_a, labels_b)
+    return _ari(_contingency(labels_a, labels_b))
+
+
+def _ari(table: np.ndarray) -> float:
     n = table.sum()
     if n < 2:
         return 1.0
@@ -65,12 +68,16 @@ def ari(labels_a, labels_b) -> float:
 def error_rate(pred, truth, r: int) -> float:
     """Minimal misclassification fraction over relabelings of the predicted
     clusters, via optimal assignment on the confusion matrix."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
+    return scores(pred, truth, r)[1]
+
+
+def scores(pred, truth, r: int) -> tuple[float, float]:
+    """(ari(pred, truth), error_rate(pred, truth, r)) from one table."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if np.any(pred < 0) or np.any(pred >= r) or np.any(truth < 0) or np.any(truth >= r):
         raise InputError(f"labels must lie in [0, {r})")
     # the table leaves out labels that never occur: zero rows and columns add no agreement
     confusion = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     agree = int(confusion[rows, cols].sum())
-    return float((len(pred) - agree) / len(pred))
+    return _ari(confusion), float((len(pred) - agree) / len(pred))

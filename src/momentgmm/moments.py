@@ -9,11 +9,11 @@ form,
 
 where s_i^2 are the component variances.  Recovery Waring-decomposes M3 in
 the span W of M2's top r eigenvectors, whitened by M2's eigenvalues there,
-then solves against M2 and M1.  The fit
-path forms only that r-variable M3, from the projected data y = data W;
-`recover_parameters` contracts a full M3 with W.
-A fit checks and centers its data once, into a `Frame` that the moments and
-`gmm` read; M3 sums the pairs a <= b in blocks of rows (MOMENT_BLOCK_ELEMENTS).
+then solves against M2 and M1.  A fit checks and centers its data once, into
+a `Frame` that the moments and `gmm` read.  The fit path forms every moment
+from the frame's z and M3 only in W, that of y = data W read as
+y^t = W^t x^t + W^t c; `recover_parameters` contracts a full M3 with W.  M3
+sums the pairs a <= b in blocks of rows (MOMENT_BLOCK_ELEMENTS).
 """
 
 from __future__ import annotations
@@ -36,28 +36,35 @@ from .symtensor import (
 from .waring import decompose, solve_weights
 
 EIGEN_GAP_TOL = 1e-10
-LAMBDA_TOL = 1e-10
+LAMBDA_TOL = 1e-10  # relative to the largest |lambda_i|
 WEIGHT_CLAMP = 1e-6
+SUBSTITUTE_VARIANCE_FRACTION = 1e-6  # of the pooled variance
 # entries of the (rows x s_2(k)) pair products _m3_array forms per block of rows
 MOMENT_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass
 class MomentSet:
-    """First three adjusted moments plus the variance proxy sigma_bar_sq
-    (smallest covariance eigenvalue) and its unit eigenvector v."""
+    """First three adjusted moments plus the variance proxy sigma_bar_sq (smallest covariance
+    eigenvalue), its unit eigenvector v and the pooled variance tr(cov) / m."""
 
     m1: np.ndarray
     m2: np.ndarray
-    m3: SymmetricTensor
+    m3: SymmetricTensor | None
     sigma_bar_sq: float
     v: np.ndarray
+    pooled_variance: float
     n_samples: int | str = "exact"
     v_ambiguous: bool = False
 
     @property
     def dim(self) -> int:
         return len(self.m1)
+
+    @property
+    def substitute_variance(self) -> float:
+        """sigma_bar_sq, floored at a fraction of the pooled variance, in the data's units."""
+        return max(self.sigma_bar_sq, SUBSTITUTE_VARIANCE_FRACTION * self.pooled_variance)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -106,7 +113,8 @@ def _frame(data) -> Frame:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or not data.size:
         raise InputError(f"data must be a nonempty n x m matrix, got shape {data.shape}")
-    c = data.mean(axis=0)
+    # the bits of data.mean(axis=0) on C-ordered rows of m >= 2, in a third of its time
+    c = np.einsum("ij->j", data) / len(data)
     z = np.empty((data.shape[1] + 2, len(data)))
     np.subtract(data, c, out=z[:-2].T)
     z[-2], z[-1] = np.einsum("ij,ij->j", z[:-2], z[:-2]), 1.0
@@ -115,28 +123,26 @@ def _frame(data) -> Frame:
     return Frame(data, c, z)
 
 
-def _sample_moments(data) -> tuple:
-    """(data as floats, M1, M2, sigma_bar_sq, v, v_ambiguous) of a sample or
-    its Frame, of at least 2 rows; the covariance is that of the frame's x."""
-    data, c, z = _frame(data)
-    n, m = data.shape
+def _sample_moments(data) -> tuple[Frame, MomentSet]:
+    """The Frame of a sample of at least 2 rows (or the Frame given) and its
+    MomentSet less M3; every moment is read off the frame's z."""
+    frame = _frame(data)
+    (n, m), c, x = frame.data.shape, frame.c, frame.z[:-2]
     if n < 2:
         raise InputError("data must have at least 2 rows")
 
-    cov = z[:-2] @ z[:-2].T / n
+    cov = x @ x.T / n
     eigvals, eigvecs = np.linalg.eigh(cov)
-    sigma_bar_sq = float(eigvals[0])
-    v = eigvecs[:, 0]
-    ambiguous = bool(
-        m > 1 and eigvals[-1] > 0 and (eigvals[1] - eigvals[0]) < EIGEN_GAP_TOL * eigvals[-1]
+    sigma_bar_sq, v = float(eigvals[0]), eigvecs[:, 0]
+    ambiguous = m > 1 and 0 < eigvals[-1] and eigvals[1] - eigvals[0] < EIGEN_GAP_TOL * eigvals[-1]
+    # M1 = mean((x.v)^2 data) = (sum (x.v)^2 x + c sum (x.v)^2) / n, z's last row being 1: one pass
+    # of numpy's own loop over z's rows, as a BLAS GEMV's bits change with its thread count
+    sums = np.einsum("ij,j->i", frame.z, (v @ x) ** 2)
+    return frame, MomentSet(
+        m1=(sums[:-2] + c * sums[-1]) / n, m2=cov + np.outer(c, c) - sigma_bar_sq * np.eye(m),
+        m3=None, sigma_bar_sq=sigma_bar_sq, v=v, pooled_variance=float(np.trace(cov)) / m,
+        n_samples=n, v_ambiguous=bool(ambiguous),
     )
-
-    # x @ v on C-ordered rows: a GEMV's bits follow memory order, and the start is chaotic in M1
-    proj_sq = ((data - c) @ v) ** 2
-    # one pass of numpy's own loop: a BLAS GEMV's bits change with its thread count
-    m1 = np.einsum("i,ij->j", proj_sq, data) / n
-    m2 = cov + np.outer(c, c) - sigma_bar_sq * np.eye(m)
-    return data, m1, m2, sigma_bar_sq, v, ambiguous
 
 
 def _m3_array(y: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -158,12 +164,16 @@ def _m3_array(y: np.ndarray, m1: np.ndarray) -> np.ndarray:
 
 def empirical_moments(data: np.ndarray | Frame) -> MomentSet:
     """Plug-in moment estimates from an n x m sample matrix or its Frame."""
-    data, m1, m2, sigma_bar_sq, v, ambiguous = _sample_moments(data)
-    m3 = SymmetricTensor(data.shape[1], 3, _m3_array(data, m1))
-    return MomentSet(
-        m1=m1, m2=m2, m3=m3, sigma_bar_sq=sigma_bar_sq, v=v,
-        n_samples=len(data), v_ambiguous=ambiguous,
-    )
+    frame, ms = _sample_moments(data)
+    ms.m3 = SymmetricTensor(ms.dim, 3, _m3_array(frame.data, ms.m1))
+    return ms
+
+
+def _m3_in_w(frame: Frame, m1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """_m3_array of y = data W (W^t W = I), as the F-ordered view of y^t = W^t x^t + W^t c."""
+    yt = w.T @ frame.z[:-2]
+    yt += (frame.c @ w)[:, None]
+    return _m3_array(yt.T, m1 @ w)
 
 
 def exact_moments(params) -> MomentSet:
@@ -174,27 +184,23 @@ def exact_moments(params) -> MomentSet:
     m = means.shape[1]
 
     sigma_bar_sq = float(weights @ variances)
-    m1 = (weights * variances) @ means
-    m2 = means.T @ (weights[:, None] * means)
-    m3 = reconstruct(WaringDecomposition(weights=weights, points=means, order=3))
     # v: unit eigenvector of the exact covariance sum_i w_i (s_i^2 I + centered
     # spread) at its smallest eigenvalue
-    mu_bar = weights @ means
-    spread = (means - mu_bar).T @ (weights[:, None] * (means - mu_bar))
-    cov = spread + sigma_bar_sq * np.eye(m)
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    centered = means - weights @ means
+    cov = centered.T @ (weights[:, None] * centered) + sigma_bar_sq * np.eye(m)
     return MomentSet(
-        m1=m1, m2=m2, m3=m3, sigma_bar_sq=sigma_bar_sq,
-        v=eigvecs[:, 0], n_samples="exact",
+        m1=(weights * variances) @ means, m2=means.T @ (weights[:, None] * means),
+        m3=reconstruct(WaringDecomposition(weights=weights, points=means, order=3)),
+        sigma_bar_sq=sigma_bar_sq, v=np.linalg.eigh(cov)[1][:, 0],
+        pooled_variance=float(np.trace(cov)) / m, n_samples="exact",
     )
 
 
 def recover_from_data(data: np.ndarray | Frame, r: int) -> tuple[RecoveredParams, float]:
-    """(recover_parameters(empirical_moments(data), r), sigma_bar_sq) up to
-    rounding, with M3 in W formed as that of y = data W (W^t W = I)."""
-    data, m1, m2, sigma_bar_sq, _, _ = _sample_moments(data)
-    rec = _recover(m1, m2, sigma_bar_sq, r, lambda w: _m3_array(data @ w, m1 @ w))
-    return rec, sigma_bar_sq
+    """(recover_parameters(empirical_moments(data), r), its substitute variance) up
+    to rounding, with M3 in W formed as that of y = data W (_m3_in_w)."""
+    frame, ms = _sample_moments(data)
+    return _recover(ms, r, lambda w: _m3_in_w(frame, ms.m1, w)), ms.substitute_variance
 
 
 def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
@@ -203,17 +209,16 @@ def recover_parameters(moments: MomentSet, r: int) -> RecoveredParams:
     # dense[a, b, c] = T_(e_a+e_b+e_c), gathered through the degree-2 and
     # degree-3 "beta + e_i" tables
     dense = moments.m3.coeffs[sum_index(m, 2, 1)[sum_index(m, 1, 1)]]
-    return _recover(moments.m1, moments.m2, moments.sigma_bar_sq, r,
-                    lambda w: _symmetric_array_coeffs(
-                        np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w, optimize=True)))
+    return _recover(moments, r, lambda w: _symmetric_array_coeffs(
+        np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w, optimize=True)))
 
 
-def _recover(m1, m2, sigma_bar_sq, r, m3_in) -> RecoveredParams:
+def _recover(moments: MomentSet, r, m3_in) -> RecoveredParams:
     """Waring-decompose m3_in(W), M3's coefficients in the span W of M2's top r eigenvectors,
     where the means lie, whitened by M2's eigenvalues there; map the points back, rescale
     against M2, then solve M1 for variances.  Both solves are `solve_weights`, which rejects
     linearly dependent means."""
-    m = len(m1)
+    m1, m2, m = moments.m1, moments.m2, moments.dim
     if r > m:
         raise InputError(f"r={r} exceeds dimension m={m}; r <= m is required")
 
@@ -227,7 +232,7 @@ def _recover(m1, m2, sigma_bar_sq, r, m3_in) -> RecoveredParams:
         SymmetricTensor(m, 2, _symmetric_array_coeffs(m2)),
         [w * pow_linear(mu, 2).coeffs for w, mu in zip(w_tilde, mu_tilde)],
     )
-    if np.any(np.abs(lam) < LAMBDA_TOL):
+    if np.any(np.abs(lam) <= LAMBDA_TOL * np.max(np.abs(lam))):
         raise NumericalError("degenerate scale: some lambda_i is near zero")
 
     weights = lam**3 * w_tilde
@@ -239,10 +244,9 @@ def _recover(m1, m2, sigma_bar_sq, r, m3_in) -> RecoveredParams:
 
     # variance system: sum_i w_i s_i^2 (mu_i . X) = M1(X); its apolar weights are all 1
     variances, resid_m1 = solve_weights(SymmetricTensor(m, 1, m1), weights[:, None] * means)
-    # non-positive variance estimates (possible on noisy moments) are replaced
-    # by the mixture-average variance, a neutral value EM can adjust from
-    fallback_var = max(WEIGHT_CLAMP, sigma_bar_sq)
-    variances = np.where(variances <= 0, fallback_var, variances)
+    # non-positive variance estimates (possible on noisy moments) are replaced by the
+    # mixture-average variance, floored in the data's units: a neutral value EM can adjust from
+    variances = np.where(variances <= 0, moments.substitute_variance, variances)
 
     return RecoveredParams(
         weights=weights,

@@ -5,7 +5,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from momentgmm import NumericalError, SymmetricTensor, gmm, WaringDecomposition, reconstruct
+from momentgmm import (
+    NumericalError, SymmetricTensor, WaringDecomposition, ari, error_rate, gmm, reconstruct,
+)
 from momentgmm.cli import (
     INITIALIZERS,
     fit_once,
@@ -568,6 +570,14 @@ class TestBenchmark:
         want = fit_once(data, 4, init, 5, truth=truth)
         got = fit_once(_frame(data), 4, init, 5, truth=truth)
         self.assert_same_row(dict(got, failure=False), dict(want, failure=False))
+
+    @pytest.mark.parametrize("init", INITIALIZERS)
+    def test_row_scores_are_the_public_scores(self, example2_params, init):
+        # the row scores both from one table; each equals its public function's value
+        data, truth = gmm.sample(example2_params, 600, rng_seed=2)
+        row = fit_once(data, 3, init, 2, truth=truth)
+        assert row["ari"] == ari(row["hard_labels"], truth)
+        assert row["error_rate"] == error_rate(row["hard_labels"], truth, 3)
 
     def test_failed_initializer_leaves_the_stack(self, monkeypatch, example2_params):
         cfg = self.make_config(example2_params, n=300, replicates=2)

@@ -308,6 +308,9 @@ def test_m3_coeffs_bit_identical_to_dense_form(m):
         y = rng.standard_normal((n, m)) * rng.uniform(0.1, 3.0, m) + rng.uniform(-1e3, 1e3)
         m1 = rng.standard_normal(m)
         assert_same_bits(_m3_array(y, m1), dense_m3_coeffs(y, m1))
+        # the F-ordered y^T.T that the fit path reads off the frame
+        y = np.asfortranarray(y)
+        assert_same_bits(_m3_array(y, m1), dense_m3_coeffs(y, m1))
         # small integers and a signed-zero M1, so that exact zeros carry signs
         y = rng.integers(-1, 2, size=(n, m)).astype(float)
         m1 = np.where(rng.random(m) < 0.5, -0.0, 0.0)

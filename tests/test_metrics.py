@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from momentgmm import InputError, ari, bic, error_rate, nu_spherical
+from momentgmm.metrics import scores
 
 
 def brute_force_ari(a, b):
@@ -200,3 +201,13 @@ def test_error_rate_matches_add_at_count(dtype, r):
     assert error_rate(pred[::3], truth[::3], r) == add_at_error_rate(pred[::3], truth[::3], r)
     ones = np.zeros_like(pred)
     assert error_rate(ones, truth, r) == add_at_error_rate(ones, truth, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_scores_are_ari_and_error_rate(r):
+    rng = np.random.default_rng(10 + r)
+    pred, truth = rng.integers(0, r, 400), rng.integers(0, r, 400)
+    for a, b in ((pred, truth), (pred[::3], truth[::3]), (np.zeros_like(pred), truth)):
+        assert scores(a, b, r) == (ari(a, b), error_rate(a, b, r))
+    with pytest.raises(InputError):
+        scores([0, r], [0, 0], r)

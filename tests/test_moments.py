@@ -25,10 +25,11 @@ from momentgmm import (
 )
 from momentgmm.gmm import e_step, em_fit, init_moments
 from momentgmm.moments import (
-    MOMENT_BLOCK_ELEMENTS, _frame, _m3_array, _symmetric_array_coeffs, recover_from_data,
+    MOMENT_BLOCK_ELEMENTS, _frame, _m3_array, _m3_in_w, _symmetric_array_coeffs,
+    recover_from_data,
 )
 from momentgmm.symtensor import monomials, sum_index
-from conftest import random_independent_points
+from conftest import random_independent_points, run_with_blas_threads
 
 
 def brute_force_m3_coeff(weights, means, alpha):
@@ -159,6 +160,52 @@ class TestEmpiricalMoments:
             for threads in ("1", "2")
         ]
         assert hashes[0] == hashes[1]
+
+    def test_start_inputs_same_bits_across_blas_thread_counts(self):
+        # M1, M2, sigma_bar_sq and the r-variable M3 the start decomposes, at
+        # recover-hidim size (n = 5000, m = 30, r = 15), where the products
+        # with z and W^t are threaded
+        code = (
+            "import hashlib, numpy as np; from momentgmm import GmmParams, sample; "
+            "from momentgmm.moments import _m3_in_w, _sample_moments; "
+            "rng = np.random.default_rng(0); "
+            "p = GmmParams(rng.dirichlet(np.full(15, 5.0)), 4.0 * rng.standard_normal((15, 30)), "
+            "rng.uniform(0.5, 2.0, 15)); "
+            "frame, ms = _sample_moments(sample(p, 5000, rng_seed=1)[0]); "
+            "w = np.linalg.eigh(ms.m2)[1][:, ::-1][:, :15]; "
+            "h = hashlib.sha256(); "
+            "[h.update(np.ascontiguousarray(a).tobytes()) for a in "
+            "(ms.m1, ms.m2, np.float64(ms.sigma_bar_sq), _m3_in_w(frame, ms.m1, w))]; "
+            "print(h.hexdigest())"
+        )
+        hashes = [run_with_blas_threads(["-c", code], threads) for threads in ("1", "2")]
+        assert hashes[0] == hashes[1]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 8),
+        n=st.integers(2, 60),
+        shift=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_frame_route_matches_direct_formulas(self, m, n, shift, seed):
+        # the moments read off the frame's z against their definitions on the data
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n, m)) * rng.uniform(0.1, 3.0, m) + shift
+        ms = empirical_moments(data)
+        centered = data - data.mean(axis=0)
+        cov = centered.T @ centered / n
+        eigvals = np.linalg.eigvalsh(cov)
+        tol = 1e-12 * eigvals[-1]
+        assert abs(ms.sigma_bar_sq - eigvals[0]) <= tol
+        assert np.linalg.norm(ms.v) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(cov @ ms.v - ms.sigma_bar_sq * ms.v) <= tol
+        m2 = data.T @ data / n - ms.sigma_bar_sq * np.eye(m)
+        assert np.max(np.abs(ms.m2 - m2)) <= 1e-12 * np.max(np.abs(data.T @ data / n))
+        proj_sq = (centered @ ms.v)[:, None] ** 2
+        # against M1's bound by (x . v)^2 <= ||x||^2: v may span rounding noise
+        scale = np.max(np.mean(np.sum(centered**2, axis=1)[:, None] * np.abs(data), axis=0))
+        assert np.max(np.abs(ms.m1 - np.mean(proj_sq * data, axis=0))) <= 1e-12 * scale
 
     def test_n_samples_recorded(self):
         rng = np.random.default_rng(5)
@@ -303,8 +350,9 @@ class TestRecoverParameters:
 
 class TestProjectedMoments:
     """The moments start forms M3 only in W, the span of M2's top r
-    eigenvectors, as the adjusted third moment of the projected data; it
-    must agree with contracting the full M3 with W."""
+    eigenvectors, as the adjusted third moment of the projected data read
+    off the frame (_m3_in_w); it must agree with contracting the full M3
+    with W."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -322,7 +370,7 @@ class TestProjectedMoments:
         w = np.linalg.eigh(ms.m2)[1][:, ::-1][:, :r]
         dense = ms.m3.coeffs[sum_index(m, 2, 1)[sum_index(m, 1, 1)]]
         want = _symmetric_array_coeffs(np.einsum("abc,ai,bj,ck->ijk", dense, w, w, w))
-        got = _m3_array(data @ w, ms.m1 @ w)
+        got = _m3_in_w(_frame(data), ms.m1, w)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(ms.m3.coeffs))
 
     def test_start_matches_full_moments_route(self, example1_params, example2_params):
@@ -333,8 +381,9 @@ class TestProjectedMoments:
                 data, _ = sample(p, 1000, seed)
                 ms = empirical_moments(data)
                 rec = recover_parameters(ms, r)
+                floor = 0.05 * max(ms.sigma_bar_sq, 1e-6 * data.var(axis=0).mean())
                 want = (rec.weights / rec.weights.sum(), rec.means,
-                        np.maximum(rec.variances, 0.05 * max(1e-6, ms.sigma_bar_sq)))
+                        np.maximum(rec.variances, floor))
                 start, fallback = init_moments(data, r)
                 assert not fallback
                 for got, ref in zip((start.weights, start.means, start.variances), want):
@@ -483,6 +532,18 @@ class TestStartEquivariance:
         assert not fallback and not moved_fallback
         got = GmmParams(got.weights, back(got.means), got.variances)
         assert start_difference(got, want) < 1e-9
+
+    @pytest.mark.parametrize("k", [-60, -30, 30, 60])
+    @pytest.mark.parametrize("case", CASES[:10])  # Examples 1 and 2
+    def test_start_scales_with_the_data(self, start_cases, case, k):
+        # no constant of the start is in absolute units: at 2^k times the
+        # data it neither falls back nor floors, and scales back to the start
+        data, r = start_cases[case]
+        want, fallback = init_moments(data, r)
+        got, scaled_fallback = init_moments(np.ldexp(data, k), r)
+        assert not fallback and not scaled_fallback
+        got = GmmParams(got.weights, np.ldexp(got.means, -k), np.ldexp(got.variances, -2 * k))
+        assert start_difference(got, want) < 1e-12
 
 
 class TestMomentSetJson:
