@@ -516,12 +516,13 @@ def init_kmeans(
 
 
 def init_random(data: np.ndarray | Frame, r: int, rng_seed: int = 0) -> GmmParams:
-    """Uniform weights, means at r distinct data rows, pooled variance."""
+    """Uniform weights, means at r distinct data rows, pooled variance (1e-12
+    when every row is equal)."""
     frame = _frame(data)
     if not 1 <= r <= len(frame.data):
         raise InputError(f"r={r} must lie in [1, n={len(frame.data)}]")
     rows = np.random.default_rng(rng_seed).choice(len(frame.data), size=r, replace=False)
-    var = max(pooled_variance(frame), 1e-12)
+    var = pooled_variance(frame) or 1e-12
     return GmmParams(weights=np.full(r, 1.0 / r), means=frame.data[rows], variances=np.full(r, var))
 
 

@@ -19,7 +19,7 @@ sums the pairs a <= b in blocks of rows (MOMENT_BLOCK_ELEMENTS).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +54,6 @@ class MomentSet:
     sigma_bar_sq: float
     v: np.ndarray
     pooled_variance: float
-    n_samples: int | str = "exact"
     v_ambiguous: bool = False
 
     @property
@@ -81,10 +80,9 @@ class MomentSet:
 @dataclass
 class RecoveredParams:
     """Mixture parameters read off the moment tensors, with diagnostics: the
-    relative apolar residuals of the M2 and M1 solves, the complex-leak flag
-    (False on the whitened route), the joint-diagonalization sweeps, the
-    whitening spread lambda_r / lambda_1, refine's accepted steps, the
-    decomposition dimension and M2's eigenvalues lambda_r, lambda_(r+1)."""
+    relative apolar residuals of the M2 and M1 solves, the joint-diagonalization
+    sweeps, the whitening spread lambda_r / lambda_1, refine's accepted steps,
+    the decomposition dimension and M2's eigenvalues lambda_r, lambda_(r+1)."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -141,7 +139,7 @@ def _sample_moments(data) -> tuple[Frame, MomentSet]:
     return frame, MomentSet(
         m1=(sums[:-2] + c * sums[-1]) / n, m2=cov + np.outer(c, c) - sigma_bar_sq * np.eye(m),
         m3=None, sigma_bar_sq=sigma_bar_sq, v=v, pooled_variance=float(np.trace(cov)) / m,
-        n_samples=n, v_ambiguous=bool(ambiguous),
+        v_ambiguous=bool(ambiguous),
     )
 
 
@@ -165,8 +163,7 @@ def _m3_array(y: np.ndarray, m1: np.ndarray) -> np.ndarray:
 def empirical_moments(data: np.ndarray | Frame) -> MomentSet:
     """Plug-in moment estimates from an n x m sample matrix or its Frame."""
     frame, ms = _sample_moments(data)
-    ms.m3 = SymmetricTensor(ms.dim, 3, _m3_array(frame.data, ms.m1))
-    return ms
+    return replace(ms, m3=SymmetricTensor(ms.dim, 3, _m3_array(frame.data, ms.m1)))
 
 
 def _m3_in_w(frame: Frame, m1: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -192,7 +189,7 @@ def exact_moments(params) -> MomentSet:
         m1=(weights * variances) @ means, m2=means.T @ (weights[:, None] * means),
         m3=reconstruct(WaringDecomposition(weights=weights, points=means, order=3)),
         sigma_bar_sq=sigma_bar_sq, v=np.linalg.eigh(cov)[1][:, 0],
-        pooled_variance=float(np.trace(cov)) / m, n_samples="exact",
+        pooled_variance=float(np.trace(cov)) / m,
     )
 
 
@@ -255,7 +252,6 @@ def _recover(moments: MomentSet, r, m3_in) -> RecoveredParams:
         diagnostics={
             "residual_m2": resid_m2,
             "residual_m1": resid_m1,
-            "complex_leak": dec.complex_leak,
             "sweeps": dec.sweeps,
             "whitening_spread": float(top[-1] / top[0]),
             "refine_steps": dec.refine_steps,

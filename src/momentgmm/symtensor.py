@@ -213,8 +213,6 @@ class WaringDecomposition:
     weights: np.ndarray
     points: np.ndarray
     order: int
-    # set by decompose when it dropped the points' imaginary parts
-    complex_leak: bool = False
     # the sweeps of decompose's joint diagonalization, and refine's accepted steps
     sweeps: int = 0
     refine_steps: int = 0

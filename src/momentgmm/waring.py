@@ -3,10 +3,11 @@
 Pipeline: SVD of a Hankel matrix to get an orthonormal basis U of its column
 space, slice U by variable-divisibility into a matrix pencil, diagonalize
 the pencil with a random two-vector combination to read off the
-decomposition points, then solve a linear system for the weights.  Given the
-diagonal second moment of an order-3 tensor's points, the points come instead
-from the whitened tensor, whose slices one orthogonal matrix diagonalizes.
-An optional damped Gauss-Newton pass polishes noisy decompositions.
+decomposition points (a draw that gives complex points is redrawn), then
+solve a linear system for the weights.  Given the diagonal second moment of
+an order-3 tensor's points, the points come instead from the whitened
+tensor, whose slices one orthogonal matrix diagonalizes.  An optional damped
+Gauss-Newton pass polishes noisy decompositions.
 """
 
 from __future__ import annotations
@@ -81,17 +82,15 @@ def _normalize_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit * signs[:, None], norms * signs
 
 
-def pencil_points(
-    slices: np.ndarray, rng_seed: int = 0, on_complex: str = "error"
-) -> tuple[np.ndarray, bool]:
+def pencil_points(slices: np.ndarray, rng_seed: int = 0) -> np.ndarray:
     """Recover the decomposition points (one per pencil eigenvector) from one
     random two-vector combination of `truncated_svd_basis`'s slices, drawn
     from `rng_seed`.  Requires r <= s_(k-1), which `decompose` checks.
 
-    Returns (points, complex_leak_flag); points are normalized to unit norm
-    with a fixed sign convention.  Raises NumericalError when the draw is
-    unlucky (eigen-solver failure, clustered eigenvalues, or complex points in
-    "error" mode); `decompose` retries with fresh seeds.
+    Returns the points, normalized to unit norm with a fixed sign convention.
+    Raises NumericalError when the draw is unlucky (eigen-solver failure,
+    clustered eigenvalues, or complex points); `decompose` retries with fresh
+    seeds.
     """
     m = len(slices)
     rng = np.random.default_rng(rng_seed)
@@ -115,12 +114,9 @@ def pencil_points(
     points = np.conj(np.diagonal(ga @ slices @ f, axis1=1, axis2=2).T.copy())
 
     re_scale = np.max(np.abs(points.real))
-    im_scale = np.max(np.abs(points.imag))
-    leak = bool(re_scale == 0.0 or im_scale > IMAG_LEAK_TOL * re_scale)
-    if leak and on_complex == "error":
+    if re_scale == 0.0 or np.max(np.abs(points.imag)) > IMAG_LEAK_TOL * re_scale:
         raise NumericalError("points carry non-negligible imaginary parts")
-    unit, _ = _normalize_points(points.real)
-    return unit, leak
+    return _normalize_points(points.real)[0]
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +224,7 @@ def relative_residual(t: SymmetricTensor, w: WaringDecomposition) -> float:
 
 def decompose(
     t: SymmetricTensor, *, rank: int | None = None, k: int | None = None,
-    rank_tolerance: float = RANK_TOLERANCE, rng_seed: int = 0, on_complex: str = "error",
+    rank_tolerance: float = RANK_TOLERANCE, rng_seed: int = 0,
     m2_eigenvalues: np.ndarray | None = None,
 ) -> WaringDecomposition:
     """Full decomposition: start points, weight solve, Gauss-Newton refinement
@@ -236,19 +232,16 @@ def decompose(
 
     Without m2_eigenvalues the points come from the Hankel SVD in row degree
     k (default_row_degree when None) truncated by `truncated_svd_basis`, and
-    the first pencil draw from rng_seed that succeeds (`pencil_points`).
-    on_complex "error" rejects complex-leaking points (exact tensors); "warn"
-    takes their real parts and flags the result.
+    the first pencil draw from rng_seed that succeeds (`pencil_points`); a
+    draw whose points leak imaginary parts is an unlucky one.
 
     m2_eigenvalues, the diagonal of sum_i w_i p_i p_i^T for an order-3 t in
     its own coordinates (M2's top r eigenvalues on W, in the moments path),
     whitens t instead (`_whitened_points`, theta drawn from rng_seed); the
-    rank is then t.dim, and k, rank_tolerance and on_complex do not apply.
+    rank is then t.dim, and k and rank_tolerance do not apply.
 
     Points come back unit-normalized with scale absorbed into the weights.
     """
-    if on_complex not in ("error", "warn"):
-        raise InputError("on_complex must be 'error' or 'warn'")
     if m2_eigenvalues is not None:
         if rank not in (None, t.dim):
             raise InputError(f"with m2_eigenvalues the rank is the dimension {t.dim}, not {rank}")
@@ -264,14 +257,14 @@ def decompose(
         # unlucky draws are skipped, within a budget of MAX_PENCIL_DRAWS
         for draw in range(MAX_PENCIL_DRAWS):
             try:
-                points, leak = pencil_points(slices, rng_seed + 7919 * draw, on_complex)
+                points = pencil_points(slices, rng_seed + 7919 * draw)
                 weights, rel = solve_weights(t, evaluation_matrix(points, t.order))
                 break
             except NumericalError as exc:
                 last_error = exc
         else:
             raise NumericalError(f"all {MAX_PENCIL_DRAWS} pencil draws failed: {last_error}")
-        result = WaringDecomposition(weights, points, t.order, complex_leak=leak)
+        result = WaringDecomposition(weights, points, t.order)
     if rel > 1e-14:
         result = refine(t, result, REFINE_ITERATIONS)
     return result

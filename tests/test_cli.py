@@ -19,6 +19,7 @@ from momentgmm.cli import (
 )
 from momentgmm.moments import _frame
 from conftest import run_with_blas_threads, summaries_per_blas_thread_count
+from test_waring import leaking_noisy_tensor
 
 
 @pytest.fixture
@@ -257,6 +258,20 @@ class TestDecompose:
         dec = json.loads(open(out).read())
         assert len(dec["weights"]) == 3
         assert dec["residual"] < 1e-10
+
+    def test_noisy_tensor_skips_leaking_draws(self, tmp_path):
+        # the first four pencil draws from seed 1 give complex points; the
+        # command skips them and writes the refined fifth
+        noisy = leaking_noisy_tensor()
+        tensor_path = tmp_path / "noisy.json"
+        tensor_path.write_text(noisy.to_json())
+        out = str(tmp_path / "dec.json")
+        rc = main(["decompose", str(tensor_path), "--rank", "6", "--k", "2", "--seed", "1",
+                   "--out", out])
+        assert rc == 0
+        dec = json.loads(open(out).read())
+        assert len(dec["weights"]) == 6 and np.shape(dec["points"]) == (6, 6)
+        assert dec["residual"] == pytest.approx(0.004, rel=0.05)
 
     def test_zero_tensor_numerical_failure(self, tmp_path):
         tensor_path = tmp_path / "z.json"

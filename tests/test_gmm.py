@@ -876,6 +876,26 @@ class TestEStepMStep:
         assert np.all(est.variances >= 1e-4)
 
 
+class TestInitRandom:
+    @pytest.mark.parametrize("k", [-60, -30, 30, 60])
+    @pytest.mark.parametrize("example", ["example1_params", "example2_params"])
+    def test_start_scales_with_the_data(self, request, example, k):
+        # the start variance is the pooled variance in the data's units, so
+        # at 2^k times the data the start is 2^k times the means, 4^k times
+        # the variances
+        params = request.getfixturevalue(example)
+        data, _ = sample(params, 1000, 0)
+        want = init_random(data, params.n_components, rng_seed=3)
+        got = init_random(np.ldexp(data, k), params.n_components, rng_seed=3)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.means, np.ldexp(want.means, k))
+        assert np.array_equal(got.variances, np.ldexp(want.variances, 2 * k))
+
+    def test_equal_rows_take_the_fixed_variance(self):
+        # a pooled variance of 0 is no start variance; 1e-12 stands in
+        assert np.array_equal(init_random(np.full((5, 3), 0.5), 2).variances, [1e-12, 1e-12])
+
+
 class TestEmFit:
     def test_loglik_monotone(self, example2_params):
         data, _ = sample(example2_params, 2_000, rng_seed=6)

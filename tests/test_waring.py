@@ -68,6 +68,14 @@ def random_decomposable(rng, m, r, d, weight_low=0.5, weight_high=2.0):
     return t, tw, tp
 
 
+def leaking_noisy_tensor():
+    """A noisy m = 6, r = 6 tensor, 1e-3 N(0, 1) noise on each coefficient,
+    whose first four pencil draws from seed 1 give complex points."""
+    rng = np.random.default_rng(6001)
+    t, _, _ = random_decomposable(rng, 6, 6, 3)
+    return SymmetricTensor(6, 3, t.coeffs + 1e-3 * rng.standard_normal(len(t.coeffs)))
+
+
 class TestDefaultRowDegree:
     def test_values(self):
         assert default_row_degree(3) == 2
@@ -122,7 +130,7 @@ class TestSimultaneousDiagonalize:
         dec = decompose(t, m2_eigenvalues=lam)
         worst_pt, worst_w = match_error(dec, tw, tp)
         assert worst_pt < 1e-12 and worst_w < 1e-12
-        assert dec.sweeps >= 1 and dec.refine_steps == 0 and not dec.complex_leak
+        assert dec.sweeps >= 1 and dec.refine_steps == 0
 
     @pytest.mark.parametrize("r", [1, 2, 3, 6, 15])
     def test_commuting_slices(self, r):
@@ -180,8 +188,7 @@ class TestPencilPoints:
         rng = np.random.default_rng(3)
         t, _, tp = random_decomposable(rng, 4, 3, 3)
         slices = truncated_svd_basis(t, 2)
-        points, leak = pencil_points(slices, rng_seed=0)
-        assert not leak
+        points = pencil_points(slices, rng_seed=0)
         worst, _ = match_error(
             WaringDecomposition(np.ones(3), points, 3), np.ones(3), tp
         )
@@ -189,19 +196,11 @@ class TestPencilPoints:
 
     def test_complex_leak_error_mode(self):
         # X1^3 - 3 X1 X2^2 = Re((X1 + i X2)^3) decomposes over C with points
-        # (1, +-i), so real extraction must either fail or flag the leak
+        # (1, +-i), so real extraction must fail
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
         slices = truncated_svd_basis(t, 2, rank=2)
-        with pytest.raises(NumericalError):
-            pencil_points(slices, rng_seed=0, on_complex="error")
-
-    def test_complex_leak_warn_mode(self):
-        t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
-        slices = truncated_svd_basis(t, 2, rank=2)
-        points, leak = pencil_points(slices, rng_seed=0, on_complex="warn")
-        assert leak
-        assert points.shape == (2, 2)
-        assert np.isrealobj(points)
+        with pytest.raises(NumericalError, match="imaginary parts"):
+            pencil_points(slices, rng_seed=0)
 
 
 class TestSolveWeights:
@@ -288,11 +287,10 @@ class TestDecompose:
             decompose(t, k=3)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"on_complex": "bogus"}, "on_complex must be 'error' or 'warn'"),
         ({"rank_tolerance": float("nan")}, r"rank_tolerance must be in \[0, 1\)"),
         ({"rank_tolerance": -0.1}, r"rank_tolerance must be in \[0, 1\)"),
         ({"rank_tolerance": 1.0}, r"rank_tolerance must be in \[0, 1\)"),
-    ], ids=["on_complex-bogus", "tolerance-nan", "tolerance-negative", "tolerance-one"])
+    ], ids=["tolerance-nan", "tolerance-negative", "tolerance-one"])
     def test_bad_argument_rejected(self, kwargs, message):
         t = SymmetricTensor(2, 3, [1.0, 0.0, 0.0, 1.0])
         with pytest.raises(InputError, match=message):
@@ -418,9 +416,11 @@ class TestRefine:
 # ---------------------------------------------------------------------------
 
 
-def nested_diagonalize(slices, rng_seed, on_complex):
+def nested_diagonalize(slices, rng_seed):
     """Reference: the earlier pencil diagonalization, which drew up to 5
-    (a, b) pairs from one stream and returned the first that diagonalized."""
+    (a, b) pairs from one stream and returned the first that diagonalized;
+    a pair whose points leak imaginary parts fails the whole draw, as in
+    pencil_points."""
     m, _, r = slices.shape
     rng = np.random.default_rng(rng_seed)
     for _ in range(5):
@@ -446,31 +446,26 @@ def nested_diagonalize(slices, rng_seed, on_complex):
         points = np.conj(coords)
         re_scale = np.max(np.abs(points.real))
         im_scale = np.max(np.abs(points.imag))
-        leak = False
         if re_scale == 0.0 or im_scale > waring.IMAG_LEAK_TOL * re_scale:
-            if on_complex == "error":
-                continue
-            leak = True
+            raise NumericalError("points carry non-negligible imaginary parts")
         unit, _ = waring._normalize_points(points.real)
-        return unit, leak
+        return unit
     raise NumericalError("simultaneous diagonalization failed")
 
 
-def nested_decompose(t, rank, k, rng_seed, on_complex):
+def nested_decompose(t, rank, k, rng_seed):
     """Reference: the earlier decompose's outer draws, each running
     nested_diagonalize on its own seed, under the one-draw rule: the first
     that succeeds is kept."""
     slices = truncated_svd_basis(t, k, rank)
     for attempt in range(waring.MAX_PENCIL_DRAWS):
         try:
-            points, leak = nested_diagonalize(
-                slices, rng_seed + 7919 * attempt, on_complex
-            )
+            points = nested_diagonalize(slices, rng_seed + 7919 * attempt)
             weights, rel = solve_weights(t, evaluation_matrix(points, t.order))
         except NumericalError:
             continue
         break
-    result = WaringDecomposition(weights, points, t.order, complex_leak=leak)
+    result = WaringDecomposition(weights, points, t.order)
     if relative_residual(t, result) > 1e-14:
         result = refine(t, result, waring.REFINE_ITERATIONS)
     return result
@@ -481,9 +476,9 @@ def record_draw_seeds(monkeypatch):
     seeds = []
     inner = waring.pencil_points
 
-    def recording(slices, rng_seed=0, on_complex="error"):
+    def recording(slices, rng_seed=0):
         seeds.append(rng_seed)
-        return inner(slices, rng_seed, on_complex)
+        return inner(slices, rng_seed)
 
     monkeypatch.setattr(waring, "pencil_points", recording)
     return seeds
@@ -498,12 +493,11 @@ class TestPencilDrawLoop:
         noisy = SymmetricTensor(
             m, 3, t.coeffs + 1e-3 * rng.standard_normal(len(t.coeffs))
         )
-        args = dict(rank=r, k=2, rng_seed=seed, on_complex="warn")
+        args = dict(rank=r, k=2, rng_seed=seed)
         got = decompose(noisy, **args)
         want = nested_decompose(noisy, **args)
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.points, want.points)
-        assert got.complex_leak is want.complex_leak
 
     def test_noisy_tensor_takes_the_first_draw(self, monkeypatch):
         # a noisy tensor leaves a residual above any threshold, and still the
@@ -514,8 +508,22 @@ class TestPencilDrawLoop:
             5, 3, t.coeffs + 1e-3 * rng.standard_normal(len(t.coeffs))
         )
         seeds = record_draw_seeds(monkeypatch)
-        decompose(noisy, rank=3, k=2, rng_seed=4, on_complex="warn")
+        decompose(noisy, rank=3, k=2, rng_seed=4)
         assert seeds == [4]
+
+    def test_leaking_draws_are_skipped(self, monkeypatch):
+        # a draw whose points leak imaginary parts is an unlucky draw: here
+        # draws 0-3 leak, and draw 4 is kept and refined to a real fit
+        noisy = leaking_noisy_tensor()
+        slices = truncated_svd_basis(noisy, 2, rank=6)
+        for draw in range(4):
+            with pytest.raises(NumericalError, match="imaginary parts"):
+                pencil_points(slices, 1 + 7919 * draw)
+        seeds = record_draw_seeds(monkeypatch)
+        dec = decompose(noisy, rank=6, k=2, rng_seed=1)
+        assert seeds == [1 + 7919 * j for j in range(5)]
+        assert dec.points.dtype == dec.weights.dtype == np.float64
+        assert relative_residual(noisy, dec) == pytest.approx(0.004, rel=0.05)
 
     def test_failed_draws_are_skipped(self, monkeypatch):
         # draws that raise are skipped; the first that succeeds is kept
@@ -523,11 +531,11 @@ class TestPencilDrawLoop:
         t, tw, tp = random_decomposable(rng, 4, 3, 3)
         inner, seeds = waring.pencil_points, []
 
-        def failing_twice(slices, rng_seed=0, on_complex="error"):
+        def failing_twice(slices, rng_seed=0):
             seeds.append(rng_seed)
             if len(seeds) <= 2:
                 raise NumericalError("eigenvalue clustering in the random pencil")
-            return inner(slices, rng_seed, on_complex)
+            return inner(slices, rng_seed)
 
         monkeypatch.setattr(waring, "pencil_points", failing_twice)
         dec = decompose(t, rank=3, k=2, rng_seed=1)
@@ -540,7 +548,7 @@ class TestPencilDrawLoop:
         t = SymmetricTensor(2, 3, [1.0, 0.0, -1.0, 0.0])
         seeds = record_draw_seeds(monkeypatch)
         with pytest.raises(NumericalError, match="pencil draws failed"):
-            decompose(t, rank=2, k=2, on_complex="error")
+            decompose(t, rank=2, k=2)
         assert seeds == [7919 * j for j in range(waring.MAX_PENCIL_DRAWS)]
 
 
@@ -593,7 +601,7 @@ def gemm_refine(t, w, iters):
         else:
             break
     unit, scales = waring._normalize_points(points)
-    return WaringDecomposition(signs * scales**d, unit, d, complex_leak=w.complex_leak)
+    return WaringDecomposition(signs * scales**d, unit, d)
 
 
 class TestRefineMatchesGemm:
@@ -605,7 +613,7 @@ class TestRefineMatchesGemm:
         t, _, _ = random_decomposable(rng, m, r, 3)
         noise = 1e-2 * np.abs(t.coeffs).max() * rng.standard_normal(len(t.coeffs))
         noisy = SymmetricTensor(m, 3, t.coeffs + noise)
-        start = decompose(noisy, rank=r, on_complex="warn")
+        start = decompose(noisy, rank=r)
         got = refine(noisy, start, 5)
         want = gemm_refine(noisy, start, 5)
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9, atol=0)
@@ -620,7 +628,7 @@ def test_absorbed_normal_matrix_is_nonsingular():
     t, _, _ = random_decomposable(rng, 6, 4, 3)
     noise = 1e-2 * np.abs(t.coeffs).max() * rng.standard_normal(len(t.coeffs))
     noisy = SymmetricTensor(6, 3, t.coeffs + noise)
-    out = decompose(noisy, rank=4, on_complex="warn")
+    out = decompose(noisy, rank=4)
     points = np.cbrt(out.weights)[:, None] * out.points
     signs = np.ones(4)
     res = signs @ evaluation_matrix(points, 3) - noisy.coeffs
